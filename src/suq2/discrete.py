@@ -214,9 +214,10 @@ def conjugate_unitary(two_n: int) -> ConjugateUnitary:
 
 def unitary_antipode_block(two_n: int, mat: np.ndarray) -> np.ndarray:
     """R(a) = G^-1 a* G on one block; the conjugations cancel, leaving the
-    linear sandwich P^T a^T P with P the signed flip."""
-    p = conjugate_unitary(two_n).matrix
-    return p.T @ mat.T @ p
+    linear sandwich P^T a^T P with P the signed flip, applied here as an
+    index flip and a sign outer product."""
+    g = conjugate_unitary(two_n)
+    return np.outer(g.signs, g.signs) * mat[np.ix_(g.perm, g.perm)].T
 
 
 def scaling_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:
@@ -241,8 +242,9 @@ def antipode_inv_block(params: Params, two_n: int, mat: np.ndarray) -> np.ndarra
     return scaling_imag_block(params, two_n, unitary_antipode_block(two_n, mat), +0.5)
 
 
-def _blockwise(a: AlgElement, fn) -> AlgElement:
-    return AlgElement({n: fn(n, m) for n, m in a.blocks.items()})
+def _blockwise(a, fn):
+    """fn(two_n, block) on every block, keeping the element's type."""
+    return type(a)({n: fn(n, m) for n, m in a.blocks.items()})
 
 
 def unitary_antipode(a: AlgElement) -> AlgElement:

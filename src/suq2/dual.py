@@ -13,6 +13,21 @@ side under the pairing:
     <a, S(b)>   = <S^-1(a), b>
     <a, b*>     = conj(<S(a*), b>)
 
+The block maps behind the antipode and the modular data are their own
+transposes under this pairing: the unitary antipode R(a) = P^T a^T P has
+transpose P b^T P^T, which is R(b) again for either parity of the spin;
+the imaginary scaling tau_(is) and right multiplication by the diagonal
+modular element delta are entrywise rescalings; and R commutes with
+tau_(is).  On the matrix units of the direct sum,
+S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r), and the transposes come out
+block by block in closed form:
+
+    S(b)_n        = S^-1(b_n)            S^-1(b)_n     = S(b_n)
+    (b*)_n        = S(b_n)^*  (conjugate transpose)
+    sigma(b)_n    = S^-2(b_n) delta      sigma^-1(b)_n = S^2(b_n) delta^-1
+
+each one O(dim^2) per block.
+
 The 2x2 family u of matrix units of the spin-1/2 block is a unitary
 corepresentation whose entries alpha = u[1/2,1/2] and gamma = u[-1/2,1/2]
 satisfy the defining commutation relations of the compact quantum SU(2)
@@ -25,6 +40,7 @@ import numpy as np
 from .clebsch import decompose
 from .discrete import (
     AlgElement,
+    _blockwise,
     antipode_block,
     antipode_inv_block,
     modular_element_block,
@@ -118,61 +134,36 @@ def dual_mul(params: Params, x: DualElement, y: DualElement) -> DualElement:
     return DualElement(out)
 
 
-def dual_coproduct_pairing(params: Params, a: AlgElement, a2: AlgElement, b: DualElement) -> complex:
-    """<a (x) a2, D(b)> evaluated through the product convention <a a2, b>."""
-    return pair(a * a2, b)
-
-
 def dual_counit(b: DualElement) -> complex:
     """Pairing with the local unit over the support of b."""
     return complex(sum(np.trace(m) for m in b.blocks.values()))
 
 
-def dual_transpose(b: DualElement, block_map) -> DualElement:
-    """Transpose a blockwise linear map of the direct-sum side onto the dual.
-
-    ``block_map(two_n, mat)`` must be linear in ``mat`` and preserve the
-    block; the returned functional satisfies
-    <a, result> = <block_map(a), b> for every a supported where b is.
-    """
-    out = {}
-    for two_n, coeff in b.blocks.items():
-        dim = two_n + 1
-        new = np.zeros((dim, dim), dtype=complex)
-        unit = np.zeros((dim, dim), dtype=complex)
-        for r in range(dim):
-            for s in range(dim):
-                unit[r, s] = 1.0
-                new[r, s] = np.sum(block_map(two_n, unit) * coeff)
-                unit[r, s] = 0.0
-        out[two_n] = new
-    return DualElement(out)
-
-
 def dual_antipode(params: Params, b: DualElement) -> DualElement:
-    """S on the dual: <a, S(b)> = <S^-1(a), b>."""
-    return dual_transpose(b, lambda n, m: antipode_inv_block(params, n, m))
+    """S on the dual: <a, S(b)> = <S^-1(a), b>.
+
+    Blockwise S(b)_n = S^-1(b_n), so on matrix coefficients
+    S(e_(r,s)) = (-1)^(s-r) lam^(r-s) e_(-s,-r).
+    """
+    return _blockwise(b, lambda n, m: antipode_inv_block(params, n, m))
 
 
 def dual_antipode_inv(params: Params, b: DualElement) -> DualElement:
-    """S^-1 on the dual: <a, S^-1(b)> = <S(a), b>."""
-    return dual_transpose(b, lambda n, m: antipode_block(params, n, m))
+    """S^-1 on the dual: <a, S^-1(b)> = <S(a), b>.
+
+    Blockwise S^-1(b)_n = S(b_n), so on matrix coefficients
+    S^-1(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r).
+    """
+    return _blockwise(b, lambda n, m: antipode_block(params, n, m))
 
 
 def dual_star(params: Params, b: DualElement) -> DualElement:
-    """Star on the dual: <a, b*> = conj(<S(a*), b>)."""
-    out = {}
-    for two_n, coeff in b.blocks.items():
-        dim = two_n + 1
-        new = np.zeros((dim, dim), dtype=complex)
-        unit = np.zeros((dim, dim), dtype=complex)
-        for r in range(dim):
-            for s in range(dim):
-                unit[s, r] = 1.0  # (e_(r,s))* = e_(s,r)
-                new[r, s] = np.conj(np.sum(antipode_block(params, two_n, unit) * coeff))
-                unit[s, r] = 0.0
-        out[two_n] = new
-    return DualElement(out)
+    """Star on the dual: <a, b*> = conj(<S(a*), b>).
+
+    Blockwise (b*)_n = S(b_n)^* (conjugate transpose), so on matrix
+    coefficients (e_(r,s))* = (-1)^(s-r) lam^(s-r) e_(-r,-s).
+    """
+    return _blockwise(b, lambda n, m: antipode_block(params, n, m).conj().T)
 
 
 def dual_haar(b: DualElement) -> complex:
@@ -184,25 +175,32 @@ def dual_haar(b: DualElement) -> complex:
 
 def dual_modular(params: Params, b: DualElement) -> DualElement:
     """Modular automorphism of the Haar state:
-    <a, sigma(b)> = <S^-2(a) delta, b> with delta the modular element."""
+    <a, sigma(b)> = <S^-2(a) delta, b> with delta the modular element.
+
+    Blockwise sigma(b)_n = S^-2(b_n) delta, so on matrix coefficients
+    sigma(e_(r,s)) = lam^(2(r+s)) e_(r,s).
+    """
 
     def block_map(two_n, mat):
         lifted = antipode_inv_block(params, two_n, antipode_inv_block(params, two_n, mat))
-        return lifted @ modular_element_block(params, two_n)
+        return lifted * np.diag(modular_element_block(params, two_n))
 
-    return dual_transpose(b, block_map)
+    return _blockwise(b, block_map)
 
 
 def dual_modular_inv(params: Params, b: DualElement) -> DualElement:
     """Inverse modular automorphism:
-    <a, sigma^-1(b)> = <S^2(a delta^-1), b>."""
+    <a, sigma^-1(b)> = <S^2(a delta^-1), b>.
+
+    Blockwise sigma^-1(b)_n = S^2(b_n) delta^-1, so on matrix coefficients
+    sigma^-1(e_(r,s)) = lam^(-2(r+s)) e_(r,s).
+    """
 
     def block_map(two_n, mat):
-        delta = modular_element_block(params, two_n)
-        shifted = mat @ np.diag(1.0 / np.diag(delta))
-        return antipode_block(params, two_n, antipode_block(params, two_n, shifted))
+        lowered = antipode_block(params, two_n, antipode_block(params, two_n, mat))
+        return lowered / np.diag(modular_element_block(params, two_n))
 
-    return dual_transpose(b, block_map)
+    return _blockwise(b, block_map)
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,13 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def rel_residual(value, expected) -> float:
-    """|value - expected| / max(1, |expected|)."""
-    return abs(value - expected) / max(1.0, abs(expected))
-
-
 def weights(two_n: int) -> np.ndarray:
     """Doubled weights of the spin-(two_n/2) module, highest first.
 
     ``weights(3) == [3, 1, -1, -3]``; the basis of every representation in
     this package is ordered the same way (j = n down to j = -n).
     """
-    if two_n < 0 or not isinstance(two_n, (int, np.integer)):
+    if not isinstance(two_n, (int, np.integer)) or two_n < 0:
         raise ValueError(f"doubled spin must be a nonnegative integer, got {two_n!r}")
     return np.arange(two_n, -two_n - 1, -2, dtype=int)
 

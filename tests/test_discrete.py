@@ -25,6 +25,7 @@ from suq2.discrete import (
     scaling,
     scaling_imag,
     unitary_antipode,
+    unitary_antipode_block,
 )
 from suq2.params import Params
 from suq2.reps import build_rep, evaluate
@@ -154,6 +155,21 @@ def test_conjugate_unitary_squares_to_parity():
             assert max_abs(g.apply(g.apply(basis[i])) - parity * basis[i]) < 1e-14
         # unitary as a matrix: columns orthonormal
         assert max_abs(g.matrix.conj().T @ g.matrix - np.eye(two_n + 1)) < 1e-14
+
+
+def test_unitary_antipode_block_is_the_signed_flip_sandwich():
+    rng = np.random.default_rng(11)
+    for two_n in range(0, 17):
+        dim = two_n + 1
+        mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        p = conjugate_unitary(two_n).matrix
+        assert np.array_equal(unitary_antipode_block(two_n, mat), p.T @ mat.T @ p)
+
+
+@pytest.mark.parametrize("bad", ["3", None, 2.0, -1])
+def test_weights_rejects_bad_doubled_spin(bad):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        weights(bad)
 
 
 def test_unitary_antipode_closed_form_on_matrix_units():

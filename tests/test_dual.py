@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from suq2.discrete import AlgElement, matrix_unit, modular_element_block
+from suq2.discrete import (
+    AlgElement,
+    antipode,
+    antipode_block,
+    antipode_inv,
+    antipode_inv_block,
+    matrix_unit,
+    modular_element_block,
+)
 from suq2.dual import (
     DualElement,
     U_LABELS,
@@ -239,3 +247,117 @@ def test_pairing_is_bilinear():
     b = u_entry(1, -1)
     assert abs(pair(2.0 * a, b) - 2.0 * pair(a, b)) < 1e-14
     assert abs(pair(a, 2.0 * b) - 2.0 * pair(a, b)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# closed-form dual maps against the matrix-unit probe and the pairing laws
+# ---------------------------------------------------------------------------
+
+REFERENCE_TS = (0.1, 0.3, 1.0, 2.0)
+REFERENCE_SPINS = range(0, 17)  # spin <= 8
+# float64 roundoff of a few entrywise products, with headroom; fixed
+# before the comparison was first run
+REFERENCE_REL_TOL = 1e-13
+
+
+def _random_blocks(rng, two_ns) -> dict:
+    return {n: rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)) for n in two_ns}
+
+
+def _probe_transpose(b: DualElement, block_map) -> DualElement:
+    """Transpose of a blockwise linear map under the pairing, one matrix
+    unit at a time: result[r, s] = <block_map(e_(r,s)), b>.  O(dim^4)."""
+    out = {}
+    for two_n, coeff in b.blocks.items():
+        dim = two_n + 1
+        new = np.zeros((dim, dim), dtype=complex)
+        unit = np.zeros((dim, dim), dtype=complex)
+        for r in range(dim):
+            for s in range(dim):
+                unit[r, s] = 1.0
+                new[r, s] = np.sum(block_map(two_n, unit) * coeff)
+                unit[r, s] = 0.0
+        out[two_n] = new
+    return DualElement(out)
+
+
+def _probe(params, name, b):
+    """The dual map ``name`` of b from its defining pairing law."""
+    s_blk = lambda n, m: antipode_block(params, n, m)  # noqa: E731
+    s_inv = lambda n, m: antipode_inv_block(params, n, m)  # noqa: E731
+    delta = lambda n: modular_element_block(params, n)  # noqa: E731
+    if name == "antipode":
+        return _probe_transpose(b, s_inv)
+    if name == "antipode_inv":
+        return _probe_transpose(b, s_blk)
+    if name == "star":
+        # (b*)[r, s] = conj(<S(e_(r,s)*), b>) with e_(r,s)* = e_(s,r)
+        probed = _probe_transpose(b, lambda n, m: s_blk(n, m.T))
+        return DualElement({n: m.conj() for n, m in probed.blocks.items()})
+    if name == "modular":
+        return _probe_transpose(b, lambda n, m: s_inv(n, s_inv(n, m)) @ delta(n))
+    if name == "modular_inv":
+        return _probe_transpose(
+            b, lambda n, m: s_blk(n, s_blk(n, m @ np.diag(1.0 / np.diag(delta(n)))))
+        )
+    raise ValueError(name)
+
+
+DUAL_MAPS = {
+    "antipode": dual_antipode,
+    "antipode_inv": dual_antipode_inv,
+    "star": dual_star,
+    "modular": dual_modular,
+    "modular_inv": dual_modular_inv,
+}
+
+
+@pytest.mark.parametrize("t", REFERENCE_TS)
+@pytest.mark.parametrize("name", sorted(DUAL_MAPS))
+def test_closed_form_dual_maps_match_the_matrix_unit_probe(t, name):
+    params = Params(t=t)
+    b = DualElement(_random_blocks(np.random.default_rng(31), REFERENCE_SPINS))
+    got = DUAL_MAPS[name](params, b)
+    ref = _probe(params, name, b)
+    assert got.support == ref.support == list(REFERENCE_SPINS)
+    for two_n in ref.support:
+        diff = np.abs(got.blocks[two_n] - ref.blocks[two_n])
+        assert np.all(diff <= REFERENCE_REL_TOL * np.abs(ref.blocks[two_n])), (name, t, two_n)
+
+
+def _pairing_gap(lhs_a, lhs_b, rhs_a, rhs_b, conjugate=False):
+    """|<lhs_a, lhs_b> - <rhs_a, rhs_b>| over the sum of absolute terms."""
+    lhs = pair(lhs_a, lhs_b)
+    rhs = pair(rhs_a, rhs_b)
+    if conjugate:
+        rhs = np.conj(rhs)
+    scale = sum(
+        np.sum(np.abs(rhs_a.blocks[n] * rhs_b.blocks[n]))
+        for n in rhs_a.blocks.keys() & rhs_b.blocks.keys()
+    )
+    return abs(lhs - rhs) / scale
+
+
+@pytest.mark.parametrize("t", REFERENCE_TS)
+def test_dual_maps_satisfy_their_pairing_laws(t):
+    params = Params(t=t)
+    rng = np.random.default_rng(32)
+    a = AlgElement(_random_blocks(rng, REFERENCE_SPINS))
+    b = DualElement(_random_blocks(rng, REFERENCE_SPINS))
+    delta = AlgElement({n: modular_element_block(params, n) for n in REFERENCE_SPINS})
+    delta_inv = AlgElement({n: np.linalg.inv(modular_element_block(params, n)) for n in REFERENCE_SPINS})
+    s_inv_sq_a = antipode_inv(params, antipode_inv(params, a))
+    s_sq_a_delta_inv = antipode(params, antipode(params, a * delta_inv))
+    gaps = {
+        "<a, S(b)> = <S^-1(a), b>": _pairing_gap(a, dual_antipode(params, b), antipode_inv(params, a), b),
+        "<a, S^-1(b)> = <S(a), b>": _pairing_gap(a, dual_antipode_inv(params, b), antipode(params, a), b),
+        "<a, b*> = conj(<S(a*), b>)": _pairing_gap(
+            a, dual_star(params, b), antipode(params, a.star()), b, conjugate=True
+        ),
+        "<a, sigma(b)> = <S^-2(a) delta, b>": _pairing_gap(a, dual_modular(params, b), s_inv_sq_a * delta, b),
+        "<a, sigma^-1(b)> = <S^2(a delta^-1), b>": _pairing_gap(
+            a, dual_modular_inv(params, b), s_sq_a_delta_inv, b
+        ),
+    }
+    for law, gap in gaps.items():
+        assert gap <= REFERENCE_REL_TOL, (law, t, gap)
