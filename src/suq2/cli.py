@@ -33,6 +33,7 @@ from .util import max_abs, weights
 from .verify import (
     RunConfig,
     SUITES,
+    _format_float,
     config_doc,
     dual_antipode_expected,
     dual_haar_quadratic_expected,
@@ -158,10 +159,10 @@ def _flatten(doc, prefix=""):
     elif isinstance(doc, (int, np.integer)):
         yield prefix, str(int(doc))
     elif isinstance(doc, (float, np.floating)):
-        yield prefix, format(float(doc), ".17g")
+        yield prefix, _format_float(doc)
     elif isinstance(doc, (complex, np.complexfloating)):
-        yield prefix + ".re", format(float(doc.real), ".17g")
-        yield prefix + ".im", format(float(doc.imag), ".17g")
+        yield prefix + ".re", _format_float(doc.real)
+        yield prefix + ".im", _format_float(doc.imag)
     elif isinstance(doc, str):
         yield prefix, '"' + doc.replace('"', '""') + '"'
     else:
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.exit(2, f"suq2: error: {exc}\n")
         return 2
 

@@ -15,6 +15,12 @@ analytic continuation of the scaling group, a cointegral h (the unit of
 the spin-0 block), and left/right invariant integrals with modular data
 q^4.  All of these admit closed forms on matrix units, which is what the
 verification batteries pin down.
+
+Elements of A (``AlgElement``), families of two-leg components
+(``BiElement``, keyed by (n, m)) and the dual's coefficient functionals
+(``suq2.dual.DualElement``) share the storage base ``BlockSum``: a dict of
+square complex blocks with exactly-zero blocks dropped, its linear
+structure and blockwise maps.
 """
 
 from dataclasses import dataclass, field
@@ -29,101 +35,106 @@ from .util import max_abs, weight_index, weights
 from .words import AlgPoly
 
 
-class AlgElement:
-    """Finitely supported element of the direct sum of matrix blocks."""
+class BlockSum:
+    """Finite family of square complex blocks keyed by block label.
+
+    Holds the shape check, the pruning of exactly-zero blocks, sums, scalar
+    multiples, the norm and blockwise maps; subclasses add their own
+    products.  ``_dim`` gives the block side for a key: a doubled spin
+    two_n by default, overridden for other labels.
+    """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks=None):
         self.blocks = {}
         if blocks:
-            for two_n, mat in blocks.items():
+            for key, mat in blocks.items():
+                key = tuple(map(int, key)) if isinstance(key, tuple) else int(key)
                 mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (two_n + 1, two_n + 1):
-                    raise ValueError(
-                        f"block {two_n} must be {two_n + 1} x {two_n + 1}, got {mat.shape}"
-                    )
+                dim = self._dim(key)
+                if mat.shape != (dim, dim):
+                    raise ValueError(f"block {key} must be {dim} x {dim}, got {mat.shape}")
                 if np.count_nonzero(mat):
-                    self.blocks[int(two_n)] = mat
+                    self.blocks[key] = mat
+
+    @staticmethod
+    def _dim(two_n):
+        return two_n + 1
 
     @property
     def support(self) -> list:
         return sorted(self.blocks)
 
-    def block(self, two_n: int) -> np.ndarray:
-        """The block at doubled spin two_n (zeros if absent)."""
-        if two_n in self.blocks:
-            return self.blocks[two_n]
-        return np.zeros((two_n + 1, two_n + 1), dtype=complex)
+    def block(self, *key) -> np.ndarray:
+        """The block at ``key`` (zeros if absent)."""
+        key = key if len(key) > 1 else key[0]
+        if key in self.blocks:
+            return self.blocks[key]
+        dim = self._dim(key)
+        return np.zeros((dim, dim), dtype=complex)
+
+    def map(self, fn):
+        """fn(key, block) on every block, keeping the element's type."""
+        return type(self)({key: fn(key, mat) for key, mat in self.blocks.items()})
 
     def __add__(self, other):
-        out = {n: m.copy() for n, m in self.blocks.items()}
-        for n, m in other.blocks.items():
-            out[n] = out[n] + m if n in out else m
-        return AlgElement(out)
+        out = {key: mat.copy() for key, mat in self.blocks.items()}
+        for key, mat in other.blocks.items():
+            out[key] = out[key] + mat if key in out else mat
+        return type(self)(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            shared = self.blocks.keys() & other.blocks.keys()
-            return AlgElement({n: self.blocks[n] @ other.blocks[n] for n in shared})
-        return AlgElement({n: complex(other) * m for n, m in self.blocks.items()})
-
-    def __rmul__(self, scalar):
-        return AlgElement({n: complex(scalar) * m for n, m in self.blocks.items()})
-
     def __neg__(self):
         return (-1.0) * self
 
-    def star(self):
-        return AlgElement({n: m.conj().T for n, m in self.blocks.items()})
+    def __mul__(self, scalar):
+        scalar = complex(scalar)
+        return type(self)({key: scalar * mat for key, mat in self.blocks.items()})
+
+    __rmul__ = __mul__
 
     def norm(self) -> float:
         return max((max_abs(m) for m in self.blocks.values()), default=0.0)
 
     def __repr__(self):
-        return f"AlgElement(support={self.support})"
+        return f"{type(self).__name__}(support={self.support})"
 
 
-class BiElement:
-    """Finitely supported element of the two-leg direct sum (+) A_n (x) A_m."""
+class AlgElement(BlockSum):
+    """Finitely supported element of the direct sum of matrix blocks."""
 
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks=None):
-        self.blocks = {}
-        if blocks:
-            for (two_n, two_m), mat in blocks.items():
-                mat = np.asarray(mat, dtype=complex)
-                dim = (two_n + 1) * (two_m + 1)
-                if mat.shape != (dim, dim):
-                    raise ValueError(f"block {(two_n, two_m)} must be {dim} x {dim}")
-                if np.count_nonzero(mat):
-                    self.blocks[(int(two_n), int(two_m))] = mat
-
-    def block(self, two_n: int, two_m: int) -> np.ndarray:
-        if (two_n, two_m) in self.blocks:
-            return self.blocks[(two_n, two_m)]
-        dim = (two_n + 1) * (two_m + 1)
-        return np.zeros((dim, dim), dtype=complex)
-
-    def __sub__(self, other):
-        out = {k: m.copy() for k, m in self.blocks.items()}
-        for k, m in other.blocks.items():
-            out[k] = out[k] - m if k in out else -m
-        return BiElement(out)
+    __slots__ = ()
 
     def __mul__(self, other):
-        shared = self.blocks.keys() & other.blocks.keys()
-        return BiElement({k: self.blocks[k] @ other.blocks[k] for k in shared})
+        if isinstance(other, AlgElement):
+            shared = self.blocks.keys() & other.blocks.keys()
+            return AlgElement({n: self.blocks[n] @ other.blocks[n] for n in shared})
+        return super().__mul__(other)
 
     def star(self):
-        return BiElement({k: m.conj().T for k, m in self.blocks.items()})
+        return self.map(lambda n, m: m.conj().T)
 
-    def norm(self) -> float:
-        return max((max_abs(m) for m in self.blocks.values()), default=0.0)
+
+class BiElement(BlockSum):
+    """Finitely supported element of the two-leg direct sum (+) A_n (x) A_m."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _dim(key):
+        return (key[0] + 1) * (key[1] + 1)
+
+    def __mul__(self, other):
+        if isinstance(other, BiElement):
+            shared = self.blocks.keys() & other.blocks.keys()
+            return BiElement({k: self.blocks[k] @ other.blocks[k] for k in shared})
+        return super().__mul__(other)
+
+    def star(self):
+        return self.map(lambda k, m: m.conj().T)
 
 
 def matrix_unit(two_n: int, two_r: int, two_s: int) -> AlgElement:
@@ -148,9 +159,7 @@ def embed(params: Params, x: AlgPoly, window) -> AlgElement:
 
 def counit(a: AlgElement) -> complex:
     """The spin-0 entry; the counit of the comultiplication below."""
-    if 0 in a.blocks:
-        return complex(a.blocks[0][0, 0])
-    return 0.0 + 0.0j
+    return complex(a.block(0)[0, 0])
 
 
 def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -> np.ndarray:
@@ -242,33 +251,28 @@ def antipode_inv_block(params: Params, two_n: int, mat: np.ndarray) -> np.ndarra
     return scaling_imag_block(params, two_n, unitary_antipode_block(two_n, mat), +0.5)
 
 
-def _blockwise(a, fn):
-    """fn(two_n, block) on every block, keeping the element's type."""
-    return type(a)({n: fn(n, m) for n, m in a.blocks.items()})
-
-
 def unitary_antipode(a: AlgElement) -> AlgElement:
     """The involutive *-antiautomorphism R; flips the comultiplication."""
-    return _blockwise(a, unitary_antipode_block)
+    return a.map(unitary_antipode_block)
 
 
 def scaling(params: Params, a: AlgElement, s: float) -> AlgElement:
     """One-parameter scaling group tau_s (s real); commutes with R."""
-    return _blockwise(a, lambda n, m: scaling_block(params, n, m, s))
+    return a.map(lambda n, m: scaling_block(params, n, m, s))
 
 
 def scaling_imag(params: Params, a: AlgElement, s: float) -> AlgElement:
     """Entire extension tau_(is); s = -1 gives the antipode squared."""
-    return _blockwise(a, lambda n, m: scaling_imag_block(params, n, m, s))
+    return a.map(lambda n, m: scaling_imag_block(params, n, m, s))
 
 
 def antipode(params: Params, a: AlgElement) -> AlgElement:
     """S = R o tau_(-i/2); on matrix units S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r)."""
-    return _blockwise(a, lambda n, m: antipode_block(params, n, m))
+    return a.map(lambda n, m: antipode_block(params, n, m))
 
 
 def antipode_inv(params: Params, a: AlgElement) -> AlgElement:
-    return _blockwise(a, lambda n, m: antipode_inv_block(params, n, m))
+    return a.map(lambda n, m: antipode_inv_block(params, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +373,9 @@ def modular_automorphism(params: Params, a: AlgElement, kind: str) -> AlgElement
     The two are mutually inverse.
     """
     if kind == "left":
-        return _blockwise(a, lambda n, m: scaling_imag_block(params, n, m, -1.0))
+        return a.map(lambda n, m: scaling_imag_block(params, n, m, -1.0))
     if kind == "right":
-        return _blockwise(a, lambda n, m: scaling_imag_block(params, n, m, +1.0))
+        return a.map(lambda n, m: scaling_imag_block(params, n, m, +1.0))
     raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
 
 

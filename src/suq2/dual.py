@@ -40,63 +40,24 @@ import numpy as np
 from .clebsch import decompose
 from .discrete import (
     AlgElement,
-    _blockwise,
+    BlockSum,
     antipode_block,
     antipode_inv_block,
     modular_element_block,
 )
 from .params import Params
-from .util import max_abs, weight_index
+from .util import weight_index
 
 _UNIT_CACHE = {}
 
 
-class DualElement:
-    """Finitely supported functional, one coefficient matrix per block."""
+class DualElement(BlockSum):
+    """Finitely supported functional, one coefficient matrix per block.
 
-    __slots__ = ("blocks",)
+    All of its structure comes from ``BlockSum``: the product of
+    functionals is ``dual_mul``, so ``*`` takes scalars only."""
 
-    def __init__(self, blocks=None):
-        self.blocks = {}
-        if blocks:
-            for two_n, mat in blocks.items():
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (two_n + 1, two_n + 1):
-                    raise ValueError(
-                        f"coefficient block {two_n} must be {two_n + 1} x {two_n + 1}"
-                    )
-                if np.count_nonzero(mat):
-                    self.blocks[int(two_n)] = mat
-
-    @property
-    def support(self) -> list:
-        return sorted(self.blocks)
-
-    def block(self, two_n: int) -> np.ndarray:
-        if two_n in self.blocks:
-            return self.blocks[two_n]
-        return np.zeros((two_n + 1, two_n + 1), dtype=complex)
-
-    def __add__(self, other):
-        out = {n: m.copy() for n, m in self.blocks.items()}
-        for n, m in other.blocks.items():
-            out[n] = out[n] + m if n in out else m
-        return DualElement(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        return DualElement({n: complex(scalar) * m for n, m in self.blocks.items()})
-
-    def __mul__(self, scalar):
-        return DualElement({n: complex(scalar) * m for n, m in self.blocks.items()})
-
-    def norm(self) -> float:
-        return max((max_abs(m) for m in self.blocks.values()), default=0.0)
-
-    def __repr__(self):
-        return f"DualElement(support={self.support})"
+    __slots__ = ()
 
 
 def dual_unit() -> DualElement:
@@ -145,7 +106,7 @@ def dual_antipode(params: Params, b: DualElement) -> DualElement:
     Blockwise S(b)_n = S^-1(b_n), so on matrix coefficients
     S(e_(r,s)) = (-1)^(s-r) lam^(r-s) e_(-s,-r).
     """
-    return _blockwise(b, lambda n, m: antipode_inv_block(params, n, m))
+    return b.map(lambda n, m: antipode_inv_block(params, n, m))
 
 
 def dual_antipode_inv(params: Params, b: DualElement) -> DualElement:
@@ -154,7 +115,7 @@ def dual_antipode_inv(params: Params, b: DualElement) -> DualElement:
     Blockwise S^-1(b)_n = S(b_n), so on matrix coefficients
     S^-1(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r).
     """
-    return _blockwise(b, lambda n, m: antipode_block(params, n, m))
+    return b.map(lambda n, m: antipode_block(params, n, m))
 
 
 def dual_star(params: Params, b: DualElement) -> DualElement:
@@ -163,14 +124,12 @@ def dual_star(params: Params, b: DualElement) -> DualElement:
     Blockwise (b*)_n = S(b_n)^* (conjugate transpose), so on matrix
     coefficients (e_(r,s))* = (-1)^(s-r) lam^(s-r) e_(-r,-s).
     """
-    return _blockwise(b, lambda n, m: antipode_block(params, n, m).conj().T)
+    return b.map(lambda n, m: antipode_block(params, n, m).conj().T)
 
 
 def dual_haar(b: DualElement) -> complex:
     """The Haar state: pairing with the cointegral (spin-0 coefficient)."""
-    if 0 in b.blocks:
-        return complex(b.blocks[0][0, 0])
-    return 0.0 + 0.0j
+    return complex(b.block(0)[0, 0])
 
 
 def dual_modular(params: Params, b: DualElement) -> DualElement:
@@ -185,7 +144,7 @@ def dual_modular(params: Params, b: DualElement) -> DualElement:
         lifted = antipode_inv_block(params, two_n, antipode_inv_block(params, two_n, mat))
         return lifted * np.diag(modular_element_block(params, two_n))
 
-    return _blockwise(b, block_map)
+    return b.map(block_map)
 
 
 def dual_modular_inv(params: Params, b: DualElement) -> DualElement:
@@ -200,7 +159,7 @@ def dual_modular_inv(params: Params, b: DualElement) -> DualElement:
         lowered = antipode_block(params, two_n, antipode_block(params, two_n, mat))
         return lowered / np.diag(modular_element_block(params, two_n))
 
-    return _blockwise(b, block_map)
+    return b.map(block_map)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,15 @@ and extends multiplicatively; the counit sends q, q^-1 to 1 and e, f to 0;
 the antipode is the antihomomorphism with S(q) = q^-1, S(e) = -lam^-1 e,
 S(f) = -lam f; the star is the antilinear antihomomorphism with e* = f,
 f* = e and q, q^-1 self-adjoint.
+
+Polynomials (``AlgPoly``, keyed by words) and tensors (``TensorPoly``,
+keyed by tuples of words, one per leg) share the storage base
+``WordSum``: a dict of exact-zero-pruned complex coefficients whose
+product and star differ only in how keys are joined and starred.
 """
 
 from enum import Enum
+from operator import add
 
 
 class Gen(Enum):
@@ -42,76 +48,19 @@ def word_str(word) -> str:
     return " ".join(g.value for g in word) if word else "1"
 
 
-class AlgPoly:
-    """Finite complex combination of words.
+def _star_word(word) -> Word:
+    """Reverse a word and swap e and f; the star on one word."""
+    return tuple(_STAR_LETTER[g] for g in reversed(word))
 
-    Supports +, -, scalar and polynomial multiplication, and the star.
-    Coefficients that come out exactly zero are pruned, so ``terms`` only
-    holds genuine support.
+
+class WordSum:
+    """Finite complex combination of word keys.
+
+    Supports +, -, scalar multiplication, the product (keys joined by the
+    subclass's ``_join``) and the antilinear star (keys mapped by the
+    subclass's ``_star_key``).  Coefficients that come out exactly zero are
+    pruned, so ``terms`` only holds genuine support.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = complex(coeff)
-                if coeff != 0:
-                    self.terms[tuple(word)] = coeff
-
-    @classmethod
-    def from_word(cls, *letters):
-        return cls({tuple(letters): 1.0})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out.get(word, 0.0) + coeff
-        return AlgPoly(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if isinstance(other, AlgPoly):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    word = w1 + w2
-                    out[word] = out.get(word, 0.0) + c1 * c2
-            return AlgPoly(out)
-        return AlgPoly({w: complex(other) * c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return AlgPoly({w: complex(scalar) * c for w, c in self.terms.items()})
-
-    def star(self):
-        """Antilinear antihomomorphism: reverse each word, swap e and f."""
-        out = {}
-        for word, coeff in self.terms.items():
-            new = tuple(_STAR_LETTER[g] for g in reversed(word))
-            out[new] = out.get(new, 0.0) + coeff.conjugate()
-        return AlgPoly(out)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "AlgPoly(0)"
-        bits = [f"({c:g})*{word_str(w)}" for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), str(kv[0])))]
-        return "AlgPoly(" + " + ".join(bits) + ")"
-
-
-class TensorPoly:
-    """Finite complex combination of two-leg tensors word (x) word."""
 
     __slots__ = ("terms",)
 
@@ -121,54 +70,110 @@ class TensorPoly:
             for key, coeff in terms.items():
                 coeff = complex(coeff)
                 if coeff != 0:
-                    self.terms[(tuple(key[0]), tuple(key[1]))] = coeff
+                    self.terms[self._key(key)] = coeff
+
+    @classmethod
+    def _wrap(cls, terms):
+        """An instance taking ownership of ``terms``, whose keys are already
+        normalised and whose values are complex; exact zeros are pruned in
+        place, so surviving keys are not hashed again."""
+        for key in [key for key, coeff in terms.items() if coeff == 0]:
+            del terms[key]
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0.0) + coeff
-        return TensorPoly(out)
+        return self._wrap(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
+    def __neg__(self):
+        return (-1.0) * self
+
     def __mul__(self, other):
-        if isinstance(other, TensorPoly):
+        if isinstance(other, type(self)):
+            join = self._join
             out = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    key = join(k1, k2)
                     out[key] = out.get(key, 0.0) + c1 * c2
-            return TensorPoly(out)
-        return TensorPoly({k: complex(other) * c for k, c in self.terms.items()})
+            return self._wrap(out)
+        scalar = complex(other)
+        return self._wrap({key: scalar * coeff for key, coeff in self.terms.items()})
 
     def __rmul__(self, scalar):
         return self * scalar
 
     def star(self):
-        """Legwise star: (v (x) w)* = v* (x) w*."""
+        """Antilinear, antimultiplicative on each key through ``_star_key``."""
+        star_key = self._star_key
         out = {}
-        for (w1, w2), coeff in self.terms.items():
-            k1 = tuple(_STAR_LETTER[g] for g in reversed(w1))
-            k2 = tuple(_STAR_LETTER[g] for g in reversed(w2))
-            key = (k1, k2)
-            out[key] = out.get(key, 0.0) + coeff.conjugate()
-        return TensorPoly(out)
+        for key, coeff in self.terms.items():
+            new = star_key(key)
+            out[new] = out.get(new, 0.0) + coeff.conjugate()
+        return self._wrap(out)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __eq__(self, other):
-        return isinstance(other, TensorPoly) and self.terms == other.terms
+        return isinstance(other, type(self)) and self.terms == other.terms
 
     def __repr__(self):
+        name = type(self).__name__
         if not self.terms:
-            return "TensorPoly(0)"
-        bits = [
-            f"({c:g})*{word_str(w1)} (x) {word_str(w2)}"
-            for (w1, w2), c in sorted(self.terms.items(), key=lambda kv: str(kv[0]))
-        ]
-        return "TensorPoly(" + " + ".join(bits) + ")"
+            return f"{name}(0)"
+        ordered = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), str(kv[0])))
+        bits = [f"({c:g})*{self._key_str(k)}" for k, c in ordered]
+        return f"{name}(" + " + ".join(bits) + ")"
+
+
+class AlgPoly(WordSum):
+    """Finite complex combination of words, multiplied by concatenation."""
+
+    __slots__ = ()
+
+    _key = staticmethod(tuple)
+    _star_key = staticmethod(_star_word)
+    _key_str = staticmethod(word_str)
+
+    @staticmethod
+    def _join(w1, w2):
+        return w1 + w2
+
+    @classmethod
+    def from_word(cls, *letters):
+        return cls({tuple(letters): 1.0})
+
+
+class TensorPoly(WordSum):
+    """Finite complex combination of tensors word (x) ... (x) word with a
+    fixed number of legs; products and the star act legwise, so
+    (v (x) w)* = v* (x) w*."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(key):
+        return tuple(map(tuple, key))
+
+    @staticmethod
+    def _join(k1, k2):
+        return tuple(map(add, k1, k2))
+
+    @staticmethod
+    def _star_key(key):
+        return tuple(map(_star_word, key))
+
+    @staticmethod
+    def _key_str(key):
+        return " (x) ".join(map(word_str, key))
 
 
 #: Convenience basis polynomials.
@@ -238,15 +243,10 @@ def coproduct_leg(tp: TensorPoly, leg: int) -> dict:
     """
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
-    out = {}
+    total = TensorPoly()
     for (w1, w2), coeff in tp.terms.items():
-        target = w1 if leg == 0 else w2
-        expanded = formal_coproduct(AlgPoly({target: 1.0}))
-        for (a, b), c in expanded.terms.items():
-            key = (a, b, w2) if leg == 0 else (w1, a, b)
-            value = out.get(key, 0.0) + coeff * c
-            if value == 0:
-                out.pop(key, None)
-            else:
-                out[key] = value
-    return out
+        expanded = formal_coproduct(AlgPoly({w1 if leg == 0 else w2: 1.0}))
+        total = total + TensorPoly(
+            {((a, b, w2) if leg == 0 else (w1, a, b)): coeff * c for (a, b), c in expanded.terms.items()}
+        )
+    return total.terms

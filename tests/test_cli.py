@@ -143,6 +143,20 @@ def test_invalid_deformation_exits_two():
     result = run_cli("rep", "--n", "2", "--t", "0")
     assert result.returncode == 2
 
+    # past overflow: a configuration error, not a traceback or a failed check
+    for args in (("rep", "--n", "2", "--t", "300"), ("tables", "--t", "300"), ("verify", "--t", "100")):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert "suq2: error:" in result.stderr and "Traceback" not in result.stderr, args
+
+
+def test_csv_refuses_non_finite_numbers_like_json(tmp_path):
+    out = tmp_path / "tables.csv"
+    result = run_cli("tables", "--t", "100", "--format", "csv", "--out", str(out))
+    assert result.returncode == 2
+    assert "non-finite number in report" in result.stderr
+    assert not out.exists()
+
 
 def test_invalid_subcommand_and_flags_exit_two():
     assert run_cli("bogus").returncode == 2

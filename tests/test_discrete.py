@@ -5,6 +5,7 @@ import pytest
 
 from suq2.discrete import (
     AlgElement,
+    BiElement,
     antipode,
     antipode_inv,
     cointegral,
@@ -27,6 +28,7 @@ from suq2.discrete import (
     unitary_antipode,
     unitary_antipode_block,
 )
+from suq2.dual import DualElement
 from suq2.params import Params
 from suq2.reps import build_rep, evaluate
 from suq2.util import max_abs, weights
@@ -349,3 +351,35 @@ def test_alg_element_validation():
         AlgElement({1: np.zeros((3, 3))})  # wrong block shape for spin 1/2
     with pytest.raises(ValueError):
         matrix_unit(2, 3, 0)  # weight not in the block's grid
+
+
+
+@pytest.mark.parametrize(
+    "cls, key, dim, zero_key",
+    [(AlgElement, 2, 3, 0), (BiElement, (1, 2), 6, (0, 0)), (DualElement, 2, 3, 0)],
+    ids=["AlgElement", "BiElement", "DualElement"],
+)
+def test_block_containers_share_validation_and_linear_structure(cls, key, dim, zero_key):
+    with pytest.raises(ValueError):
+        cls({key: np.ones((dim + 1, dim + 1))})
+    mat = np.arange(dim * dim).reshape(dim, dim) + 1j
+    x = cls({key: mat, zero_key: np.zeros((1, 1))})
+    assert list(x.blocks) == [key]
+    assert (x - x).blocks == {}
+    results = {
+        "+": x + x,
+        "-": x - 0.5 * x,
+        "neg": -x,
+        "scalar": 2.0 * x,
+        "map": x.map(lambda k, m: m.T),
+    }
+    assert all(type(r) is cls for r in results.values())
+    assert np.array_equal(results["+"].blocks[key], 2 * mat)
+    assert np.array_equal(results["-"].blocks[key], 0.5 * mat)
+    assert np.array_equal(results["map"].blocks[key], mat.T)
+    if cls is DualElement:
+        with pytest.raises(TypeError):
+            x * x  # the product of functionals is dual_mul
+    else:
+        assert type(x * x) is cls
+        assert np.array_equal((x * x).blocks[key], mat @ mat)

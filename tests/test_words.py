@@ -164,3 +164,14 @@ def test_counit_of_tensor_legs_matches_coproduct_leg_shapes():
     legs = coproduct_leg(tp, 0)
     # every key is a pair of words joined with a third leg
     assert all(len(key) == 3 for key in legs)
+
+
+def test_three_leg_tensor_product_and_star_act_legwise():
+    x = TensorPoly({((Gen.Q,), (Gen.E,), ()): 2.0, ((), (Gen.F,), (Gen.QINV,)): 1j})
+    y = TensorPoly({((Gen.E,), (), (Gen.F, Gen.Q)): 3.0})
+    assert (x * y).terms == {
+        ((Gen.Q, Gen.E), (Gen.E,), (Gen.F, Gen.Q)): 6.0,
+        ((Gen.E,), (Gen.F,), (Gen.QINV, Gen.F, Gen.Q)): 3j,
+    }
+    assert x.star().terms == {((Gen.Q,), (Gen.F,), ()): 2.0, ((), (Gen.E,), (Gen.QINV,)): -1j}
+    assert (x * y).star() == y.star() * x.star()
