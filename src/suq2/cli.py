@@ -33,8 +33,8 @@ from .util import max_abs, weights
 from .verify import (
     RunConfig,
     SUITES,
-    _format_float,
     config_doc,
+    doc_csv,
     dual_antipode_expected,
     dual_haar_quadratic_expected,
     dump_json,
@@ -70,7 +70,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--nmax",
         type=int,
         default=_env("NMAX", int, 4),
-        help="largest doubled spin 2n covered by batteries and tables",
+        help="largest doubled spin 2n of the tables and the uncapped reps/* checks; other checks stop at their own caps",
     )
     parser.add_argument(
         "--tol-abs",
@@ -141,38 +141,8 @@ def _config(args) -> RunConfig:
         nmax2=args.nmax,
         tol_abs=args.tol_abs,
         tol_rel=args.tol_rel,
-        fmt=args.fmt,
-        out=args.out,
         seed=args.seed,
     )
-
-
-def _flatten(doc, prefix=""):
-    if isinstance(doc, dict):
-        for k, v in doc.items():
-            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(doc, (list, tuple)):
-        for i, v in enumerate(doc):
-            yield from _flatten(v, f"{prefix}[{i}]")
-    elif isinstance(doc, bool):
-        yield prefix, "true" if doc else "false"
-    elif isinstance(doc, (int, np.integer)):
-        yield prefix, str(int(doc))
-    elif isinstance(doc, (float, np.floating)):
-        yield prefix, _format_float(doc)
-    elif isinstance(doc, (complex, np.complexfloating)):
-        yield prefix + ".re", _format_float(doc.real)
-        yield prefix + ".im", _format_float(doc.imag)
-    elif isinstance(doc, str):
-        yield prefix, '"' + doc.replace('"', '""') + '"'
-    else:
-        raise TypeError(f"cannot flatten {type(doc)!r}")
-
-
-def doc_csv(doc) -> str:
-    lines = ["key,value"]
-    lines.extend(f"{key},{value}" for key, value in _flatten(doc))
-    return "\n".join(lines) + "\n"
 
 
 def _emit(parser, args, text: str) -> None:
@@ -269,7 +239,6 @@ def cmd_tables(args, parser) -> int:
     config = _config(args)
     params = config.params()
     lam = params.lam
-    nmax2 = max(0, args.nmax)
 
     pairing = {}
     for name, mat in (
@@ -298,7 +267,7 @@ def cmd_tables(args, parser) -> int:
                         haar_table[f"u[{k},{l}]u[{i},{j}]"] = complex(value)
 
     blocks = {}
-    for two_n in range(0, nmax2 + 1):
+    for two_n in range(0, config.nmax2 + 1):
         blocks[str(two_n)] = {
             "dim": two_n + 1,
             "quantum_dimension": float(quantum_dimension(params, two_n)),

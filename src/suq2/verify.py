@@ -10,10 +10,15 @@ three suites:
     dual   -- the compact dual: products, antipode, star, Haar state,
               modular data and spanning evidence.
 
+Each battery is a generator of ``(id, law, value)`` items, collected into
+`Check`s by `_battery`; every spin window a check runs over is declared
+once, as the cap handed to `_spins` next to that check.
+
 Reports carry no timestamps or environment data, so two runs with the
 same configuration produce byte-identical serializations.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -61,6 +66,8 @@ from .dual import (
     pair,
     span_check,
     u_entry,
+    unitarity_residuals,
+    woronowicz_residuals,
     U_LABELS,
 )
 from .params import Params
@@ -91,9 +98,11 @@ class RunConfig:
     nmax2: int = 4
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
-    fmt: str = "json"
-    out: str = ""
     seed: int = 0
+
+    def __post_init__(self):
+        if self.nmax2 < 0:
+            raise ValueError(f"nmax must be a doubled spin >= 0, got {self.nmax2!r}")
 
     def params(self) -> Params:
         return Params(t=self.t, tol_abs=self.tol_abs, tol_rel=self.tol_rel)
@@ -108,15 +117,6 @@ class Check:
     residual: float
     tolerance: float
     passed: bool
-
-
-def make_check(check_id: str, law: str, residual: float, tolerance: float) -> Check:
-    residual = float(residual)
-    return Check(id=check_id, law=law, residual=residual, tolerance=float(tolerance), passed=residual <= tolerance)
-
-
-def bool_check(check_id: str, law: str, ok: bool) -> Check:
-    return Check(id=check_id, law=law, residual=0.0 if ok else 1.0, tolerance=0.0, passed=bool(ok))
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,11 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_str(s: str) -> str:
+    """A quoted csv field, inner quotes doubled."""
+    return '"' + s.replace('"', '""') + '"'
+
+
 def dump_json(obj) -> str:
     """Minimal JSON serializer with pinned float formatting.
 
@@ -177,6 +182,35 @@ def dump_json(obj) -> str:
     if isinstance(obj, np.ndarray):
         return dump_json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _flatten(doc, prefix=""):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(doc, (list, tuple)):
+        for i, v in enumerate(doc):
+            yield from _flatten(v, f"{prefix}[{i}]")
+    elif isinstance(doc, bool):
+        yield prefix, "true" if doc else "false"
+    elif isinstance(doc, (int, np.integer)):
+        yield prefix, str(int(doc))
+    elif isinstance(doc, (float, np.floating)):
+        yield prefix, _format_float(doc)
+    elif isinstance(doc, (complex, np.complexfloating)):
+        yield prefix + ".re", _format_float(doc.real)
+        yield prefix + ".im", _format_float(doc.imag)
+    elif isinstance(doc, str):
+        yield prefix, _csv_str(doc)
+    else:
+        raise TypeError(f"cannot flatten {type(doc)!r}")
+
+
+def doc_csv(doc) -> str:
+    """Any report document as flat ``key,value`` csv rows."""
+    lines = ["key,value"]
+    lines.extend(f"{key},{value}" for key, value in _flatten(doc))
+    return "\n".join(lines) + "\n"
 
 
 def config_doc(config: RunConfig) -> dict:
@@ -216,11 +250,28 @@ def report_doc(report: Report) -> dict:
 def report_csv(report: Report) -> str:
     lines = ["id,law,residual,tolerance,pass"]
     for c in report.checks:
-        law = '"' + c.law.replace('"', '""') + '"'
         lines.append(
-            f"{c.id},{law},{_format_float(c.residual)},{_format_float(c.tolerance)},{str(c.passed).lower()}"
+            f"{c.id},{_csv_str(c.law)},{_format_float(c.residual)},{_format_float(c.tolerance)},{str(c.passed).lower()}"
         )
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# spin windows
+# ---------------------------------------------------------------------------
+
+
+def _spins(nmax2: int, cap: int = None) -> range:
+    """The doubled spins 0..nmax2 a check runs over, cut at its cap."""
+    return range(0, (nmax2 if cap is None else min(nmax2, cap)) + 1)
+
+
+def _matrix_units(two_ks):
+    """Every matrix unit of the blocks two_ks as ((k, r, s), e_(r,s)), block by block."""
+    for two_k in two_ks:
+        for two_r in weights(two_k):
+            for two_s in weights(two_k):
+                yield (two_k, two_r, two_s), matrix_unit(two_k, two_r, two_s)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +463,7 @@ def modular_certificate_residual(params: Params, two_n: int, kind: str) -> float
     matrix-unit pairs of one block."""
     integral = left_integral if kind == "left" else right_integral
     worst = 0.0
-    units = [
-        matrix_unit(two_n, two_r, two_s)
-        for two_r in weights(two_n)
-        for two_s in weights(two_n)
-    ]
+    units = [a for _, a in _matrix_units([two_n])]
     for a in units:
         sig_a = modular_automorphism(params, a, kind)
         for b in units:
@@ -430,9 +477,7 @@ def dual_coproduct_residual(params: Params) -> float:
     """Matrix coefficient law of u through the pairing:
     <a a', u[i,j]> = sum_k <a, u[i,k]> <a', u[k,j]> over the full
     matrix-unit battery of the spin-1/2 block."""
-    battery = [
-        matrix_unit(1, two_r, two_s) for two_r in (1, -1) for two_s in (1, -1)
-    ]
+    battery = [a for _, a in _matrix_units([1])]
     worst = 0.0
     for a in battery:
         for a2 in battery:
@@ -468,6 +513,27 @@ def dual_antipode_expected(params: Params, two_r: int, two_s: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _check(tol_abs: float, check_id: str, law: str, value, tolerance: float = None) -> Check:
+    """A bool value is pass/fail (residual 0 or 1, tolerance 0); any other
+    value is a residual held against tolerance, tol_abs by default."""
+    if isinstance(value, (bool, np.bool_)):
+        return Check(id=check_id, law=law, residual=0.0 if value else 1.0, tolerance=0.0, passed=bool(value))
+    residual = float(value)
+    tolerance = float(tol_abs if tolerance is None else tolerance)
+    return Check(id=check_id, law=law, residual=residual, tolerance=tolerance, passed=residual <= tolerance)
+
+
+def _battery(gen):
+    """Collect a generator of (id, law, value[, tolerance]) items into a
+    battery returning a list of Check; the name and signature are kept."""
+
+    @functools.wraps(gen)
+    def battery(params: Params, *args, **kwargs) -> list:
+        return [_check(params.tol_abs, *item) for item in gen(params, *args, **kwargs)]
+
+    return battery
+
+
 def _all_words(max_len: int):
     letters = list(Gen)
     out = [()]
@@ -478,10 +544,9 @@ def _all_words(max_len: int):
     return out
 
 
-def formal_battery(params: Params) -> list:
+@_battery
+def formal_battery(params: Params):
     lam = params.lam
-    tol = params.tol_abs
-    checks = []
 
     expected = words.TensorPoly(
         {
@@ -491,13 +556,10 @@ def formal_battery(params: Params) -> list:
             (((Gen.E, Gen.F), (Gen.QINV, Gen.QINV))): 1.0,
         }
     )
-    checks.append(
-        make_check(
-            "words/coproduct-ef",
-            "D(ef) = qq(x)ef + qf(x)e q^-1 + eq(x)q^-1 f + ef(x)q^-2",
-            (formal_coproduct(words.E * words.F) - expected).max_abs_coeff(),
-            tol,
-        )
+    yield (
+        "words/coproduct-ef",
+        "D(ef) = qq(x)ef + qf(x)e q^-1 + eq(x)q^-1 f + ef(x)q^-2",
+        (formal_coproduct(words.E * words.F) - expected).max_abs_coeff(),
     )
 
     counit_ok = (
@@ -508,19 +570,14 @@ def formal_battery(params: Params) -> list:
         and formal_counit(words.Q * words.QINV) == 1.0
         and formal_counit(words.Q * words.E) == 0.0
     )
-    checks.append(bool_check("words/counit-values", "eps kills e, f and sends q, q^-1 to 1", counit_ok))
+    yield "words/counit-values", "eps kills e, f and sends q, q^-1 to 1", counit_ok
 
     s_ef = formal_antipode(words.E * words.F, lam)
-    checks.append(
-        make_check("words/antipode-ef", "S(ef) = fe", (s_ef - words.F * words.E).max_abs_coeff(), tol)
-    )
-    checks.append(
-        bool_check(
-            "words/star-examples",
-            "(qe)* = fq and (ef)* = ef",
-            (words.Q * words.E).star() == words.F * words.Q
-            and (words.E * words.F).star() == words.E * words.F,
-        )
+    yield "words/antipode-ef", "S(ef) = fe", (s_ef - words.F * words.E).max_abs_coeff()
+    yield (
+        "words/star-examples",
+        "(qe)* = fq and (ef)* = ef",
+        (words.Q * words.E).star() == words.F * words.Q and (words.E * words.F).star() == words.E * words.F,
     )
 
     battery = [AlgPoly({w: 1.0}) for w in _all_words(3)]
@@ -530,7 +587,7 @@ def formal_battery(params: Params) -> list:
         tp = formal_coproduct(x)
         diff = words.TensorPoly(words.coproduct_leg(tp, 0)) - words.TensorPoly(words.coproduct_leg(tp, 1))
         worst = max(worst, diff.max_abs_coeff())
-    checks.append(make_check("words/coassociativity", "(D(x)id)D = (id(x)D)D, words to length 3", worst, tol))
+    yield "words/coassociativity", "(D(x)id)D = (id(x)D)D, words to length 3", worst
 
     worst = 0.0
     for x in battery:
@@ -538,7 +595,7 @@ def formal_battery(params: Params) -> list:
         left = AlgPoly({w2: c * formal_counit(AlgPoly({w1: 1.0})) for (w1, w2), c in tp.terms.items()})
         right = AlgPoly({w1: c * formal_counit(AlgPoly({w2: 1.0})) for (w1, w2), c in tp.terms.items()})
         worst = max(worst, (left - x).max_abs_coeff(), (right - x).max_abs_coeff())
-    checks.append(make_check("words/counit-laws", "(eps(x)id)D = id = (id(x)eps)D, words to length 3", worst, tol))
+    yield "words/counit-laws", "(eps(x)id)D = id = (id(x)eps)D, words to length 3", worst
 
     pairs = [AlgPoly({w: 1.0}) for w in _all_words(2)]
     worst = 0.0
@@ -548,7 +605,7 @@ def formal_battery(params: Params) -> list:
                 worst,
                 (formal_coproduct(x * y) - formal_coproduct(x) * formal_coproduct(y)).max_abs_coeff(),
             )
-    checks.append(make_check("words/coproduct-homomorphism", "D(xy) = D(x) D(y)", worst, tol))
+    yield "words/coproduct-homomorphism", "D(xy) = D(x) D(y)", worst
 
     worst = 0.0
     for x in pairs:
@@ -560,25 +617,22 @@ def formal_battery(params: Params) -> list:
                     - formal_antipode(y, lam) * formal_antipode(x, lam)
                 ).max_abs_coeff(),
             )
-    checks.append(make_check("words/antipode-antihomomorphism", "S(xy) = S(y) S(x)", worst, tol))
+    yield "words/antipode-antihomomorphism", "S(xy) = S(y) S(x)", worst
 
     worst = 0.0
     for x in battery:
         round_trip = formal_antipode(formal_antipode(x, lam).star(), lam).star()
         worst = max(worst, (round_trip - x).max_abs_coeff())
-    checks.append(make_check("words/antipode-star-involution", "S(S(x)*)* = x", worst, tol))
+    yield "words/antipode-star-involution", "S(S(x)*)* = x", worst
 
     worst = 0.0
     for x in battery:
         worst = max(worst, abs(formal_counit(formal_antipode(x, lam)) - formal_counit(x)))
-    checks.append(make_check("words/counit-antipode", "eps(S(x)) = eps(x)", worst, tol))
-
-    return checks
+    yield "words/counit-antipode", "eps(S(x)) = eps(x)", worst
 
 
-def rep_battery(params: Params, nmax2: int, rng) -> list:
-    tol = params.tol_abs
-    checks = []
+@_battery
+def rep_battery(params: Params, nmax2: int, rng):
     lam = params.lam
 
     relation_worst = {}
@@ -587,7 +641,7 @@ def rep_battery(params: Params, nmax2: int, rng) -> list:
     terminal_worst = 0.0
     casimir_worst = 0.0
 
-    for two_n in range(0, nmax2 + 1):
+    for two_n in _spins(nmax2):
         for sign in (+1, -1):
             rep = build_rep(params, two_n, sign)
             for law, value in relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f).items():
@@ -611,14 +665,14 @@ def rep_battery(params: Params, nmax2: int, rng) -> list:
 
     for law, value in relation_worst.items():
         slug = law.split(" = ")[0].replace(" ", "").replace("^", "").replace("*", "star")
-        checks.append(make_check(f"reps/relation-{slug}", law, value, tol))
-    checks.append(make_check("reps/adjointness", "e* = f entrywise", adjoint_worst, tol))
-    checks.append(make_check("reps/amplitude-symmetry", "r_(-j-1) = r_j", symmetry_worst, tol))
-    checks.append(make_check("reps/amplitude-closure", "r_(-n-1) = 0", terminal_worst, tol))
-    checks.append(make_check("reps/casimir", "Casimir = 2(lam^(2n+1) + lam^-(2n+1)) 1", casimir_worst, tol))
+        yield f"reps/relation-{slug}", law, value
+    yield "reps/adjointness", "e* = f entrywise", adjoint_worst
+    yield "reps/amplitude-symmetry", "r_(-j-1) = r_j", symmetry_worst
+    yield "reps/amplitude-closure", "r_(-n-1) = 0", terminal_worst
+    yield "reps/casimir", "Casimir = 2(lam^(2n+1) + lam^-(2n+1)) 1", casimir_worst
 
     worst = 0.0
-    for two_n in range(0, min(nmax2, 6) + 1):
+    for two_n in _spins(nmax2, 6):
         rep = build_rep(params, two_n, +1)
         f_pow = np.eye(rep.dim, dtype=complex)
         for k in range(1, two_n + 3):
@@ -627,9 +681,7 @@ def rep_battery(params: Params, nmax2: int, rng) -> list:
             lhs = rep.e @ f_pow - f_pow @ rep.e
             rhs = f_prev @ ladder_poly_matrix(params, rep, k)
             worst = max(worst, max_abs(lhs - rhs))
-    checks.append(
-        make_check("reps/ladder-identity", "e f^k - f^k e = f^(k-1)(a q^2 + b q^-2)", worst, tol)
-    )
+    yield "reps/ladder-identity", "e f^k - f^k e = f^(k-1)(a q^2 + b q^-2)", worst
 
     trivial = build_rep(params, 0, +1)
     half = build_rep(params, 1, +1)
@@ -646,31 +698,27 @@ def rep_battery(params: Params, nmax2: int, rng) -> list:
             evaluate(half, words.Q * words.E) - np.array([[0.0, lam**0.5], [0.0, 0.0]])
         ),
     )
-    checks.append(
-        make_check("reps/closed-forms", "spin 0, 1/2, 1 matrices and amplitudes", examples, tol)
-    )
+    yield "reps/closed-forms", "spin 0, 1/2, 1 matrices and amplitudes", examples
 
     ok = True
-    for two_n in range(0, min(nmax2, 6) + 1):
+    for two_n in _spins(nmax2, 6):
         for sign in (+1, -1):
             rep = build_rep(params, two_n, sign)
             ok = ok and classify_by_highest_weight(params, rep.q, rep.e, rep.f) == (two_n, sign)
-    checks.append(bool_check("reps/classification", "highest weight recovers (n, sign)", ok))
+    yield "reps/classification", "highest weight recovers (n, sign)", ok
 
     ok = True
-    for two_n in range(0, min(nmax2, 6) + 1):
+    for two_n in _spins(nmax2, 6):
         for sign in (+1, -1):
             rep = build_rep(params, two_n, sign)
             u = _haar_unitary(rng, rep.dim)
             conj = lambda m: u @ m @ u.conj().T
             ok = ok and classify_by_highest_weight(params, conj(rep.q), conj(rep.e), conj(rep.f)) == (two_n, sign)
-    checks.append(
-        bool_check("reps/classification-conjugated", "classification is basis independent", ok)
-    )
+    yield "reps/classification-conjugated", "classification is basis independent", ok
 
     worst = 0.0
     c = params.c
-    for two_n in range(0, min(nmax2, 4) + 1):
+    for two_n in _spins(nmax2, 4):
         rep = build_rep(params, two_n, +1)
         e1 = rep.e / np.sqrt(c)
         f1 = rep.f / np.sqrt(c)
@@ -680,79 +728,54 @@ def rep_battery(params: Params, nmax2: int, rng) -> list:
             worst,
             max_abs((np.sqrt(c) * e1) @ (np.sqrt(c) * f1) - (np.sqrt(c) * f1) @ (np.sqrt(c) * e1) - c * q2),
         )
-    checks.append(
-        make_check(
-            "reps/rescaling",
-            "e -> sqrt(c) e, f -> sqrt(c) f maps the c = 1 relations to the c relations",
-            worst,
-            tol,
-        )
-    )
+    yield "reps/rescaling", "e -> sqrt(c) e, f -> sqrt(c) f maps the c = 1 relations to the c relations", worst
 
     worst = 0.0
     for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
         z = np.exp(1j * theta)
-        for two_n in range(0, min(nmax2, 4) + 1):
+        for two_n in _spins(nmax2, 4):
             rep = build_rep(params, two_n, +1)
             res = relation_residuals(params, rep.q, rep.q_inv, z * rep.e, np.conj(z) * rep.f)
             worst = max(worst, max(res.values()))
-    checks.append(
-        make_check("reps/phase-twist", "e -> z e, f -> conj(z) f is a *-automorphism (|z| = 1)", worst, tol)
-    )
-
-    return checks
+    yield "reps/phase-twist", "e -> z e, f -> conj(z) f is a *-automorphism (|z| = 1)", worst
 
 
-def clebsch_battery(params: Params, nmax2: int) -> list:
-    tol = params.tol_abs
-    checks = []
-    cap = min(nmax2, 6)
-
+@_battery
+def clebsch_battery(params: Params, nmax2: int):
     ok = index_set(1, 1) == [0, 2] and index_set(2, 3) == [1, 3, 5] and index_set(0, 4) == [4]
     dims_ok = True
-    for two_n in range(0, cap + 1):
-        for two_m in range(0, cap + 1):
+    for two_n in _spins(nmax2, 6):
+        for two_m in _spins(nmax2, 6):
             ks = index_set(two_n, two_m)
             dims_ok = dims_ok and sum(k + 1 for k in ks) == (two_n + 1) * (two_m + 1)
-    checks.append(bool_check("cg/index-set", "summands are |n-m|, ..., n+m", ok))
-    checks.append(
-        bool_check("cg/dimension-identity", "sum of (2k+1) = (2n+1)(2m+1), exact", dims_ok)
-    )
+    yield "cg/index-set", "summands are |n-m|, ..., n+m", ok
+    yield "cg/dimension-identity", "sum of (2k+1) = (2n+1)(2m+1), exact", dims_ok
 
     ortho = completeness = intertwine = 0.0
-    for two_n in range(0, cap + 1):
-        for two_m in range(0, cap + 1):
+    for two_n in _spins(nmax2, 6):
+        for two_m in _spins(nmax2, 6):
             res = decomposition_residuals(params, two_n, two_m)
             ortho = max(ortho, res["orthonormality"])
             completeness = max(completeness, res["completeness"])
             intertwine = max(intertwine, res["intertwining"])
-    checks.append(make_check("cg/orthonormality", "V_k* V_l = delta(k,l) 1", ortho, tol))
-    checks.append(make_check("cg/completeness", "sum V_k V_k* = 1", completeness, tol))
-    checks.append(make_check("cg/intertwining", "D(x) V_k = V_k pi_k(x)", intertwine, tol))
+    yield "cg/orthonormality", "V_k* V_l = delta(k,l) 1", ortho
+    yield "cg/completeness", "sum V_k V_k* = 1", completeness
+    yield "cg/intertwining", "D(x) V_k = V_k pi_k(x)", intertwine
 
-    checks.append(
-        make_check(
-            "cg/worked-half-half",
-            "(1/2, 1/2) summand vectors match their closed forms",
-            worked_half_half_residual(params),
-            tol,
-        )
-    )
+    yield "cg/worked-half-half", "(1/2, 1/2) summand vectors match their closed forms", worked_half_half_residual(params)
 
     worst = 0.0
-    for two_m in range(0, cap + 1):
+    for two_m in _spins(nmax2, 6):
         v = decompose(params, 0, two_m).piece(two_m).v
         worst = max(worst, max_abs(v - np.eye(two_m + 1)))
         v = decompose(params, two_m, 0).piece(two_m).v
         worst = max(worst, max_abs(v - np.eye(two_m + 1)))
-    checks.append(
-        make_check("cg/trivial-factor", "tensoring with spin 0 is the identity map", worst, tol)
-    )
+    yield "cg/trivial-factor", "tensoring with spin 0 is the identity map", worst
 
     worst = 0.0
     formal_worst = 0.0
-    for two_n in range(0, min(cap, 4) + 1):
-        for two_m in range(0, min(cap, 4) + 1):
+    for two_n in _spins(nmax2, 4):
+        for two_m in _spins(nmax2, 4):
             left = build_rep(params, two_n, +1)
             right = build_rep(params, two_m, +1)
             trep = tensor_rep(left, right)
@@ -763,34 +786,12 @@ def clebsch_battery(params: Params, nmax2: int) -> list:
                     formal_worst,
                     max_abs(direct - tensor_evaluate_formal(params, two_n, two_m, x)),
                 )
-    checks.append(
-        make_check("cg/block-reconstruction", "sum V_k pi_k(x) V_k* = D(x) on a word battery", worst, tol)
-    )
-    checks.append(
-        make_check(
-            "cg/formal-route",
-            "generator-matrix route equals the symbolic coproduct route",
-            formal_worst,
-            tol,
-        )
-    )
+    yield "cg/block-reconstruction", "sum V_k pi_k(x) V_k* = D(x) on a word battery", worst
+    yield "cg/formal-route", "generator-matrix route equals the symbolic coproduct route", formal_worst
 
-    res = relation_residuals(
-        params,
-        *(lambda tr: (tr.q, tr.q_inv, tr.e, tr.f))(
-            tensor_rep(build_rep(params, min(cap, 2), +1), build_rep(params, min(cap, 3), +1))
-        ),
-    )
-    checks.append(
-        make_check(
-            "cg/tensor-relations",
-            "coproduct generators satisfy the defining relations",
-            max(res.values()),
-            tol,
-        )
-    )
-
-    return checks
+    trep = tensor_rep(build_rep(params, _spins(nmax2, 2)[-1], +1), build_rep(params, _spins(nmax2, 3)[-1], +1))
+    res = relation_residuals(params, trep.q, trep.q_inv, trep.e, trep.f)
+    yield "cg/tensor-relations", "coproduct generators satisfy the defining relations", max(res.values())
 
 
 def _haar_unitary(rng, dim: int) -> np.ndarray:
@@ -810,19 +811,12 @@ def _random_alg_element(rng, two_ns) -> AlgElement:
     )
 
 
-def hopf_battery(params: Params, nmax2: int, rng) -> list:
-    tol = params.tol_abs
-    checks = []
-    cap = min(nmax2, 4)
-    window = list(range(0, cap + 1))
+@_battery
+def hopf_battery(params: Params, nmax2: int, rng):
+    window = _spins(nmax2, 4)
 
     word_elements = {name: embed(params, x, window) for name, x in WORD_BATTERY.items()}
-    unit_elements = [
-        matrix_unit(two_k, two_r, two_s)
-        for two_k in range(0, min(cap, 2) + 1)
-        for two_r in weights(two_k)
-        for two_s in weights(two_k)
-    ]
+    unit_elements = [a for _, a in _matrix_units(_spins(nmax2, 2))]
     random_elements = [_random_alg_element(rng, window) for _ in range(2)]
     battery = list(word_elements.values()) + unit_elements + random_elements
 
@@ -830,15 +824,13 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
     for a in battery:
         for two_m in window:
             worst = max(worst, counit_law_residual(params, a, two_m))
-    checks.append(make_check("dqg/counit-laws", "(eps(x)id)D = id = (id(x)eps)D", worst, tol))
+    yield "dqg/counit-laws", "(eps(x)id)D = id = (id(x)eps)D", worst
 
     worst = 0.0
     for a in battery:
         for two_n in window:
             worst = max(worst, antipode_law_residual(params, a, two_n))
-    checks.append(
-        make_check("dqg/antipode-laws", "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)", worst, tol)
-    )
+    yield "dqg/antipode-laws", "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)", worst
 
     coassoc_battery = [word_elements["e"], word_elements["ef"]] + random_elements
     worst = 0.0
@@ -849,7 +841,7 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
                     worst = max(
                         worst, coassociativity_residual(params, a, two_n, two_m, two_l)
                     )
-    checks.append(make_check("dqg/coassociativity", "(D(x)id)D = (id(x)D)D", worst, tol))
+    yield "dqg/coassociativity", "(D(x)id)D = (id(x)D)D", worst
 
     worst = 0.0
     hom_pairs = [
@@ -867,7 +859,7 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
                 worst = max(
                     worst, max_abs(coproduct_component(params, a * b, two_n, two_m) - prod)
                 )
-    checks.append(make_check("dqg/coproduct-multiplicative", "D(ab) = D(a) D(b)", worst, tol))
+    yield "dqg/coproduct-multiplicative", "D(ab) = D(a) D(b)", worst
 
     worst = 0.0
     for a in random_elements + [word_elements["qef"]]:
@@ -877,23 +869,19 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
                 worst = max(
                     worst, max_abs(coproduct_component(params, a.star(), two_n, two_m) - adj)
                 )
-    checks.append(make_check("dqg/coproduct-star", "D(a*) = D(a)*", worst, tol))
+    yield "dqg/coproduct-star", "D(a*) = D(a)*", worst
 
     # unitary antipode: closed form on matrix units, involution, *-antihomomorphism
     worst = 0.0
-    for two_k in range(0, min(cap, 3) + 1):
-        for two_r in weights(two_k):
-            for two_s in weights(two_k):
-                image = unitary_antipode(matrix_unit(two_k, two_r, two_s))
-                sign = (-1.0) ** ((two_s - two_r) // 2)
-                expected = sign * matrix_unit(two_k, -two_s, -two_r)
-                worst = max(worst, (image - expected).norm())
-    checks.append(
-        make_check("dqg/flip-closed-form", "R(e_(r,s)) = (-1)^(s-r) e_(-s,-r)", worst, tol)
-    )
+    for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3)):
+        image = unitary_antipode(unit)
+        sign = (-1.0) ** ((two_s - two_r) // 2)
+        expected = sign * matrix_unit(two_k, -two_s, -two_r)
+        worst = max(worst, (image - expected).norm())
+    yield "dqg/flip-closed-form", "R(e_(r,s)) = (-1)^(s-r) e_(-s,-r)", worst
 
     g_ok = True
-    for two_k in range(0, min(cap, 3) + 1):
+    for two_k in _spins(nmax2, 3):
         g = conjugate_unitary(two_k)
         basis = np.eye(two_k + 1, dtype=complex)
         square_sign = (-1.0) ** two_k
@@ -902,7 +890,7 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
             g_ok = g_ok and max_abs(twice - square_sign * basis[i]) < 1e-14
             lin = g.matrix @ np.conj(basis[i])
             g_ok = g_ok and max_abs(g.apply(basis[i]) - lin) < 1e-14
-    checks.append(bool_check("dqg/flip-unitary", "G^2 = (-1)^(2n), conjugate linear", g_ok))
+    yield "dqg/flip-unitary", "G^2 = (-1)^(2n), conjugate linear", g_ok
 
     worst = 0.0
     for a in random_elements:
@@ -916,23 +904,14 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
     worst = max(worst, (unitary_antipode(word_elements["q"]) - word_elements["q^-1"]).norm())
     worst = max(worst, (unitary_antipode(word_elements["e"]) + word_elements["e"]).norm())
     worst = max(worst, (unitary_antipode(word_elements["f"]) + word_elements["f"]).norm())
-    checks.append(
-        make_check(
-            "dqg/flip-antiautomorphism",
-            "R is an involutive *-antiautomorphism with R(q) = q^-1, R(e) = -e",
-            worst,
-            tol,
-        )
-    )
+    yield "dqg/flip-antiautomorphism", "R is an involutive *-antiautomorphism with R(q) = q^-1, R(e) = -e", worst
 
     worst = 0.0
     for a in random_elements:
         for two_n in window:
             for two_m in window:
                 worst = max(worst, flip_residual(params, a, two_n, two_m))
-    checks.append(
-        make_check("dqg/flip-coproduct", "D(R(a)) = flip (R(x)R) D(a)", worst, tol)
-    )
+    yield "dqg/flip-coproduct", "D(R(a)) = flip (R(x)R) D(a)", worst
 
     # antipode against the symbolic layer and closed forms
     worst = 0.0
@@ -940,20 +919,15 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
         lhs = antipode(params, word_elements[name])
         rhs = embed(params, formal_antipode(x, params.lam), window)
         worst = max(worst, (lhs - rhs).norm())
-    for two_k in range(0, min(cap, 3) + 1):
-        for two_r in weights(two_k):
-            for two_s in weights(two_k):
-                image = antipode(params, matrix_unit(two_k, two_r, two_s))
-                factor = (-1.0) ** ((two_s - two_r) // 2) * params.lam_pow(two_s - two_r)
-                expected = factor * matrix_unit(two_k, -two_s, -two_r)
-                worst = max(worst, (image - expected).norm())
-    checks.append(
-        make_check(
-            "dqg/antipode-closed-form",
-            "S matches the symbolic antipode and S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r)",
-            worst,
-            tol,
-        )
+    for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3)):
+        image = antipode(params, unit)
+        factor = (-1.0) ** ((two_s - two_r) // 2) * params.lam_pow(two_s - two_r)
+        expected = factor * matrix_unit(two_k, -two_s, -two_r)
+        worst = max(worst, (image - expected).norm())
+    yield (
+        "dqg/antipode-closed-form",
+        "S matches the symbolic antipode and S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r)",
+        worst,
     )
 
     worst = 0.0
@@ -963,20 +937,16 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
             worst,
             (antipode(params, antipode(params, a)) - scaling_imag(params, a, -1.0)).norm(),
         )
-    checks.append(
-        make_check("dqg/antipode-squared", "S^-1 S = id and S^2 = tau_(-i)", worst, tol)
-    )
+    yield "dqg/antipode-squared", "S^-1 S = id and S^2 = tau_(-i)", worst
 
     s_values = [0.7, -1.3] + list(rng.uniform(-2.0, 2.0, size=2))
     worst = 0.0
     for a in random_elements:
         for s in s_values:
-            for two_n in window[: min(len(window), 4)]:
-                for two_m in window[: min(len(window), 4)]:
+            for two_n in _spins(nmax2, 3):
+                for two_m in _spins(nmax2, 3):
                     worst = max(worst, scaling_compat_residual(params, a, two_n, two_m, s))
-    checks.append(
-        make_check("dqg/scaling-coproduct", "D tau_s = (tau_s (x) tau_s) D", worst, tol)
-    )
+    yield "dqg/scaling-coproduct", "D tau_s = (tau_s (x) tau_s) D", worst
 
     worst = 0.0
     s1, s2 = 0.9, -0.4
@@ -993,27 +963,15 @@ def hopf_battery(params: Params, nmax2: int, rng) -> list:
                 - scaling(params, unitary_antipode(a), s1)
             ).norm(),
         )
-    checks.append(
-        make_check(
-            "dqg/scaling-group",
-            "tau is a one-parameter *-automorphism group commuting with R",
-            worst,
-            tol,
-        )
-    )
-
-    return checks
+    yield "dqg/scaling-group", "tau is a one-parameter *-automorphism group commuting with R", worst
 
 
-def cointegral_battery(params: Params, nmax2: int) -> list:
-    tol = params.tol_abs
-    checks = []
-    cap = min(nmax2, 6)
+@_battery
+def cointegral_battery(params: Params, nmax2: int):
     h = cointegral()
 
     two_routes = idempotent = selfadjoint = rank_one = range_vec = 0.0
-    for two_n in range(0, cap + 1):
-        dim = two_n + 1
+    for two_n in _spins(nmax2, 6):
         closed = cointegral_coproduct(params, two_n)
         via_cg = coproduct_component(params, h, two_n, two_n)
         two_routes = max(two_routes, max_abs(closed - via_cg))
@@ -1025,24 +983,20 @@ def cointegral_battery(params: Params, nmax2: int) -> list:
             rank_one = max(rank_one, float(sing[1]))
         vec = invariant_vector(params, two_n)
         range_vec = max(range_vec, max_abs(closed - np.outer(vec, vec.conj())))
-    checks.append(
-        make_check("coint/two-routes", "closed form of D(h) equals the summand route", two_routes, tol)
-    )
-    checks.append(make_check("coint/idempotent", "D(h)_(n,n)^2 = D(h)_(n,n)", idempotent, tol))
-    checks.append(make_check("coint/self-adjoint", "D(h)_(n,n)* = D(h)_(n,n)", selfadjoint, tol))
-    checks.append(make_check("coint/rank-one", "D(h)_(n,n) is a rank 1 projection", rank_one, tol))
-    checks.append(
-        make_check("coint/invariant-vector", "range spanned by the canonical invariant vector", range_vec, tol)
-    )
+    yield "coint/two-routes", "closed form of D(h) equals the summand route", two_routes
+    yield "coint/idempotent", "D(h)_(n,n)^2 = D(h)_(n,n)", idempotent
+    yield "coint/self-adjoint", "D(h)_(n,n)* = D(h)_(n,n)", selfadjoint
+    yield "coint/rank-one", "D(h)_(n,n) is a rank 1 projection", rank_one
+    yield "coint/invariant-vector", "range spanned by the canonical invariant vector", range_vec
 
     absorb = 0.0
     for a in [matrix_unit(0, 0, 0), matrix_unit(2, 2, 0), one_window([0, 1, 2])]:
         absorb = max(absorb, (a * h - counit(a) * h).norm(), (h * a - counit(a) * h).norm())
-    checks.append(make_check("coint/absorbing", "a h = eps(a) h = h a", absorb, tol))
-    checks.append(bool_check("coint/counit", "eps(h) = 1", abs(counit(h) - 1.0) < 1e-15))
+    yield "coint/absorbing", "a h = eps(a) h = h a", absorb
+    yield "coint/counit", "eps(h) = 1", abs(counit(h) - 1.0) < 1e-15
 
     left_char = right_char = mod_elem = trace_form = 0.0
-    for two_n in range(0, cap + 1):
+    for two_n in _spins(nmax2, 6):
         dim = two_n + 1
         block = cointegral_coproduct(params, two_n)
         eye = np.eye(dim, dtype=complex)
@@ -1063,17 +1017,13 @@ def cointegral_battery(params: Params, nmax2: int) -> list:
                 - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
             ),
         )
-    checks.append(make_check("coint/left-integral", "(id (x) phi) D(h) = 1", left_char, tol))
-    checks.append(make_check("coint/right-integral", "(psi (x) id) D(h) = 1", right_char, tol))
-    checks.append(
-        make_check("coint/modular-element", "(phi (x) id) D(h) = q^4", mod_elem, tol)
-    )
-    checks.append(
-        make_check("coint/trace-contraction", "(trace (x) id) D(h) = q^2 / c", trace_form, tol)
-    )
+    yield "coint/left-integral", "(id (x) phi) D(h) = 1", left_char
+    yield "coint/right-integral", "(psi (x) id) D(h) = 1", right_char
+    yield "coint/modular-element", "(phi (x) id) D(h) = q^4", mod_elem
+    yield "coint/trace-contraction", "(trace (x) id) D(h) = q^2 / c", trace_form
 
     worst = 0.0
-    for two_n in range(0, min(cap, 4) + 1):
+    for two_n in _spins(nmax2, 4):
         c_n = quantum_dimension(params, two_n)
         for two_r in weights(two_n):
             unit = matrix_unit(two_n, two_r, two_r)
@@ -1086,37 +1036,23 @@ def cointegral_battery(params: Params, nmax2: int) -> list:
         if off is not None:
             worst = max(worst, abs(left_integral(params, off)), abs(right_integral(params, off)))
     worst = max(worst, abs(left_integral(params, h) - 1.0), abs(right_integral(params, h) - 1.0))
-    checks.append(
-        make_check(
-            "coint/integral-values",
-            "phi(e_(r,r)) = c lam^(-2r), psi(e_(r,r)) = c lam^(2r), phi(h) = 1",
-            worst,
-            tol,
-        )
-    )
+    yield "coint/integral-values", "phi(e_(r,r)) = c lam^(-2r), psi(e_(r,r)) = c lam^(2r), phi(h) = 1", worst
 
     left_worst = right_worst = 0.0
-    for two_k in range(0, min(cap, 4) + 1):
-        for two_r in weights(two_k):
-            for two_s in weights(two_k):
-                a = matrix_unit(two_k, two_r, two_s)
-                for two_n in range(0, min(cap, 4) + 1):
-                    l, r = invariance_residual(params, a, two_n)
-                    left_worst = max(left_worst, l)
-                    right_worst = max(right_worst, r)
-    checks.append(
-        make_check("coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", left_worst, tol)
-    )
-    checks.append(
-        make_check("coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", right_worst, tol)
-    )
+    for _, a in _matrix_units(_spins(nmax2, 4)):
+        for two_n in _spins(nmax2, 4):
+            l, r = invariance_residual(params, a, two_n)
+            left_worst = max(left_worst, l)
+            right_worst = max(right_worst, r)
+    yield "coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", left_worst
+    yield "coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", right_worst
 
     worst = 0.0
     q4 = words.Q * words.Q * words.Q * words.Q
-    window = list(range(0, min(cap, 4) + 1))
+    window = _spins(nmax2, 4)
     # the (n, m) coproduct block draws on summands up to spin n + m, so the
     # embedded multiplier must cover twice the pair window
-    delta = embed(params, q4, list(range(0, 2 * min(cap, 4) + 1)))
+    delta = embed(params, q4, _spins(2 * nmax2, 8))
     for two_n in window:
         worst = max(
             worst, max_abs(delta.block(two_n) - modular_element_block(params, two_n))
@@ -1127,70 +1063,37 @@ def cointegral_battery(params: Params, nmax2: int) -> list:
             )
             diff = max_abs(coproduct_component(params, delta, two_n, two_m) - grouplike)
             worst = max(worst, diff / max(1.0, max_abs(grouplike)))
-    checks.append(
-        make_check("coint/modular-grouplike", "delta = q^4 with D(delta) = delta (x) delta", worst, tol)
-    )
-
-    return checks
+    yield "coint/modular-grouplike", "delta = q^4 with D(delta) = delta (x) delta", worst
 
 
-def modular_battery(params: Params, nmax2: int) -> list:
-    tol = params.tol_abs
-    checks = []
-    cap = min(nmax2, 4)
-
+@_battery
+def modular_battery(params: Params, nmax2: int):
     left_worst = right_worst = 0.0
-    for two_n in range(0, cap + 1):
+    for two_n in _spins(nmax2, 4):
         left_worst = max(left_worst, modular_certificate_residual(params, two_n, "left"))
         right_worst = max(right_worst, modular_certificate_residual(params, two_n, "right"))
-    checks.append(
-        make_check(
-            "modular/left-certificate",
-            "phi(a b) = phi(b sigma_phi(a)) over all matrix-unit pairs",
-            left_worst,
-            tol,
-        )
-    )
-    checks.append(
-        make_check(
-            "modular/right-certificate",
-            "psi(a b) = psi(b sigma_psi(a)) over all matrix-unit pairs",
-            right_worst,
-            tol,
-        )
-    )
+    yield "modular/left-certificate", "phi(a b) = phi(b sigma_phi(a)) over all matrix-unit pairs", left_worst
+    yield "modular/right-certificate", "psi(a b) = psi(b sigma_psi(a)) over all matrix-unit pairs", right_worst
 
     worst = 0.0
-    for two_n in range(0, cap + 1):
-        for two_r in weights(two_n):
-            for two_s in weights(two_n):
-                a = matrix_unit(two_n, two_r, two_s)
-                round_trip = modular_automorphism(
-                    params, modular_automorphism(params, a, "left"), "right"
-                )
-                worst = max(worst, (round_trip - a).norm())
-                worst = max(
-                    worst,
-                    abs(
-                        left_integral(params, modular_automorphism(params, a, "left"))
-                        - left_integral(params, a)
-                    ),
-                )
-    checks.append(
-        make_check(
-            "modular/inverse-pair",
-            "sigma_psi sigma_phi = id and phi sigma_phi = phi",
-            worst,
-            tol,
+    for _, a in _matrix_units(_spins(nmax2, 4)):
+        round_trip = modular_automorphism(
+            params, modular_automorphism(params, a, "left"), "right"
         )
-    )
-    return checks
+        worst = max(worst, (round_trip - a).norm())
+        worst = max(
+            worst,
+            abs(
+                left_integral(params, modular_automorphism(params, a, "left"))
+                - left_integral(params, a)
+            ),
+        )
+    yield "modular/inverse-pair", "sigma_psi sigma_phi = id and phi sigma_phi = phi", worst
 
 
-def dual_battery(params: Params, nmax2: int, rng) -> list:
-    tol = params.tol_abs
+@_battery
+def dual_battery(params: Params, nmax2: int, rng):
     lam = params.lam
-    checks = []
 
     half = build_rep(params, 1, +1)
     table = max(
@@ -1207,9 +1110,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
             - np.array([[0.0, 0.0], [1.0, 0.0]])
         ),
     )
-    checks.append(
-        make_check("dual/pairing-table", "<pi(q), u>, <pi(e), u>, <pi(f), u> closed forms", table, tol)
-    )
+    yield "dual/pairing-table", "<pi(q), u>, <pi(e), u>, <pi(f), u> closed forms", table
 
     one = dual_unit()
     worst = 0.0
@@ -1218,23 +1119,16 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
             u = u_entry(i, j)
             worst = max(worst, (dual_mul(params, one, u) - u).norm())
             worst = max(worst, (dual_mul(params, u, one) - u).norm())
-    checks.append(make_check("dual/unit", "1 b = b = b 1 in the dual", worst, tol))
+    yield "dual/unit", "1 b = b = b 1 in the dual", worst
 
     ok = abs(dual_counit(one) - 1.0) < 1e-15
     for i in U_LABELS:
         for j in U_LABELS:
             expected = 1.0 if i == j else 0.0
             ok = ok and abs(dual_counit(u_entry(i, j)) - expected) < 1e-15
-    checks.append(bool_check("dual/counit-values", "eps(u[i,j]) = delta(i,j), eps(1) = 1", ok))
+    yield "dual/counit-values", "eps(u[i,j]) = delta(i,j), eps(1) = 1", ok
 
-    checks.append(
-        make_check(
-            "dual/coproduct-battery",
-            "<a a', u[i,j]> = sum_k <a, u[i,k]><a', u[k,j]>",
-            dual_coproduct_residual(params),
-            tol,
-        )
-    )
+    yield "dual/coproduct-battery", "<a a', u[i,j]> = sum_k <a, u[i,k]><a', u[k,j]>", dual_coproduct_residual(params)
 
     entries = [u_entry(i, j) for i in U_LABELS for j in U_LABELS]
     coeffs = rng.standard_normal(len(entries)) + 1j * rng.standard_normal(len(entries))
@@ -1246,7 +1140,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
     assoc = (
         dual_mul(params, dual_mul(params, x, y), z) - dual_mul(params, x, dual_mul(params, y, z))
     ).norm()
-    checks.append(make_check("dual/associativity", "(x y) z = x (y z)", assoc, tol))
+    yield "dual/associativity", "(x y) z = x (y z)", assoc
 
     worst = 0.0
     for i in U_LABELS:
@@ -1254,13 +1148,10 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
             factor, (ti, tj) = dual_antipode_expected(params, i, j)
             worst = max(worst, (dual_antipode(params, u_entry(i, j)) - factor * u_entry(ti, tj)).norm())
     worst = max(worst, (dual_antipode(params, one) - one).norm())
-    checks.append(
-        make_check(
-            "dual/antipode-table",
-            "S(u[r,s]) = (-1)^(r-s) lam^(r-s) u[-s,-r]; S(u11) = u22, S(u12) = -lam u12",
-            worst,
-            tol,
-        )
+    yield (
+        "dual/antipode-table",
+        "S(u[r,s]) = (-1)^(r-s) lam^(r-s) u[-s,-r]; S(u11) = u22, S(u12) = -lam u12",
+        worst,
     )
 
     worst = 0.0
@@ -1271,9 +1162,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
             expected = params.lam_pow(2 * (i - j)) * u
             twice = dual_antipode(params, dual_antipode(params, u))
             worst = max(worst, (twice - expected).norm())
-    checks.append(
-        make_check("dual/antipode-squared", "S^2(u[r,j]) = lam^(2r-2j) u[r,j]", worst, tol)
-    )
+    yield "dual/antipode-squared", "S^2(u[r,j]) = lam^(2r-2j) u[r,j]", worst
 
     worst = 0.0
     for i in U_LABELS:
@@ -1290,20 +1179,11 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
     )
     star_sq = dual_star(params, dual_star(params, alpha + 1j * gamma))
     worst = max(worst, (star_sq - (alpha + 1j * gamma)).norm())
-    checks.append(
-        make_check(
-            "dual/star-structure",
-            "u[i,j]* = S(u[j,i]); u22 = u11*, u12 = -gamma*/lam; ** = id",
-            worst,
-            tol,
-        )
-    )
-
-    from .dual import unitarity_residuals, woronowicz_residuals
+    yield "dual/star-structure", "u[i,j]* = S(u[j,i]); u22 = u11*, u12 = -gamma*/lam; ** = id", worst
 
     for law, value in unitarity_residuals(params).items():
         slug = "left" if law.startswith("S(u)") else "right"
-        checks.append(make_check(f"dual/unitarity-{slug}", law, value, tol))
+        yield f"dual/unitarity-{slug}", law, value
     woro_ids = {
         "alpha gamma = gamma alpha / lam": "dual/relation-alpha-gamma",
         "alpha gamma* = gamma* alpha / lam": "dual/relation-alpha-gamma-star",
@@ -1312,12 +1192,12 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
         "alpha alpha* + gamma* gamma / lam^2 = 1": "dual/relation-coisometry",
     }
     for law, value in woronowicz_residuals(params).items():
-        checks.append(make_check(woro_ids[law], law, value, tol))
+        yield woro_ids[law], law, value
 
     haar_ok = abs(dual_haar(one) - 1.0) < 1e-15 and all(
         abs(dual_haar(u_entry(i, j))) < 1e-15 for i in U_LABELS for j in U_LABELS
     )
-    checks.append(bool_check("dual/haar-unit", "haar(1) = 1 and haar(u[i,j]) = 0", haar_ok))
+    yield "dual/haar-unit", "haar(1) = 1 and haar(u[i,j]) = 0", haar_ok
 
     worst = 0.0
     for k in U_LABELS:
@@ -1327,14 +1207,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
                     prod = dual_mul(params, u_entry(k, l), u_entry(i, j))
                     expected = dual_haar_quadratic_expected(params, k, l, i, j)
                     worst = max(worst, abs(dual_haar(prod) - expected))
-    checks.append(
-        make_check(
-            "dual/haar-quadratic",
-            "haar(u[k,l] u[i,j]) = d(i,-k) d(j,-l) (-1)^(k-l) lam^(k+l)/(lam + 1/lam)",
-            worst,
-            tol,
-        )
-    )
+    yield "dual/haar-quadratic", "haar(u[k,l] u[i,j]) = d(i,-k) d(j,-l) (-1)^(k-l) lam^(k+l)/(lam + 1/lam)", worst
 
     worst = 0.0
     quadratics = [
@@ -1346,7 +1219,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
     ]
     for b in quadratics:
         worst = max(worst, abs(dual_haar(dual_antipode(params, b)) - dual_haar(b)))
-    checks.append(make_check("dual/haar-antipode", "haar(S(b)) = haar(b)", worst, tol))
+    yield "dual/haar-antipode", "haar(S(b)) = haar(b)", worst
 
     worst = 0.0
     for i in U_LABELS:
@@ -1361,14 +1234,7 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
                             if haar_val != 0:
                                 acc = acc + haar_val * dual_mul(params, u_entry(i, r), u_entry(k, s))
                     worst = max(worst, (acc - target).norm())
-    checks.append(
-        make_check(
-            "dual/haar-left-invariance",
-            "(id (x) haar) D(b) = haar(b) 1 on quadratics",
-            worst,
-            tol,
-        )
-    )
+    yield "dual/haar-left-invariance", "(id (x) haar) D(b) = haar(b) 1 on quadratics", worst
 
     worst = 0.0
     for i in U_LABELS:
@@ -1384,17 +1250,14 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
             worst = max(worst, star_twist)
     for b in quadratics[:6]:
         worst = max(worst, abs(dual_haar(dual_modular(params, b)) - dual_haar(b)))
-    checks.append(
-        make_check(
-            "dual/modular-automorphism",
-            "sigma(u[p,q]) = lam^(2p+2q) u[p,q]; sigma(b*) = sigma^-1(b)*; haar sigma = haar",
-            worst,
-            tol,
-        )
+    yield (
+        "dual/modular-automorphism",
+        "sigma(u[p,q]) = lam^(2p+2q) u[p,q]; sigma(b*) = sigma^-1(b)*; haar sigma = haar",
+        worst,
     )
 
     worst = 0.0
-    units_half = [matrix_unit(1, r, s) for r in (1, -1) for s in (1, -1)]
+    units_half = [a for _, a in _matrix_units([1])]
     for i in U_LABELS:
         for j in U_LABELS:
             sigma_b = dual_modular(params, u_entry(i, j))
@@ -1407,26 +1270,13 @@ def dual_battery(params: Params, nmax2: int, rng) -> list:
                         for k in U_LABELS
                     )
                     worst = max(worst, abs(lhs - rhs))
-    checks.append(
-        make_check(
-            "dual/modular-coproduct",
-            "D sigma = (S^2 (x) sigma) D, tested legwise through the pairing",
-            worst,
-            tol,
-        )
-    )
+    yield "dual/modular-coproduct", "D sigma = (S^2 (x) sigma) D, tested legwise through the pairing", worst
 
-    span = span_check(params, min(nmax2, 2))
+    span = span_check(params, _spins(nmax2, 2)[-1])
     ok = all(entry["rank"] == entry["expected"] for entry in span.values())
     gap = min(entry["gap"] for entry in span.values())
-    checks.append(
-        bool_check("dual/span-rank", "u-entry products have full rank on every block", ok)
-    )
-    checks.append(
-        make_check("dual/span-gap", "smallest retained singular value >= 1e-6", 1e-6 - min(gap, 1e-6), 0.0)
-    )
-
-    return checks
+    yield "dual/span-rank", "u-entry products have full rank on every block", ok
+    yield "dual/span-gap", "smallest retained singular value >= 1e-6", 1e-6 - min(gap, 1e-6), 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,45 @@ def test_garbage_environment_exits_two():
     assert "SUQ2_T" in result.stderr
 
 
+SEEDED_CHECKS = {
+    "dqg/antipode-laws",
+    "dqg/antipode-squared",
+    "dqg/coassociativity",
+    "dqg/coproduct-multiplicative",
+    "dqg/coproduct-star",
+    "dqg/flip-antiautomorphism",
+    "dqg/flip-coproduct",
+    "dqg/scaling-coproduct",
+    "dqg/scaling-group",
+    "reps/phase-twist",
+}
+
+
 def test_seed_changes_random_battery_but_not_results():
-    a = run_cli("verify", "--suite", "dqg", "--seed", "1", "--out", "/dev/null")
-    b = run_cli("verify", "--suite", "dqg", "--seed", "2", "--out", "/dev/null")
+    a = run_cli("verify", "--suite", "dqg", "--seed", "1")
+    b = run_cli("verify", "--suite", "dqg", "--seed", "2")
     assert a.returncode == 0 and b.returncode == 0
+    checks_a = {c["id"]: c for c in json.loads(a.stdout)["checks"]}
+    checks_b = {c["id"]: c for c in json.loads(b.stdout)["checks"]}
+    assert checks_a.keys() == checks_b.keys()
+    moved = {i for i in checks_a if checks_a[i]["residual"] != checks_b[i]["residual"]}
+    assert moved == SEEDED_CHECKS
+    assert all(checks_a[i]["pass"] == checks_b[i]["pass"] for i in checks_a)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--suite", "dual", "--nmax", "-1"),
+        ("verify", "--suite", "hopf", "--nmax", "-1"),
+        ("tables", "--nmax", "-3"),
+        ("rep", "--n", "1", "--nmax", "-1"),
+        ("cg", "--n", "1", "--m", "1", "--nmax", "-1"),
+    ],
+)
+def test_negative_nmax_exits_two(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert "suq2: error:" in result.stderr and "nmax" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

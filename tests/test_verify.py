@@ -1,0 +1,166 @@
+"""The check batteries: pinned ids per suite, results and tolerances."""
+
+import pytest
+
+from suq2.verify import SUITES, RunConfig, run_suite
+
+HOPF_IDS = [
+    "words/antipode-antihomomorphism",
+    "words/antipode-ef",
+    "words/antipode-star-involution",
+    "words/coassociativity",
+    "words/coproduct-ef",
+    "words/coproduct-homomorphism",
+    "words/counit-antipode",
+    "words/counit-laws",
+    "words/counit-values",
+    "words/star-examples",
+]
+
+DQG_IDS = [
+    "cg/block-reconstruction",
+    "cg/completeness",
+    "cg/dimension-identity",
+    "cg/formal-route",
+    "cg/index-set",
+    "cg/intertwining",
+    "cg/orthonormality",
+    "cg/tensor-relations",
+    "cg/trivial-factor",
+    "cg/worked-half-half",
+    "coint/absorbing",
+    "coint/counit",
+    "coint/idempotent",
+    "coint/integral-values",
+    "coint/invariant-vector",
+    "coint/left-integral",
+    "coint/left-invariance",
+    "coint/modular-element",
+    "coint/modular-grouplike",
+    "coint/rank-one",
+    "coint/right-integral",
+    "coint/right-invariance",
+    "coint/self-adjoint",
+    "coint/trace-contraction",
+    "coint/two-routes",
+    "dqg/antipode-closed-form",
+    "dqg/antipode-laws",
+    "dqg/antipode-squared",
+    "dqg/coassociativity",
+    "dqg/coproduct-multiplicative",
+    "dqg/coproduct-star",
+    "dqg/counit-laws",
+    "dqg/flip-antiautomorphism",
+    "dqg/flip-closed-form",
+    "dqg/flip-coproduct",
+    "dqg/flip-unitary",
+    "dqg/scaling-coproduct",
+    "dqg/scaling-group",
+    "modular/inverse-pair",
+    "modular/left-certificate",
+    "modular/right-certificate",
+    "reps/adjointness",
+    "reps/amplitude-closure",
+    "reps/amplitude-symmetry",
+    "reps/casimir",
+    "reps/classification",
+    "reps/classification-conjugated",
+    "reps/closed-forms",
+    "reps/ladder-identity",
+    "reps/phase-twist",
+    "reps/relation-ef-fe",
+    "reps/relation-estar",
+    "reps/relation-qe",
+    "reps/relation-qf",
+    "reps/relation-qq-1",
+    "reps/relation-qstar",
+    "reps/rescaling",
+]
+
+DUAL_IDS = [
+    "dual/antipode-squared",
+    "dual/antipode-table",
+    "dual/associativity",
+    "dual/coproduct-battery",
+    "dual/counit-values",
+    "dual/haar-antipode",
+    "dual/haar-left-invariance",
+    "dual/haar-quadratic",
+    "dual/haar-unit",
+    "dual/modular-automorphism",
+    "dual/modular-coproduct",
+    "dual/pairing-table",
+    "dual/relation-alpha-gamma",
+    "dual/relation-alpha-gamma-star",
+    "dual/relation-coisometry",
+    "dual/relation-gamma-normal",
+    "dual/relation-isometry",
+    "dual/span-gap",
+    "dual/span-rank",
+    "dual/star-structure",
+    "dual/unit",
+    "dual/unitarity-left",
+    "dual/unitarity-right",
+]
+
+EXPECTED_IDS = {"hopf": HOPF_IDS, "dqg": DQG_IDS, "dual": DUAL_IDS}
+
+# checks whose value is a yes/no answer: residual 0 or 1 against tolerance 0
+PASS_FAIL_IDS = {
+    "cg/dimension-identity",
+    "cg/index-set",
+    "coint/counit",
+    "dqg/flip-unitary",
+    "dual/counit-values",
+    "dual/haar-unit",
+    "dual/span-rank",
+    "reps/classification",
+    "reps/classification-conjugated",
+    "words/counit-values",
+    "words/star-examples",
+}
+
+
+@pytest.fixture(scope="module")
+def reports():
+    config = RunConfig()
+    return {suite: run_suite(config, suite) for suite in SUITES}
+
+
+@pytest.mark.parametrize("suite, count", [("hopf", 10), ("dqg", 57), ("dual", 23)])
+def test_check_ids_per_suite(reports, suite, count):
+    assert len(EXPECTED_IDS[suite]) == count
+    assert [c.id for c in reports[suite].checks] == EXPECTED_IDS[suite]
+
+
+def test_all_suite_is_the_union(reports):
+    union = sorted(HOPF_IDS + DQG_IDS + DUAL_IDS)
+    assert len(union) == 90
+    assert [c.id for c in reports["all"].checks] == union
+
+
+def test_every_check_passes_at_the_default_config(reports):
+    assert [c.id for c in reports["all"].failures] == []
+
+
+def test_tolerances_are_zero_only_for_pass_fail_and_span_gap(reports):
+    assert len(PASS_FAIL_IDS) == 11
+    tol_abs = RunConfig().tol_abs
+    for check in reports["all"].checks:
+        if check.id in PASS_FAIL_IDS or check.id == "dual/span-gap":
+            assert check.tolerance == 0.0, check.id
+        else:
+            assert check.tolerance == tol_abs, check.id
+    for check in reports["all"].checks:
+        if check.id in PASS_FAIL_IDS:
+            assert check.residual in (0.0, 1.0), check.id
+
+
+def test_pass_fail_checks_ignore_the_absolute_tolerance():
+    report = run_suite(RunConfig(tol_abs=1e-30), "all")
+    results = {c.id: c for c in report.checks}
+    for check_id in PASS_FAIL_IDS:
+        assert results[check_id].passed, check_id
+        assert results[check_id].tolerance == 0.0, check_id
+    # the tight tolerance does reach the residual checks
+    assert report.failures
