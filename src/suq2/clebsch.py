@@ -8,16 +8,31 @@ representations into a new representation with generator images
 on C^(dim_left * dim_right) in the lexicographic product basis (left factor
 index major).  For spins n and m it decomposes as the direct sum of the
 irreducibles k = |n - m|, ..., n + m, exactly as classically.  Each summand
-is realized by an isometry V_k whose columns are built by
+is realized by an isometry V_k whose column j is the vector of doubled
+weight two_k - 2j in the spin-k summand.
 
-      * extracting the one dimensional kernel of the raising operator on
-        the weight-k subspace (SVD; smallest singular vector),
-      * fixing the phase so the first nonzero coordinate is real positive,
-      * lowering with D(f) and dividing by the target amplitudes r^(k).
+Every generator moves weights by a fixed amount, so the construction runs
+one weight at a time, from the top weight down.  On the product vectors of
+weight w, D(e) is a real bidiagonal matrix B_w into weight w + 2, with
+positive entries lam^a r_b and r_a lam^-b.  It sends the weight-w column of
+V_k to r^(k)_w times its weight-(w + 2) column, where r^(k)_w is the
+spin-k amplitude: increasing in k, and zero only for k = w.  So the right
+singular vectors of B_w are the weight-w columns of all V_k at once, in
+the order of their singular values:
 
-Column j of V_k is then the weight-j vector of the spin-k summand, so
-V_k intertwines f by construction; that it also intertwines q and e is a
-theorem the test-suite checks numerically.
+      * when w is in the index set, the zero singular value belongs to the
+        highest weight vector of spin w.  Its entries alternate exactly (e
+        kills it by a two-term recursion with positive coefficients), and
+        it is signed so its first entry is positive;
+      * every other column is signed so that its left singular vector
+        overlaps positively with the weight-(w + 2) column it comes from.
+        That makes it D(f) applied to that column divided by r^(k)_w: the
+        lowering construction, with the same phase convention.
+
+The multiplicities are known, so no rank cutoff is needed, and singular
+vectors are orthonormal, so no normalization guard either.  The orthogonal
+per-weight blocks are what `Decomposition` stores; the dense V_k are
+scattered from them once.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import Params
-from .reps import Rep, build_rep, casimir_matrix, casimir_scalar
+from .reps import Rep, build_rep
 from .util import max_abs, weights
 
 
@@ -72,46 +87,6 @@ def index_set(two_n: int, two_m: int) -> list:
     return list(range(abs(two_n - two_m), two_n + two_m + 1, 2))
 
 
-def highest_weight_vector(params: Params, trep: TensorRep, two_k: int) -> np.ndarray:
-    """Unit vector of weight k killed by the raising operator.
-
-    The raising operator maps the weight-k subspace into the weight-(k+2)
-    subspace; its kernel there is one dimensional for every k in the index
-    set.  The phase is fixed by making the first nonzero coordinate (in the
-    product basis order) real positive.
-    """
-    if two_k not in index_set(trep.left.two_n, trep.right.two_n):
-        raise ValueError(
-            f"doubled spin {two_k} not in the index set of "
-            f"({trep.left.two_n}, {trep.right.two_n})"
-        )
-    cols = np.flatnonzero(trep.two_weights == two_k)
-    rows = np.flatnonzero(trep.two_weights == two_k + 2)
-
-    if rows.size == 0:
-        kernel = np.eye(cols.size, dtype=complex)
-    else:
-        block = trep.e[np.ix_(rows, cols)]
-        _, sing, vh = np.linalg.svd(block, full_matrices=True)
-        cutoff = params.tol_rel * (float(sing[0]) if sing.size else 0.0)
-        rank = int(np.sum(sing > cutoff))
-        kernel = vh[rank:].conj()
-
-    if kernel.shape[0] != 1:
-        raise ValueError(
-            f"raising kernel at doubled weight {two_k} has dimension {kernel.shape[0]}, expected 1"
-        )
-
-    v = np.zeros(trep.dim, dtype=complex)
-    v[cols] = kernel[0]
-    v /= np.linalg.norm(v)
-
-    support = np.abs(v) > max(params.tol_abs, params.tol_rel * float(np.max(np.abs(v))))
-    first = int(np.flatnonzero(support)[0])
-    phase = v[first] / abs(v[first])
-    return v * phase.conjugate()
-
-
 @dataclass(frozen=True, eq=False)
 class CGIsometry:
     """Isometry from the spin-k summand into spin-n (x) spin-m."""
@@ -122,36 +97,28 @@ class CGIsometry:
     v: np.ndarray = field(repr=False)
 
 
-def cg_isometry(params: Params, trep: TensorRep, two_k: int) -> CGIsometry:
-    """Build one summand isometry by lowering from the highest weight vector.
-
-    Raises
-    ------
-    ValueError
-        If a column norm drifts from 1 beyond tolerance, which would mean
-        the lowering amplitudes do not match the tensor product side.
-    """
-    rep_k = build_rep(params, two_k, +1)
-    dim_k = rep_k.dim
-    v = np.zeros((trep.dim, dim_k), dtype=complex)
-    v[:, 0] = highest_weight_vector(params, trep, two_k)
-    for i in range(1, dim_k):
-        v[:, i] = (trep.f @ v[:, i - 1]) / rep_k.r[i - 1]
-
-    norms = np.linalg.norm(v, axis=0)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > params.tol_abs + params.tol_rel:
-        raise ValueError(f"summand column norms deviate from 1 by {drift:.3e}")
-    return CGIsometry(two_n=trep.left.two_n, two_m=trep.right.two_n, two_k=two_k, v=v)
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Complete family of summand isometries for one tensor product."""
+    """Complete family of summand isometries for one tensor product.
+
+    ``blocks[s]`` is the real orthogonal change of basis on the product
+    vectors of weight index s (doubled weight two_n + two_m - 2s): row r is
+    the product basis vector ``rows[s, r]``, column i the spin
+    |two_n - two_m| + 2i summand, zero where that spin lacks the weight.
+    Rows past the subspace's dimension are zero, with ``rows`` set to the
+    full dimension.  The blocks are the construction; the rest is read off
+    them once: ``pieces`` holds the dense V_k, ``coefficients[i, c]`` the
+    entry of product vector c in spin column i, and ``weight_of[c]`` the
+    weight index of product vector c.
+    """
 
     two_n: int
     two_m: int
     pieces: tuple
+    blocks: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    weight_of: np.ndarray = field(repr=False)
 
     def piece(self, two_k: int) -> CGIsometry:
         for p in self.pieces:
@@ -160,66 +127,65 @@ class Decomposition:
         raise KeyError(two_k)
 
 
-def _polish(params: Params, trep: TensorRep, pieces: tuple) -> tuple:
-    """Remove lowering drift by snapping to the tensor Casimir eigenbasis.
-
-    The summand columns at one weight jointly diagonalize the hermitian
-    Casimir of the tensor representation, with eigenvalues known in closed
-    form.  At large deformation the lowering cascade spans a dynamic range
-    of order lam^(2(n+m)) and loses digits; two Newton sweeps of the
-    first-order eigenvector correction  Z[a,b] = R[a,b] / (c_b - c_a)  with
-    R = X* C X - diag(c), followed by the polar snap to the closest
-    isometry, restore them.  Corrections across near-degenerate eigenvalue
-    pairs are skipped: there the gap quotient would amplify roundoff, and
-    the lowering construction is accurate in exactly that regime.
-    """
-    cas = casimir_matrix(params, trep)
-    columns = {p.two_k: np.array(p.v) for p in pieces}
-    c_all = {p.two_k: casimir_scalar(params, p.two_k) for p in pieces}
-
-    for two_w in np.unique(trep.two_weights):
-        idx = np.flatnonzero(trep.two_weights == two_w)
-        ks = [p.two_k for p in pieces if p.two_k >= abs(int(two_w))]
-        if len(ks) != idx.size:
-            raise AssertionError("weight multiplicity mismatch")
-        cols = [(two_k, (two_k - int(two_w)) // 2) for two_k in ks]
-        x = np.stack([columns[two_k][idx, j] for two_k, j in cols], axis=1)
-        c_w = cas[np.ix_(idx, idx)]
-        c = np.array([c_all[two_k] for two_k in ks])
-        gaps = c[None, :] - c[:, None]
-        scale = float(np.max(np.abs(c)))
-        eps = np.finfo(float).eps
-        safe = np.abs(gaps) >= np.sqrt(eps) * scale
-        floor = 64.0 * eps * idx.size * scale
-        for _ in range(2):
-            r = x.conj().T @ c_w @ x - np.diag(c)
-            z = np.where(safe & (np.abs(r) >= floor), r / np.where(safe, gaps, 1.0), 0.0)
-            np.fill_diagonal(z, 0.0)
-            if not np.count_nonzero(z):
-                break
-            u, _, vh = np.linalg.svd(x + x @ z)
-            x = u @ vh
-        for col, (two_k, j) in enumerate(cols):
-            columns[two_k][idx, j] = x[:, col]
-
-    return tuple(
-        CGIsometry(two_n=p.two_n, two_m=p.two_m, two_k=p.two_k, v=columns[p.two_k])
-        for p in pieces
-    )
-
-
 @lru_cache(maxsize=None)
 def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
-    """Decompose spin-n (x) spin-m into irreducible summands.
+    """Decompose spin-n (x) spin-m into irreducible summands, weight by weight.
 
     Results are memoized per (params, two_n, two_m); the returned object is
     shared, so callers must treat it as read-only.
     """
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
-    trep = tensor_rep(left, right)
-    pieces = tuple(cg_isometry(params, trep, two_k) for two_k in index_set(two_n, two_m))
-    return Decomposition(two_n=two_n, two_m=two_m, pieces=_polish(params, trep, pieces))
+    two_ks = index_set(two_n, two_m)
+    size = len(two_ks)
+    dim = left.dim * right.dim
+    q_left = np.exp(0.5 * params.t * weights(two_n))
+    q_inv_right = np.exp(-0.5 * params.t * weights(two_m))
+
+    blocks = np.zeros((two_n + two_m + 1, size, size))
+    rows = np.full((two_n + two_m + 1, size), dim)
+    above = np.ones((1, 1))
+    for s in range(two_n + two_m + 1):
+        # product vectors (p, u) = (left index, right index) with p + u = s
+        p = np.arange(max(0, s - two_m), min(two_n, s) + 1)
+        u = s - p
+        rows[s, : p.size] = p * right.dim + u
+        if s == 0:
+            blocks[0, 0, -1] = 1.0
+            continue
+        # B_w: D(e) sends (p, u) to (p, u - 1) and (p - 1, u); the target
+        # vectors start at left index p_up
+        p_up = max(0, s - 1 - two_m)
+        raising = np.zeros((above.shape[0], p.size))
+        col = np.arange(p.size)
+        up = u >= 1
+        raising[p[up] - p_up, col[up]] = q_left[p[up]] * right.r[u[up] - 1]
+        up = p >= 1
+        raising[p[up] - 1 - p_up, col[up]] = left.r[p[up] - 1] * q_inv_right[u[up]]
+        lsv, _, vh = np.linalg.svd(raising)
+        x = vh[::-1].T
+        lowered = min(raising.shape)
+        overlap = np.sum(lsv[:, lowered - 1 :: -1] * above[:, -lowered:], axis=0)
+        x[:, -lowered:] *= np.sign(overlap)
+        if lowered < p.size:
+            x[:, 0] *= np.sign(np.sum(x[::2, 0]) - np.sum(x[1::2, 0]))
+        blocks[s, : p.size, size - p.size :] = x
+        above = x
+
+    # position of every product vector in the flattened (weight, row) layout
+    slots = np.argsort(rows.ravel(), kind="stable")[:dim]
+    coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
+    pieces = []
+    for i, two_k in enumerate(two_ks):
+        col = np.arange(two_k + 1)
+        s = (two_n + two_m - two_k) // 2 + col
+        v = np.zeros((dim + 1, two_k + 1), dtype=complex)
+        v[rows[s], col[:, None]] = blocks[s, :, i]
+        pieces.append(CGIsometry(two_n=two_n, two_m=two_m, two_k=two_k, v=v[:dim]))
+    return Decomposition(
+        two_n=two_n, two_m=two_m, pieces=tuple(pieces), blocks=blocks, rows=rows,
+        coefficients=coefficients, weight_of=slots // size,
+    )
 
 
 def decomposition_residuals(params: Params, two_n: int, two_m: int) -> dict:
@@ -228,22 +194,16 @@ def decomposition_residuals(params: Params, two_n: int, two_m: int) -> dict:
     Returns max-abs residuals for orthonormality of each V_k, mutual
     orthogonality of different summands, completeness (the V_k V_k* sum to
     the identity) and generator intertwining  V_k pi_k(x) = D(x) V_k  for
-    x in {q, e, f}.
+    x in {q, e, f}, against the dense generator images of `tensor_rep`.
     """
     dec = decompose(params, two_n, two_m)
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
     trep = tensor_rep(left, right)
 
-    ortho = 0.0
-    for a in dec.pieces:
-        for b in dec.pieces:
-            gram = a.v.conj().T @ b.v
-            expect = np.eye(a.v.shape[1]) if a.two_k == b.two_k else 0.0
-            ortho = max(ortho, max_abs(gram - expect))
-
-    total = sum(p.v @ p.v.conj().T for p in dec.pieces)
-    completeness = max_abs(total - np.eye(trep.dim))
+    v = np.hstack([p.v for p in dec.pieces])
+    ortho = max_abs(v.conj().T @ v - np.eye(trep.dim))
+    completeness = max_abs(v @ v.conj().T - np.eye(trep.dim))
 
     intertwine = 0.0
     for p in dec.pieces:

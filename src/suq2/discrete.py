@@ -163,16 +163,38 @@ def counit(a: AlgElement) -> complex:
 
 
 def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -> np.ndarray:
-    """The (n, m) block of D(a) on the product basis, as a dense matrix."""
+    """The (n, m) block of D(a) on the product basis, as a dense matrix.
+
+    Applied weight by weight through the orthogonal blocks X_w of the
+    decomposition: the (w, w') block of sum_k V_k a_k V_k* is
+    X_w A_(w,w') X_w'^T, with A_(w,w') diagonal over the spins k and entries
+    a_k[(k - w)/2, (k - w')/2].  Only weights |w| <= the largest spin of a
+    in the index set meet a, and all of them go through one batched
+    real-times-complex product.
+    """
     dim = (two_n + 1) * (two_m + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    relevant = [k for k in index_set(two_n, two_m) if k in a.blocks]
-    if relevant:
-        dec = decompose(params, two_n, two_m)
-        for two_k in relevant:
-            v = dec.piece(two_k).v
-            out += v @ a.blocks[two_k] @ v.conj().T
-    return out
+    two_ks = [k for k in index_set(two_n, two_m) if k in a.blocks]
+    if not two_ks:
+        return np.zeros((dim, dim), dtype=complex)
+    dec = decompose(params, two_n, two_m)
+    base, top = abs(two_n - two_m), two_ks[-1]
+    size = (top - base) // 2 + 1
+    lo = (two_n + two_m - top) // 2
+    weights_met = slice(lo, lo + top + 1)
+    # amat[s - lo, i, s'] = a_k[j, j'] for the spin k = base + 2i, whose
+    # weight indices s and s' sit at its rows j and j'
+    amat = np.zeros((top + 1, size, two_n + two_m + 1), dtype=complex)
+    for two_k in two_ks:
+        s0 = (two_n + two_m - two_k) // 2
+        amat[s0 - lo : s0 - lo + two_k + 1, (two_k - base) // 2, s0 : s0 + two_k + 1] = a.blocks[two_k]
+    # the rows of A V*, gathered by weight: columns of amat spread over the
+    # product vectors of each weight, times their CG coefficients
+    rows_av = np.take(amat, dec.weight_of, axis=2)
+    rows_av *= dec.coefficients[:size]
+    out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
+    full = np.zeros((dim + 1, dim), dtype=complex)
+    full[dec.rows[weights_met]] = out
+    return full[:dim]
 
 
 def coproduct_window(params: Params, a: AlgElement, pairs) -> BiElement:

@@ -20,10 +20,10 @@ class Params:
     t : float
         Deformation parameter, must be positive.  lam = exp(t).
     tol_abs : float
-        Absolute tolerance for residual checks and clamping.
+        Absolute tolerance for residual checks.
     tol_rel : float
-        Relative tolerance, used where a natural scale is available
-        (singular value thresholds, Casimir eigenvalues, ...).
+        Relative tolerance, used where a natural scale is available (the
+        rank of the dual span check, the classifier's annihilation test).
     """
 
     t: float = 0.3

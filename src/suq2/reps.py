@@ -8,13 +8,15 @@ for each sign.  In the weight basis xi_j, ordered j = n down to -n,
     e  xi_j = r_j   xi_(j+1)        (r_n = 0)
     f  xi_j = r_(j-1) xi_(j-1)
 
-with positive amplitudes fixed by the descending recursion
+with positive amplitudes in closed form
 
-    r_(j-1)^2 - r_j^2 = c (lam^(2j) - lam^(-2j)),    c = (lam - lam^-1)^-1,
+    r_(j-1)^2 = [n + j] [n - j + 1],    [x] = sinh(x t) / sinh(t),
 
-starting from r_n = 0.  The amplitudes are symmetric, r_(-j-1) = r_j, and
-the recursion closes with r_(-n-1) = 0.  The sign only enters through q;
-both signs share the same e and f matrices and the same Casimir value.
+the solution of r_(j-1)^2 - r_j^2 = c (lam^(2j) - lam^(-2j)) with
+c = (lam - lam^-1)^-1 and r_n = 0.  The amplitudes are symmetric,
+r_(-j-1) = r_j, and vanish at both ends, r_n = r_(-n-1) = 0.  The sign
+only enters through q; both signs share the same e and f matrices and the
+same Casimir value.
 """
 
 from dataclasses import dataclass, field
@@ -61,38 +63,18 @@ def build_rep(params: Params, two_n: int, sign: int = 1) -> Rep:
         Doubled spin, a nonnegative integer; the dimension is two_n + 1.
     sign : int
         +1 or -1; the sign of the highest q-eigenvalue.
-
-    Raises
-    ------
-    ValueError
-        If an amplitude r_j^2 comes out negative beyond ``tol_abs`` (cannot
-        happen for t > 0, so it guards against corrupted parameters).
     """
     if not isinstance(two_n, (int, np.integer)) or two_n < 0:
         raise ValueError(f"doubled spin must be a nonnegative integer, got {two_n!r}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
-    c = params.c
     two_js = weights(two_n)
     dim = two_n + 1
 
-    # Descending recursion for r_(j-1)^2, j = n, n-1, ..., -n.  The last
-    # value is r_(-n-1)^2, which must close to zero; values inside the
-    # clamp window |r^2| <= tol_abs are flattened to exactly zero.
-    r_sq = []
-    acc = 0.0
-    for two_j in two_js:
-        acc = acc + c * (params.lam_pow(2 * two_j) - params.lam_pow(-2 * two_j))
-        if acc < -params.tol_abs:
-            raise ValueError(
-                f"negative amplitude r^2 = {acc:.3e} at doubled weight {two_j - 2} (two_n={two_n})"
-            )
-        if abs(acc) <= params.tol_abs:
-            acc = 0.0
-        r_sq.append(acc)
-
-    r = np.sqrt(np.asarray(r_sq[: dim - 1], dtype=float))
+    # r[i] joins basis vectors i + 1 and i: r[i]^2 = [two_n - i] [i + 1]
+    qnum = np.sinh(params.t * np.arange(1, dim)) / np.sinh(params.t)
+    r = np.sqrt(qnum[::-1] * qnum)
 
     e = np.zeros((dim, dim), dtype=complex)
     if dim > 1:

@@ -744,16 +744,16 @@ def rep_battery(params: Params, nmax2: int, rng):
 def clebsch_battery(params: Params, nmax2: int):
     ok = index_set(1, 1) == [0, 2] and index_set(2, 3) == [1, 3, 5] and index_set(0, 4) == [4]
     dims_ok = True
-    for two_n in _spins(nmax2, 6):
-        for two_m in _spins(nmax2, 6):
+    for two_n in _spins(nmax2):
+        for two_m in _spins(nmax2):
             ks = index_set(two_n, two_m)
             dims_ok = dims_ok and sum(k + 1 for k in ks) == (two_n + 1) * (two_m + 1)
     yield "cg/index-set", "summands are |n-m|, ..., n+m", ok
     yield "cg/dimension-identity", "sum of (2k+1) = (2n+1)(2m+1), exact", dims_ok
 
     ortho = completeness = intertwine = 0.0
-    for two_n in _spins(nmax2, 6):
-        for two_m in _spins(nmax2, 6):
+    for two_n in _spins(nmax2):
+        for two_m in _spins(nmax2):
             res = decomposition_residuals(params, two_n, two_m)
             ortho = max(ortho, res["orthonormality"])
             completeness = max(completeness, res["completeness"])
@@ -765,7 +765,7 @@ def clebsch_battery(params: Params, nmax2: int):
     yield "cg/worked-half-half", "(1/2, 1/2) summand vectors match their closed forms", worked_half_half_residual(params)
 
     worst = 0.0
-    for two_m in _spins(nmax2, 6):
+    for two_m in _spins(nmax2):
         v = decompose(params, 0, two_m).piece(two_m).v
         worst = max(worst, max_abs(v - np.eye(two_m + 1)))
         v = decompose(params, two_m, 0).piece(two_m).v

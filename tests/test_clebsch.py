@@ -6,7 +6,6 @@ import pytest
 from suq2.clebsch import (
     decompose,
     decomposition_residuals,
-    highest_weight_vector,
     index_set,
     tensor_rep,
 )
@@ -113,8 +112,9 @@ def test_highest_weight_vector_is_annihilated_and_normalized():
     left = build_rep(PARAMS, 3)
     right = build_rep(PARAMS, 2)
     trep = tensor_rep(left, right)
+    dec = decompose(PARAMS, 3, 2)
     for two_k in index_set(3, 2):
-        v = highest_weight_vector(PARAMS, trep, two_k)
+        v = dec.piece(two_k).v[:, 0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.linalg.norm(trep.e @ v) < 1e-10
         # weight of the vector is k
@@ -123,22 +123,20 @@ def test_highest_weight_vector_is_annihilated_and_normalized():
 
 
 def test_highest_weight_vector_phase_is_deterministic():
-    left = build_rep(PARAMS, 2)
-    trep = tensor_rep(left, left)
-    v1 = highest_weight_vector(PARAMS, trep, 2)
-    v2 = highest_weight_vector(PARAMS, trep, 2)
+    v1 = decompose(PARAMS, 2, 2).piece(2).v[:, 0].copy()
+    decompose.cache_clear()
+    v2 = decompose(PARAMS, 2, 2).piece(2).v[:, 0]
     assert np.array_equal(v1, v2)
     first = v1[np.flatnonzero(np.abs(v1) > 1e-9)[0]]
     assert abs(first.imag) < 1e-12 and first.real > 0
 
 
 def test_highest_weight_rejects_foreign_spin():
-    left = build_rep(PARAMS, 1)
-    trep = tensor_rep(left, left)
-    with pytest.raises(ValueError):
-        highest_weight_vector(PARAMS, trep, 4)
-    with pytest.raises(ValueError):
-        highest_weight_vector(PARAMS, trep, 1)
+    dec = decompose(PARAMS, 1, 1)
+    with pytest.raises(KeyError):
+        dec.piece(4)
+    with pytest.raises(KeyError):
+        dec.piece(1)
 
 
 def test_decompose_results_are_memoized():
@@ -160,3 +158,82 @@ def test_residuals_hold_at_other_deformations():
         params = Params(t=t)
         res = decomposition_residuals(params, 3, 3)
         assert max(res.values()) < 1e-9, (t, res)
+
+
+def _oracle_isometries(t: float, two_n: int, two_m: int) -> dict:
+    """Every V_k of spin-n (x) spin-m to 50 digits, by the lowering route.
+
+    The highest weight vector of spin k comes from the two-term recursion
+    that e kills it, normalized with its first entry positive; D(f) then
+    lowers it column by column, divided by the exact spin-k amplitudes
+    r[i]^2 = [two_k - i] [i + 1], [x] = sinh(x t) / sinh(t).  Vectors are
+    dicts over product labels (p, u), left and right basis indices.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+
+        def amplitudes(two_j):
+            qnum = [mpmath.sinh(x * t) / mpmath.sinh(t) for x in range(two_j + 1)]
+            return [mpmath.sqrt(qnum[two_j - i] * qnum[i + 1]) for i in range(two_j)]
+
+        r_left, r_right = amplitudes(two_n), amplitudes(two_m)
+        q_left = [mpmath.exp(t * (two_n - 2 * p) / 2) for p in range(two_n + 1)]
+        q_inv_right = [mpmath.exp(-t * (two_m - 2 * u) / 2) for u in range(two_m + 1)]
+
+        out = {}
+        for two_k in index_set(two_n, two_m):
+            s = (two_n + two_m - two_k) // 2
+            top = {}
+            coeff = mpmath.mpf(1)
+            for p in range(max(0, s - two_m), min(two_n, s) + 1):
+                top[(p, s - p)] = coeff
+                # the (p, u - 1) entry of D(e) top vanishes
+                u = s - p
+                if p < two_n and u >= 1:
+                    coeff = -coeff * q_left[p] * r_right[u - 1] / (r_left[p] * q_inv_right[u - 1])
+            norm = mpmath.sqrt(sum(c * c for c in top.values()))
+            columns = [{key: c / norm for key, c in top.items()}]
+            r_k = amplitudes(two_k)
+            for j in range(two_k):
+                lowered = {}
+                for (p, u), c in columns[-1].items():
+                    if u < two_m:
+                        lowered[(p, u + 1)] = lowered.get((p, u + 1), 0) + c * q_left[p] * r_right[u]
+                    if p < two_n:
+                        lowered[(p + 1, u)] = lowered.get((p + 1, u), 0) + c * r_left[p] * q_inv_right[u]
+                columns.append({key: c / r_k[j] for key, c in lowered.items()})
+            v = np.zeros(((two_n + 1) * (two_m + 1), two_k + 1))
+            for j, column in enumerate(columns):
+                for (p, u), c in column.items():
+                    v[p * (two_m + 1) + u, j] = float(c)
+            out[two_k] = v
+    return out
+
+
+@pytest.mark.parametrize("t, two_n, two_m", [(0.3, 16, 16), (2.0, 8, 8), (1.0, 12, 12), (0.3, 5, 12)])
+def test_isometries_match_the_high_precision_oracle(t, two_n, two_m):
+    dec = decompose(Params(t=t), two_n, two_m)
+    for two_k, expected in _oracle_isometries(t, two_n, two_m).items():
+        assert max_abs(dec.piece(two_k).v - expected) < 1e-12, two_k
+
+
+@pytest.mark.parametrize("two_n", range(8, 25))
+def test_residuals_hold_across_the_large_spin_range(two_n):
+    # every (2n, 2m) with 2n - 8 <= 2m <= 2n at t = 0.3
+    params = Params(t=0.3)
+    try:
+        for two_m in range(two_n - 8, two_n + 1):
+            res = decomposition_residuals(params, two_n, two_m)
+            assert max(res.values()) <= 1e-9, (two_m, res)
+    finally:
+        decompose.cache_clear()
+
+
+@pytest.mark.parametrize("t, two_n", [(0.3, 28), (0.3, 32)] + [(1.0, two_n) for two_n in range(13)])
+def test_residuals_hold_at_large_spin_and_deformation(t, two_n):
+    try:
+        res = decomposition_residuals(Params(t=t), two_n, two_n)
+        assert max(res.values()) <= 1e-9, res
+    finally:
+        decompose.cache_clear()

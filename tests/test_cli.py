@@ -197,6 +197,10 @@ SEEDED_CHECKS = {
     "reps/phase-twist",
 }
 
+# Seeded, but their residual peaks on a fixed word element at both seeds
+# ("ef" for the antipode laws, "qef" for the star), so it does not move.
+PEAK_ON_WORDS = {"dqg/antipode-laws", "dqg/coproduct-star"}
+
 
 def test_seed_changes_random_battery_but_not_results():
     a = run_cli("verify", "--suite", "dqg", "--seed", "1")
@@ -206,7 +210,8 @@ def test_seed_changes_random_battery_but_not_results():
     checks_b = {c["id"]: c for c in json.loads(b.stdout)["checks"]}
     assert checks_a.keys() == checks_b.keys()
     moved = {i for i in checks_a if checks_a[i]["residual"] != checks_b[i]["residual"]}
-    assert moved == SEEDED_CHECKS
+    assert not moved & PEAK_ON_WORDS
+    assert moved == SEEDED_CHECKS - PEAK_ON_WORDS
     assert all(checks_a[i]["pass"] == checks_b[i]["pass"] for i in checks_a)
 
 

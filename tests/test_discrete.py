@@ -106,6 +106,28 @@ def test_coproduct_component_against_tensor_evaluation():
             assert max_abs(coproduct_component(PARAMS, a, two_n, two_m) - direct) < 1e-10
 
 
+@pytest.mark.parametrize("two_n", range(0, 7))
+def test_coproduct_component_matches_the_per_spin_sum(two_n):
+    # reference: sum_k V_k a_k V_k* over the dense isometries, spin by spin
+    from suq2.clebsch import decompose, index_set
+
+    rng = np.random.default_rng(two_n)
+    for two_m in range(0, 7):
+        ks = index_set(two_n, two_m)
+        dec = decompose(PARAMS, two_n, two_m)
+        dim = (two_n + 1) * (two_m + 1)
+        for support in (ks, ks[:1], ks[-1:], ks[::2], [two_n + two_m + 2]):
+            a = AlgElement(
+                {k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+                 for k in support}
+            )
+            expected = np.zeros((dim, dim), dtype=complex)
+            for k in set(support) & set(ks):
+                v = dec.piece(k).v
+                expected += v @ a.blocks[k] @ v.conj().T
+            assert max_abs(coproduct_component(PARAMS, a, two_n, two_m) - expected) < 1e-12
+
+
 def test_coproduct_window_collects_blocks():
     a = matrix_unit(2, 0, 0)
     pairs = [(1, 1), (2, 0), (0, 2)]

@@ -1,5 +1,7 @@
 """Irreducible representations: construction, identities, classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,25 @@ def test_amplitude_recursion_closes():
             np.exp(PARAMS.t * weights(two_n)) - np.exp(-PARAMS.t * weights(two_n))
         )
         assert abs(total) < 1e-10
+
+
+@pytest.mark.parametrize("two_n", range(0, 21))
+def test_closed_form_amplitudes_solve_the_recursion(two_n):
+    # r[i]^2 is the running sum of c (lam^(2j) - lam^(-2j)) over the weights
+    # two_n, two_n - 2, ..., two_n - 2i; fsum keeps the reference exact up
+    # to the rounding of its terms
+    terms = [PARAMS.c * (np.exp(PARAMS.t * j) - np.exp(-PARAMS.t * j)) for j in weights(two_n)]
+    expected = [math.fsum(terms[: i + 1]) for i in range(two_n)]
+    scale = max(abs(x) for x in terms)
+    assert max_abs(build_rep(PARAMS, two_n).r ** 2 - expected) < 1e-13 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("t, two_n", [(0.3, 52), (0.5, 34), (0.3, 64)])
+def test_amplitudes_are_positive_at_large_spin(t, two_n):
+    # a cancelling running sum turned r^2 negative here
+    rep = build_rep(Params(t=t), two_n)
+    assert np.all(rep.r > 0)
+    assert max_abs(rep.r - rep.r[::-1]) == 0.0
 
 
 @pytest.mark.parametrize("two_n", range(0, 9))
