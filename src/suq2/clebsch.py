@@ -42,7 +42,7 @@ import numpy as np
 
 from .params import Params
 from .reps import Rep, build_rep
-from .util import max_abs, weights
+from .util import max_abs, weights, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +205,12 @@ def decomposition_residuals(params: Params, two_n: int, two_m: int) -> dict:
     ortho = max_abs(v.conj().T @ v - np.eye(trep.dim))
     completeness = max_abs(v @ v.conj().T - np.eye(trep.dim))
 
-    intertwine = 0.0
-    for p in dec.pieces:
-        rep_k = build_rep(params, p.two_k, +1)
-        for big, small in ((trep.q, rep_k.q), (trep.e, rep_k.e), (trep.f, rep_k.f)):
-            intertwine = max(intertwine, max_abs(big @ p.v - p.v @ small))
-
+    reps_k = [build_rep(params, p.two_k, +1) for p in dec.pieces]
+    intertwine = worst(
+        max_abs(big @ p.v - p.v @ small)
+        for p, rep_k in zip(dec.pieces, reps_k)
+        for big, small in ((trep.q, rep_k.q), (trep.e, rep_k.e), (trep.f, rep_k.f))
+    )
     return {
         "orthonormality": ortho,
         "completeness": completeness,

@@ -31,7 +31,7 @@ import numpy as np
 from .clebsch import decompose, index_set
 from .params import Params
 from .reps import build_rep, evaluate
-from .util import max_abs, weight_index, weights
+from .util import max_abs, weight_index, weights, worst
 from .words import AlgPoly
 
 
@@ -97,7 +97,7 @@ class BlockSum:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return max((max_abs(m) for m in self.blocks.values()), default=0.0)
+        return worst(max_abs(m) for m in self.blocks.values())
 
     def __repr__(self):
         return f"{type(self).__name__}(support={self.support})"

@@ -46,7 +46,7 @@ from .discrete import (
     modular_element_block,
 )
 from .params import Params
-from .util import weight_index
+from .util import weight_index, worst
 
 _UNIT_CACHE = {}
 
@@ -190,8 +190,8 @@ def unitarity_residuals(params: Params) -> dict:
     sides, entry by entry in the 2x2 matrix algebra over the dual."""
     su = {(i, j): dual_antipode(params, u_entry(i, j)) for i in U_LABELS for j in U_LABELS}
     one = dual_unit()
-    left = 0.0
-    right = 0.0
+    left = []
+    right = []
     for i in U_LABELS:
         for j in U_LABELS:
             target = one if i == j else DualElement()
@@ -200,9 +200,9 @@ def unitarity_residuals(params: Params) -> dict:
             for k in U_LABELS:
                 acc_l = acc_l + dual_mul(params, su[(i, k)], u_entry(k, j))
                 acc_r = acc_r + dual_mul(params, u_entry(i, k), su[(k, j)])
-            left = max(left, (acc_l - target).norm())
-            right = max(right, (acc_r - target).norm())
-    return {"S(u) u = 1": left, "u S(u) = 1": right}
+            left.append((acc_l - target).norm())
+            right.append((acc_r - target).norm())
+    return {"S(u) u = 1": worst(left), "u S(u) = 1": worst(right)}
 
 
 def woronowicz_residuals(params: Params) -> dict:

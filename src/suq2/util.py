@@ -11,6 +11,16 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
+def worst(values) -> float:
+    """Largest of an iterable of residuals, 0.0 when it is empty.
+
+    NaN and inf propagate from any position, unlike Python's ``max``,
+    which keeps its first argument against a NaN; this is the one fold
+    every residual of the package goes through.
+    """
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 def weights(two_n: int) -> np.ndarray:
     """Doubled weights of the spin-(two_n/2) module, highest first.
 

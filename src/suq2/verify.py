@@ -11,7 +11,9 @@ three suites:
               modular data and spanning evidence.
 
 Each battery is a generator of ``(id, law, value)`` items, collected into
-`Check`s by `_battery`; every spin window a check runs over is declared
+`Check`s by `_battery`.  The value is a bool, a residual, or an iterable
+of residuals that `_check` folds with `util.worst`, so a NaN anywhere in
+it fails the check.  Every spin window a check runs over is declared
 once, as the cap handed to `_spins` next to that check.
 
 Reports carry no timestamps or environment data, so two runs with the
@@ -20,6 +22,7 @@ same configuration produce byte-identical serializations.
 
 import functools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,7 @@ from .dual import (
     pair,
     span_check,
     u_entry,
+    u_entries,
     unitarity_residuals,
     woronowicz_residuals,
     U_LABELS,
@@ -81,7 +85,7 @@ from .reps import (
     ladder_poly_matrix,
     relation_residuals,
 )
-from .util import max_abs, swap_matrix, weights
+from .util import max_abs, swap_matrix, weights, worst
 from .words import AlgPoly, Gen, formal_antipode, formal_coproduct, formal_counit
 
 
@@ -147,6 +151,12 @@ def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite number in report: {x!r}")
     return format(float(x), ".17g")
+
+
+def _residual(x: float):
+    """A finite residual as itself; a non-finite one, which is a failed
+    check and not a reporting error, as the token "nan", "inf" or "-inf"."""
+    return x if np.isfinite(x) else str(float(x))
 
 
 def _csv_str(s: str) -> str:
@@ -225,7 +235,7 @@ def config_doc(config: RunConfig) -> dict:
 
 def report_doc(report: Report) -> dict:
     return {
-        "schema": 1,
+        "schema": 2,
         "kind": "verify",
         "suite": report.suite,
         "config": config_doc(report.config),
@@ -233,7 +243,7 @@ def report_doc(report: Report) -> dict:
             {
                 "id": c.id,
                 "law": c.law,
-                "residual": c.residual,
+                "residual": _residual(c.residual),
                 "tolerance": c.tolerance,
                 "pass": c.passed,
             }
@@ -250,9 +260,10 @@ def report_doc(report: Report) -> dict:
 def report_csv(report: Report) -> str:
     lines = ["id,law,residual,tolerance,pass"]
     for c in report.checks:
-        lines.append(
-            f"{c.id},{_csv_str(c.law)},{_format_float(c.residual)},{_format_float(c.tolerance)},{str(c.passed).lower()}"
-        )
+        residual = _residual(c.residual)
+        if not isinstance(residual, str):
+            residual = _format_float(residual)
+        lines.append(f"{c.id},{_csv_str(c.law)},{residual},{_format_float(c.tolerance)},{str(c.passed).lower()}")
     return "\n".join(lines) + "\n"
 
 
@@ -319,6 +330,17 @@ def block_reconstruction_residual(params: Params, two_n: int, two_m: int, x: Alg
     return max_abs(assembled - direct)
 
 
+def _ladder_residuals(params: Params, rep):
+    """e f^k - f^k e  against  f^(k-1)(a q^2 + b q^-2), one value per k = 1 .. n+2."""
+    f_pow = np.eye(rep.dim, dtype=complex)
+    for k in range(1, rep.two_n + 3):
+        f_prev = f_pow
+        f_pow = f_pow @ rep.f
+        lhs = rep.e @ f_pow - f_pow @ rep.e
+        rhs = f_prev @ ladder_poly_matrix(params, rep, k)
+        yield max_abs(lhs - rhs)
+
+
 def worked_half_half_residual(params: Params) -> float:
     """Deviation of the (1/2, 1/2) decomposition from its closed form.
 
@@ -338,10 +360,7 @@ def worked_half_half_residual(params: Params) -> float:
     v1[:, 1] = np.array([0.0, lam ** 0.5, lam ** -0.5, 0.0]) / root
     v1[:, 2] = [0.0, 0.0, 0.0, 1.0]
 
-    return max(
-        max_abs(dec.piece(0).v[:, 0] - v0),
-        max_abs(dec.piece(2).v - v1),
-    )
+    return worst((max_abs(dec.piece(0).v[:, 0] - v0), max_abs(dec.piece(2).v - v1)))
 
 
 def counit_law_residual(params: Params, a: AlgElement, two_m: int) -> float:
@@ -350,7 +369,7 @@ def counit_law_residual(params: Params, a: AlgElement, two_m: int) -> float:
     block = a.block(two_m)
     left = coproduct_component(params, a, 0, two_m).reshape(1, dim, 1, dim)[0, :, 0, :]
     right = coproduct_component(params, a, two_m, 0).reshape(dim, 1, dim, 1)[:, 0, :, 0]
-    return max(max_abs(left - block), max_abs(right - block))
+    return worst((max_abs(left - block), max_abs(right - block)))
 
 
 def antipode_law_residual(params: Params, a: AlgElement, two_n: int) -> float:
@@ -370,7 +389,7 @@ def antipode_law_residual(params: Params, a: AlgElement, two_n: int) -> float:
             unit[p, pp] = 0.0
             lhs += s_unit @ m4[p, :, pp, :]
             rhs += m4[:, p, :, pp] @ s_unit
-    return max(max_abs(lhs - target), max_abs(rhs - target))
+    return worst((max_abs(lhs - target), max_abs(rhs - target)))
 
 
 def coassociativity_residual(params: Params, a: AlgElement, two_n: int, two_m: int, two_l: int) -> float:
@@ -432,7 +451,10 @@ def invariance_residual(params: Params, a: AlgElement, two_n: int) -> tuple:
     dim = two_n + 1
     left_sum = np.zeros((dim, dim), dtype=complex)
     right_sum = np.zeros((dim, dim), dtype=complex)
-    left_scale = right_scale = 1.0
+    # integral weights grow like lam^(2n); compare at the scale of the
+    # largest term entering the cancellation, never below 1
+    left_scales = [1.0]
+    right_scales = [1.0]
     # every block of a reaches the m-blocks in its own index set; the
     # coproduct component already sums over the support, so deduplicate
     m_window = sorted(
@@ -443,18 +465,16 @@ def invariance_residual(params: Params, a: AlgElement, two_n: int) -> tuple:
         w = integral_weight_matrix(params, two_m, "left")
         term = contract_second(block, dim, two_m + 1, w)
         left_sum += term
-        left_scale = max(left_scale, max_abs(term))
+        left_scales.append(max_abs(term))
         block = coproduct_component(params, a, two_m, two_n)
         w = integral_weight_matrix(params, two_m, "right")
         term = contract_first(block, two_m + 1, dim, w)
         right_sum += term
-        right_scale = max(right_scale, max_abs(term))
+        right_scales.append(max_abs(term))
     eye = np.eye(dim, dtype=complex)
-    # integral weights grow like lam^(2n); compare at the scale of the
-    # largest term entering the cancellation
     return (
-        max_abs(left_sum - left_integral(params, a) * eye) / left_scale,
-        max_abs(right_sum - right_integral(params, a) * eye) / right_scale,
+        max_abs(left_sum - left_integral(params, a) * eye) / worst(left_scales),
+        max_abs(right_sum - right_integral(params, a) * eye) / worst(right_scales),
     )
 
 
@@ -462,15 +482,13 @@ def modular_certificate_residual(params: Params, two_n: int, kind: str) -> float
     """Brute force sweep of  integral(a b) = integral(b sigma(a))  over all
     matrix-unit pairs of one block."""
     integral = left_integral if kind == "left" else right_integral
-    worst = 0.0
     units = [a for _, a in _matrix_units([two_n])]
-    for a in units:
-        sig_a = modular_automorphism(params, a, kind)
-        for b in units:
-            lhs = integral(params, a * b)
-            rhs = integral(params, b * sig_a)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    sigmas = [modular_automorphism(params, a, kind) for a in units]
+    return worst(
+        abs(integral(params, a * b) - integral(params, b * sig_a))
+        for a, sig_a in zip(units, sigmas)
+        for b in units
+    )
 
 
 def dual_coproduct_residual(params: Params) -> float:
@@ -478,18 +496,16 @@ def dual_coproduct_residual(params: Params) -> float:
     <a a', u[i,j]> = sum_k <a, u[i,k]> <a', u[k,j]> over the full
     matrix-unit battery of the spin-1/2 block."""
     battery = [a for _, a in _matrix_units([1])]
-    worst = 0.0
-    for a in battery:
-        for a2 in battery:
-            prod = a * a2
-            for i in U_LABELS:
-                for j in U_LABELS:
-                    lhs = pair(prod, u_entry(i, j))
-                    rhs = sum(
-                        pair(a, u_entry(i, k)) * pair(a2, u_entry(k, j)) for k in U_LABELS
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-    return worst
+    return worst(
+        abs(
+            pair(a * a2, u_entry(i, j))
+            - sum(pair(a, u_entry(i, k)) * pair(a2, u_entry(k, j)) for k in U_LABELS)
+        )
+        for a in battery
+        for a2 in battery
+        for i in U_LABELS
+        for j in U_LABELS
+    )
 
 
 def dual_haar_quadratic_expected(params: Params, two_k: int, two_l: int, two_i: int, two_j: int) -> complex:
@@ -514,18 +530,21 @@ def dual_antipode_expected(params: Params, two_r: int, two_s: int) -> tuple:
 
 
 def _check(tol_abs: float, check_id: str, law: str, value, tolerance: float = None) -> Check:
-    """A bool value is pass/fail (residual 0 or 1, tolerance 0); any other
-    value is a residual held against tolerance, tol_abs by default."""
+    """A bool value is pass/fail (residual 0 or 1, tolerance 0).  A number,
+    or an iterable of numbers folded by `util.worst`, is a residual held
+    against tolerance, tol_abs by default; a NaN residual fails."""
     if isinstance(value, (bool, np.bool_)):
         return Check(id=check_id, law=law, residual=0.0 if value else 1.0, tolerance=0.0, passed=bool(value))
-    residual = float(value)
+    residual = worst(value) if isinstance(value, Iterable) else float(value)
     tolerance = float(tol_abs if tolerance is None else tolerance)
     return Check(id=check_id, law=law, residual=residual, tolerance=tolerance, passed=residual <= tolerance)
 
 
 def _battery(gen):
     """Collect a generator of (id, law, value[, tolerance]) items into a
-    battery returning a list of Check; the name and signature are kept."""
+    battery returning a list of Check; the name and signature are kept.
+    Each item is checked, its value folded, before the generator resumes,
+    so a lazy value draws from the battery's rng in yield order."""
 
     @functools.wraps(gen)
     def battery(params: Params, *args, **kwargs) -> list:
@@ -581,124 +600,84 @@ def formal_battery(params: Params):
     )
 
     battery = [AlgPoly({w: 1.0}) for w in _all_words(3)]
+    coproducts = [formal_coproduct(x) for x in battery]
 
-    worst = 0.0
-    for x in battery:
-        tp = formal_coproduct(x)
-        diff = words.TensorPoly(words.coproduct_leg(tp, 0)) - words.TensorPoly(words.coproduct_leg(tp, 1))
-        worst = max(worst, diff.max_abs_coeff())
-    yield "words/coassociativity", "(D(x)id)D = (id(x)D)D, words to length 3", worst
+    yield "words/coassociativity", "(D(x)id)D = (id(x)D)D, words to length 3", (
+        (words.TensorPoly(words.coproduct_leg(tp, 0)) - words.TensorPoly(words.coproduct_leg(tp, 1))).max_abs_coeff()
+        for tp in coproducts
+    )
 
-    worst = 0.0
-    for x in battery:
-        tp = formal_coproduct(x)
-        left = AlgPoly({w2: c * formal_counit(AlgPoly({w1: 1.0})) for (w1, w2), c in tp.terms.items()})
-        right = AlgPoly({w1: c * formal_counit(AlgPoly({w2: 1.0})) for (w1, w2), c in tp.terms.items()})
-        worst = max(worst, (left - x).max_abs_coeff(), (right - x).max_abs_coeff())
-    yield "words/counit-laws", "(eps(x)id)D = id = (id(x)eps)D, words to length 3", worst
+    eps = lambda word: formal_counit(AlgPoly({word: 1.0}))
+    yield "words/counit-laws", "(eps(x)id)D = id = (id(x)eps)D, words to length 3", (
+        (leg - x).max_abs_coeff()
+        for x, tp in zip(battery, coproducts)
+        for leg in (
+            AlgPoly({w2: c * eps(w1) for (w1, w2), c in tp.terms.items()}),
+            AlgPoly({w1: c * eps(w2) for (w1, w2), c in tp.terms.items()}),
+        )
+    )
 
     pairs = [AlgPoly({w: 1.0}) for w in _all_words(2)]
-    worst = 0.0
-    for x in pairs:
-        for y in pairs:
-            worst = max(
-                worst,
-                (formal_coproduct(x * y) - formal_coproduct(x) * formal_coproduct(y)).max_abs_coeff(),
-            )
-    yield "words/coproduct-homomorphism", "D(xy) = D(x) D(y)", worst
-
-    worst = 0.0
-    for x in pairs:
-        for y in pairs:
-            worst = max(
-                worst,
-                (
-                    formal_antipode(x * y, lam)
-                    - formal_antipode(y, lam) * formal_antipode(x, lam)
-                ).max_abs_coeff(),
-            )
-    yield "words/antipode-antihomomorphism", "S(xy) = S(y) S(x)", worst
-
-    worst = 0.0
-    for x in battery:
-        round_trip = formal_antipode(formal_antipode(x, lam).star(), lam).star()
-        worst = max(worst, (round_trip - x).max_abs_coeff())
-    yield "words/antipode-star-involution", "S(S(x)*)* = x", worst
-
-    worst = 0.0
-    for x in battery:
-        worst = max(worst, abs(formal_counit(formal_antipode(x, lam)) - formal_counit(x)))
-    yield "words/counit-antipode", "eps(S(x)) = eps(x)", worst
+    yield "words/coproduct-homomorphism", "D(xy) = D(x) D(y)", (
+        (formal_coproduct(x * y) - formal_coproduct(x) * formal_coproduct(y)).max_abs_coeff()
+        for x in pairs
+        for y in pairs
+    )
+    yield "words/antipode-antihomomorphism", "S(xy) = S(y) S(x)", (
+        (formal_antipode(x * y, lam) - formal_antipode(y, lam) * formal_antipode(x, lam)).max_abs_coeff()
+        for x in pairs
+        for y in pairs
+    )
+    yield "words/antipode-star-involution", "S(S(x)*)* = x", (
+        (formal_antipode(formal_antipode(x, lam).star(), lam).star() - x).max_abs_coeff() for x in battery
+    )
+    yield "words/counit-antipode", "eps(S(x)) = eps(x)", (
+        abs(formal_counit(formal_antipode(x, lam)) - formal_counit(x)) for x in battery
+    )
 
 
 @_battery
 def rep_battery(params: Params, nmax2: int, rng):
     lam = params.lam
 
-    relation_worst = {}
-    adjoint_worst = 0.0
-    symmetry_worst = 0.0
-    terminal_worst = 0.0
-    casimir_worst = 0.0
-
-    for two_n in _spins(nmax2):
-        for sign in (+1, -1):
-            rep = build_rep(params, two_n, sign)
-            for law, value in relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f).items():
-                relation_worst[law] = max(relation_worst.get(law, 0.0), value)
-            adjoint_worst = max(adjoint_worst, max_abs(rep.e.conj().T - rep.f))
-        rep = build_rep(params, two_n, +1)
-        if rep.r.size:
-            symmetry_worst = max(symmetry_worst, float(np.max(np.abs(rep.r - rep.r[::-1]))))
-        closing = params.c * np.sum(
-            np.exp(params.t * weights(two_n)) - np.exp(-params.t * weights(two_n))
-        )
-        terminal_worst = max(terminal_worst, abs(float(closing)))
-        for sign in (+1, -1):
-            rep = build_rep(params, two_n, sign)
-            expected = casimir_scalar(params, two_n)
-            cas = casimir_matrix(params, rep)
-            casimir_worst = max(
-                casimir_worst,
-                max_abs(cas - expected * np.eye(rep.dim)) / max(1.0, abs(expected)),
-            )
-
-    for law, value in relation_worst.items():
+    reps = [build_rep(params, two_n, sign) for two_n in _spins(nmax2) for sign in (+1, -1)]
+    relations = [relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f) for rep in reps]
+    for law in relations[0]:
         slug = law.split(" = ")[0].replace(" ", "").replace("^", "").replace("*", "star")
-        yield f"reps/relation-{slug}", law, value
-    yield "reps/adjointness", "e* = f entrywise", adjoint_worst
-    yield "reps/amplitude-symmetry", "r_(-j-1) = r_j", symmetry_worst
-    yield "reps/amplitude-closure", "r_(-n-1) = 0", terminal_worst
-    yield "reps/casimir", "Casimir = 2(lam^(2n+1) + lam^-(2n+1)) 1", casimir_worst
+        yield f"reps/relation-{slug}", law, [res[law] for res in relations]
+    yield "reps/adjointness", "e* = f entrywise", (max_abs(rep.e.conj().T - rep.f) for rep in reps)
+    yield "reps/amplitude-symmetry", "r_(-j-1) = r_j", (
+        max_abs(rep.r - rep.r[::-1]) for rep in reps if rep.sign == +1
+    )
+    yield "reps/amplitude-closure", "r_(-n-1) = 0", (
+        abs(float(params.c * np.sum(np.exp(params.t * w) - np.exp(-params.t * w))))
+        for w in map(weights, _spins(nmax2))
+    )
+    yield "reps/casimir", "Casimir = 2(lam^(2n+1) + lam^-(2n+1)) 1", (
+        max_abs(casimir_matrix(params, rep) - casimir_scalar(params, rep.two_n) * np.eye(rep.dim))
+        / max(1.0, abs(casimir_scalar(params, rep.two_n)))
+        for rep in reps
+    )
 
-    worst = 0.0
-    for two_n in _spins(nmax2, 6):
-        rep = build_rep(params, two_n, +1)
-        f_pow = np.eye(rep.dim, dtype=complex)
-        for k in range(1, two_n + 3):
-            f_prev = f_pow
-            f_pow = f_pow @ rep.f
-            lhs = rep.e @ f_pow - f_pow @ rep.e
-            rhs = f_prev @ ladder_poly_matrix(params, rep, k)
-            worst = max(worst, max_abs(lhs - rhs))
-    yield "reps/ladder-identity", "e f^k - f^k e = f^(k-1)(a q^2 + b q^-2)", worst
+    yield "reps/ladder-identity", "e f^k - f^k e = f^(k-1)(a q^2 + b q^-2)", (
+        value
+        for two_n in _spins(nmax2, 6)
+        for value in _ladder_residuals(params, build_rep(params, two_n, +1))
+    )
 
     trivial = build_rep(params, 0, +1)
     half = build_rep(params, 1, +1)
     one = build_rep(params, 2, +1)
     v = lam + 1.0 / lam
-    examples = max(
+    yield "reps/closed-forms", "spin 0, 1/2, 1 matrices and amplitudes", (
         max_abs(trivial.q - np.eye(1)),
         max_abs(trivial.e),
         max_abs(half.q - np.diag([lam**0.5, lam**-0.5])),
         abs(half.r[0] - 1.0),
         abs(one.r[0] ** 2 - v),
         abs(one.r[1] ** 2 - v),
-        max_abs(
-            evaluate(half, words.Q * words.E) - np.array([[0.0, lam**0.5], [0.0, 0.0]])
-        ),
+        max_abs(evaluate(half, words.Q * words.E) - np.array([[0.0, lam**0.5], [0.0, 0.0]])),
     )
-    yield "reps/closed-forms", "spin 0, 1/2, 1 matrices and amplitudes", examples
 
     ok = True
     for two_n in _spins(nmax2, 6):
@@ -716,28 +695,25 @@ def rep_battery(params: Params, nmax2: int, rng):
             ok = ok and classify_by_highest_weight(params, conj(rep.q), conj(rep.e), conj(rep.f)) == (two_n, sign)
     yield "reps/classification-conjugated", "classification is basis independent", ok
 
-    worst = 0.0
     c = params.c
-    for two_n in _spins(nmax2, 4):
-        rep = build_rep(params, two_n, +1)
+    rescaling = []
+    low_reps = [build_rep(params, two_n, +1) for two_n in _spins(nmax2, 4)]
+    for rep in low_reps:
         e1 = rep.e / np.sqrt(c)
         f1 = rep.f / np.sqrt(c)
         q2 = rep.q @ rep.q - rep.q_inv @ rep.q_inv
-        worst = max(worst, max_abs(e1 @ f1 - f1 @ e1 - q2))
-        worst = max(
-            worst,
-            max_abs((np.sqrt(c) * e1) @ (np.sqrt(c) * f1) - (np.sqrt(c) * f1) @ (np.sqrt(c) * e1) - c * q2),
+        rescaling.append(max_abs(e1 @ f1 - f1 @ e1 - q2))
+        rescaling.append(
+            max_abs((np.sqrt(c) * e1) @ (np.sqrt(c) * f1) - (np.sqrt(c) * f1) @ (np.sqrt(c) * e1) - c * q2)
         )
-    yield "reps/rescaling", "e -> sqrt(c) e, f -> sqrt(c) f maps the c = 1 relations to the c relations", worst
+    yield "reps/rescaling", "e -> sqrt(c) e, f -> sqrt(c) f maps the c = 1 relations to the c relations", rescaling
 
-    worst = 0.0
-    for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
-        z = np.exp(1j * theta)
-        for two_n in _spins(nmax2, 4):
-            rep = build_rep(params, two_n, +1)
-            res = relation_residuals(params, rep.q, rep.q_inv, z * rep.e, np.conj(z) * rep.f)
-            worst = max(worst, max(res.values()))
-    yield "reps/phase-twist", "e -> z e, f -> conj(z) f is a *-automorphism (|z| = 1)", worst
+    yield "reps/phase-twist", "e -> z e, f -> conj(z) f is a *-automorphism (|z| = 1)", (
+        value
+        for z in (np.exp(1j * theta) for theta in rng.uniform(0.0, 2.0 * np.pi, size=3))
+        for rep in low_reps
+        for value in relation_residuals(params, rep.q, rep.q_inv, z * rep.e, np.conj(z) * rep.f).values()
+    )
 
 
 @_battery
@@ -751,47 +727,46 @@ def clebsch_battery(params: Params, nmax2: int):
     yield "cg/index-set", "summands are |n-m|, ..., n+m", ok
     yield "cg/dimension-identity", "sum of (2k+1) = (2n+1)(2m+1), exact", dims_ok
 
-    ortho = completeness = intertwine = 0.0
-    for two_n in _spins(nmax2):
-        for two_m in _spins(nmax2):
-            res = decomposition_residuals(params, two_n, two_m)
-            ortho = max(ortho, res["orthonormality"])
-            completeness = max(completeness, res["completeness"])
-            intertwine = max(intertwine, res["intertwining"])
-    yield "cg/orthonormality", "V_k* V_l = delta(k,l) 1", ortho
-    yield "cg/completeness", "sum V_k V_k* = 1", completeness
-    yield "cg/intertwining", "D(x) V_k = V_k pi_k(x)", intertwine
+    residuals = [
+        decomposition_residuals(params, two_n, two_m) for two_n in _spins(nmax2) for two_m in _spins(nmax2)
+    ]
+    for key, law in (
+        ("orthonormality", "V_k* V_l = delta(k,l) 1"),
+        ("completeness", "sum V_k V_k* = 1"),
+        ("intertwining", "D(x) V_k = V_k pi_k(x)"),
+    ):
+        yield f"cg/{key}", law, [res[key] for res in residuals]
 
     yield "cg/worked-half-half", "(1/2, 1/2) summand vectors match their closed forms", worked_half_half_residual(params)
 
-    worst = 0.0
-    for two_m in _spins(nmax2):
-        v = decompose(params, 0, two_m).piece(two_m).v
-        worst = max(worst, max_abs(v - np.eye(two_m + 1)))
-        v = decompose(params, two_m, 0).piece(two_m).v
-        worst = max(worst, max_abs(v - np.eye(two_m + 1)))
-    yield "cg/trivial-factor", "tensoring with spin 0 is the identity map", worst
+    yield "cg/trivial-factor", "tensoring with spin 0 is the identity map", (
+        max_abs(decompose(params, two_n, two_m).piece(two_k).v - np.eye(two_k + 1))
+        for two_k in _spins(nmax2)
+        for two_n, two_m in ((0, two_k), (two_k, 0))
+    )
 
-    worst = 0.0
-    formal_worst = 0.0
-    for two_n in _spins(nmax2, 4):
-        for two_m in _spins(nmax2, 4):
-            left = build_rep(params, two_n, +1)
-            right = build_rep(params, two_m, +1)
-            trep = tensor_rep(left, right)
-            for x in WORD_BATTERY.values():
-                worst = max(worst, block_reconstruction_residual(params, two_n, two_m, x))
-                direct = evaluate_in(trep.gen_matrices, x, trep.dim)
-                formal_worst = max(
-                    formal_worst,
-                    max_abs(direct - tensor_evaluate_formal(params, two_n, two_m, x)),
-                )
-    yield "cg/block-reconstruction", "sum V_k pi_k(x) V_k* = D(x) on a word battery", worst
-    yield "cg/formal-route", "generator-matrix route equals the symbolic coproduct route", formal_worst
+    treps = [
+        (two_n, two_m, tensor_rep(build_rep(params, two_n, +1), build_rep(params, two_m, +1)))
+        for two_n in _spins(nmax2, 4)
+        for two_m in _spins(nmax2, 4)
+    ]
+    yield "cg/block-reconstruction", "sum V_k pi_k(x) V_k* = D(x) on a word battery", (
+        block_reconstruction_residual(params, two_n, two_m, x)
+        for two_n, two_m, _ in treps
+        for x in WORD_BATTERY.values()
+    )
+    yield "cg/formal-route", "generator-matrix route equals the symbolic coproduct route", (
+        max_abs(evaluate_in(trep.gen_matrices, x, trep.dim) - tensor_evaluate_formal(params, two_n, two_m, x))
+        for two_n, two_m, trep in treps
+        for x in WORD_BATTERY.values()
+    )
 
     trep = tensor_rep(build_rep(params, _spins(nmax2, 2)[-1], +1), build_rep(params, _spins(nmax2, 3)[-1], +1))
-    res = relation_residuals(params, trep.q, trep.q_inv, trep.e, trep.f)
-    yield "cg/tensor-relations", "coproduct generators satisfy the defining relations", max(res.values())
+    yield (
+        "cg/tensor-relations",
+        "coproduct generators satisfy the defining relations",
+        relation_residuals(params, trep.q, trep.q_inv, trep.e, trep.f).values(),
+    )
 
 
 def _haar_unitary(rng, dim: int) -> np.ndarray:
@@ -820,65 +795,52 @@ def hopf_battery(params: Params, nmax2: int, rng):
     random_elements = [_random_alg_element(rng, window) for _ in range(2)]
     battery = list(word_elements.values()) + unit_elements + random_elements
 
-    worst = 0.0
-    for a in battery:
-        for two_m in window:
-            worst = max(worst, counit_law_residual(params, a, two_m))
-    yield "dqg/counit-laws", "(eps(x)id)D = id = (id(x)eps)D", worst
-
-    worst = 0.0
-    for a in battery:
-        for two_n in window:
-            worst = max(worst, antipode_law_residual(params, a, two_n))
-    yield "dqg/antipode-laws", "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)", worst
+    yield "dqg/counit-laws", "(eps(x)id)D = id = (id(x)eps)D", (
+        counit_law_residual(params, a, two_m) for a in battery for two_m in window
+    )
+    yield "dqg/antipode-laws", "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)", (
+        antipode_law_residual(params, a, two_n) for a in battery for two_n in window
+    )
 
     coassoc_battery = [word_elements["e"], word_elements["ef"]] + random_elements
-    worst = 0.0
-    for a in coassoc_battery:
-        for two_n in window:
-            for two_m in window:
-                for two_l in window:
-                    worst = max(
-                        worst, coassociativity_residual(params, a, two_n, two_m, two_l)
-                    )
-    yield "dqg/coassociativity", "(D(x)id)D = (id(x)D)D", worst
+    yield "dqg/coassociativity", "(D(x)id)D = (id(x)D)D", (
+        coassociativity_residual(params, a, two_n, two_m, two_l)
+        for a in coassoc_battery
+        for two_n in window
+        for two_m in window
+        for two_l in window
+    )
 
-    worst = 0.0
     hom_pairs = [
         (word_elements["q"], word_elements["e"]),
         (word_elements["e"], word_elements["f"]),
         (random_elements[0], random_elements[1]),
         (unit_elements[1], unit_elements[2]) if len(unit_elements) > 2 else (random_elements[0], random_elements[0]),
     ]
-    for a, b in hom_pairs:
-        for two_n in window:
-            for two_m in window:
-                prod = coproduct_component(params, a, two_n, two_m) @ coproduct_component(
-                    params, b, two_n, two_m
-                )
-                worst = max(
-                    worst, max_abs(coproduct_component(params, a * b, two_n, two_m) - prod)
-                )
-    yield "dqg/coproduct-multiplicative", "D(ab) = D(a) D(b)", worst
-
-    worst = 0.0
-    for a in random_elements + [word_elements["qef"]]:
-        for two_n in window:
-            for two_m in window:
-                adj = coproduct_component(params, a, two_n, two_m).conj().T
-                worst = max(
-                    worst, max_abs(coproduct_component(params, a.star(), two_n, two_m) - adj)
-                )
-    yield "dqg/coproduct-star", "D(a*) = D(a)*", worst
+    yield "dqg/coproduct-multiplicative", "D(ab) = D(a) D(b)", (
+        max_abs(
+            coproduct_component(params, a * b, two_n, two_m)
+            - coproduct_component(params, a, two_n, two_m) @ coproduct_component(params, b, two_n, two_m)
+        )
+        for a, b in hom_pairs
+        for two_n in window
+        for two_m in window
+    )
+    yield "dqg/coproduct-star", "D(a*) = D(a)*", (
+        max_abs(
+            coproduct_component(params, a.star(), two_n, two_m)
+            - coproduct_component(params, a, two_n, two_m).conj().T
+        )
+        for a in random_elements + [word_elements["qef"]]
+        for two_n in window
+        for two_m in window
+    )
 
     # unitary antipode: closed form on matrix units, involution, *-antihomomorphism
-    worst = 0.0
-    for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3)):
-        image = unitary_antipode(unit)
-        sign = (-1.0) ** ((two_s - two_r) // 2)
-        expected = sign * matrix_unit(two_k, -two_s, -two_r)
-        worst = max(worst, (image - expected).norm())
-    yield "dqg/flip-closed-form", "R(e_(r,s)) = (-1)^(s-r) e_(-s,-r)", worst
+    yield "dqg/flip-closed-form", "R(e_(r,s)) = (-1)^(s-r) e_(-s,-r)", (
+        (unitary_antipode(unit) - (-1.0) ** ((two_s - two_r) // 2) * matrix_unit(two_k, -two_s, -two_r)).norm()
+        for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3))
+    )
 
     g_ok = True
     for two_k in _spins(nmax2, 3):
@@ -892,203 +854,182 @@ def hopf_battery(params: Params, nmax2: int, rng):
             g_ok = g_ok and max_abs(g.apply(basis[i]) - lin) < 1e-14
     yield "dqg/flip-unitary", "G^2 = (-1)^(2n), conjugate linear", g_ok
 
-    worst = 0.0
-    for a in random_elements:
-        worst = max(worst, (unitary_antipode(unitary_antipode(a)) - a).norm())
-        worst = max(worst, (unitary_antipode(a.star()) - unitary_antipode(a).star()).norm())
-    b = random_elements[0] * random_elements[1]
-    worst = max(
-        worst,
-        (unitary_antipode(b) - unitary_antipode(random_elements[1]) * unitary_antipode(random_elements[0])).norm(),
+    flip = unitary_antipode
+    r0, r1 = random_elements
+    diffs = [d for a in random_elements for d in (flip(flip(a)) - a, flip(a.star()) - flip(a).star())]
+    diffs += [
+        flip(r0 * r1) - flip(r1) * flip(r0),
+        flip(word_elements["q"]) - word_elements["q^-1"],
+        flip(word_elements["e"]) + word_elements["e"],
+        flip(word_elements["f"]) + word_elements["f"],
+    ]
+    yield "dqg/flip-antiautomorphism", "R is an involutive *-antiautomorphism with R(q) = q^-1, R(e) = -e", (
+        d.norm() for d in diffs
     )
-    worst = max(worst, (unitary_antipode(word_elements["q"]) - word_elements["q^-1"]).norm())
-    worst = max(worst, (unitary_antipode(word_elements["e"]) + word_elements["e"]).norm())
-    worst = max(worst, (unitary_antipode(word_elements["f"]) + word_elements["f"]).norm())
-    yield "dqg/flip-antiautomorphism", "R is an involutive *-antiautomorphism with R(q) = q^-1, R(e) = -e", worst
 
-    worst = 0.0
-    for a in random_elements:
-        for two_n in window:
-            for two_m in window:
-                worst = max(worst, flip_residual(params, a, two_n, two_m))
-    yield "dqg/flip-coproduct", "D(R(a)) = flip (R(x)R) D(a)", worst
+    yield "dqg/flip-coproduct", "D(R(a)) = flip (R(x)R) D(a)", (
+        flip_residual(params, a, two_n, two_m) for a in random_elements for two_n in window for two_m in window
+    )
 
     # antipode against the symbolic layer and closed forms
-    worst = 0.0
-    for name, x in WORD_BATTERY.items():
-        lhs = antipode(params, word_elements[name])
-        rhs = embed(params, formal_antipode(x, params.lam), window)
-        worst = max(worst, (lhs - rhs).norm())
-    for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3)):
-        image = antipode(params, unit)
-        factor = (-1.0) ** ((two_s - two_r) // 2) * params.lam_pow(two_s - two_r)
-        expected = factor * matrix_unit(two_k, -two_s, -two_r)
-        worst = max(worst, (image - expected).norm())
+    diffs = [
+        antipode(params, word_elements[name]) - embed(params, formal_antipode(x, params.lam), window)
+        for name, x in WORD_BATTERY.items()
+    ]
+    diffs += [
+        antipode(params, unit)
+        - (-1.0) ** ((two_s - two_r) // 2) * params.lam_pow(two_s - two_r) * matrix_unit(two_k, -two_s, -two_r)
+        for (two_k, two_r, two_s), unit in _matrix_units(_spins(nmax2, 3))
+    ]
     yield (
         "dqg/antipode-closed-form",
         "S matches the symbolic antipode and S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r)",
-        worst,
+        (d.norm() for d in diffs),
     )
 
-    worst = 0.0
-    for a in random_elements:
-        worst = max(worst, (antipode_inv(params, antipode(params, a)) - a).norm())
-        worst = max(
-            worst,
-            (antipode(params, antipode(params, a)) - scaling_imag(params, a, -1.0)).norm(),
+    yield "dqg/antipode-squared", "S^-1 S = id and S^2 = tau_(-i)", (
+        d.norm()
+        for a in random_elements
+        for d in (
+            antipode_inv(params, antipode(params, a)) - a,
+            antipode(params, antipode(params, a)) - scaling_imag(params, a, -1.0),
         )
-    yield "dqg/antipode-squared", "S^-1 S = id and S^2 = tau_(-i)", worst
+    )
 
     s_values = [0.7, -1.3] + list(rng.uniform(-2.0, 2.0, size=2))
-    worst = 0.0
-    for a in random_elements:
-        for s in s_values:
-            for two_n in _spins(nmax2, 3):
-                for two_m in _spins(nmax2, 3):
-                    worst = max(worst, scaling_compat_residual(params, a, two_n, two_m, s))
-    yield "dqg/scaling-coproduct", "D tau_s = (tau_s (x) tau_s) D", worst
+    yield "dqg/scaling-coproduct", "D tau_s = (tau_s (x) tau_s) D", (
+        scaling_compat_residual(params, a, two_n, two_m, s)
+        for a in random_elements
+        for s in s_values
+        for two_n in _spins(nmax2, 3)
+        for two_m in _spins(nmax2, 3)
+    )
 
-    worst = 0.0
     s1, s2 = 0.9, -0.4
-    for a in random_elements:
-        worst = max(
-            worst,
-            (scaling(params, scaling(params, a, s1), s2) - scaling(params, a, s1 + s2)).norm(),
+    yield "dqg/scaling-group", "tau is a one-parameter *-automorphism group commuting with R", (
+        d.norm()
+        for a in random_elements
+        for d in (
+            scaling(params, scaling(params, a, s1), s2) - scaling(params, a, s1 + s2),
+            scaling(params, a.star(), s1) - scaling(params, a, s1).star(),
+            flip(scaling(params, a, s1)) - scaling(params, flip(a), s1),
         )
-        worst = max(worst, (scaling(params, a.star(), s1) - scaling(params, a, s1).star()).norm())
-        worst = max(
-            worst,
-            (
-                unitary_antipode(scaling(params, a, s1))
-                - scaling(params, unitary_antipode(a), s1)
-            ).norm(),
-        )
-    yield "dqg/scaling-group", "tau is a one-parameter *-automorphism group commuting with R", worst
+    )
 
 
 @_battery
 def cointegral_battery(params: Params, nmax2: int):
     h = cointegral()
 
-    two_routes = idempotent = selfadjoint = rank_one = range_vec = 0.0
+    rows = []
     for two_n in _spins(nmax2, 6):
         closed = cointegral_coproduct(params, two_n)
-        via_cg = coproduct_component(params, h, two_n, two_n)
-        two_routes = max(two_routes, max_abs(closed - via_cg))
-        idempotent = max(idempotent, max_abs(closed @ closed - closed))
-        selfadjoint = max(selfadjoint, max_abs(closed - closed.conj().T))
         sing = np.linalg.svd(closed, compute_uv=False)
-        rank_one = max(rank_one, abs(float(sing[0]) - 1.0))
-        if sing.size > 1:
-            rank_one = max(rank_one, float(sing[1]))
         vec = invariant_vector(params, two_n)
-        range_vec = max(range_vec, max_abs(closed - np.outer(vec, vec.conj())))
-    yield "coint/two-routes", "closed form of D(h) equals the summand route", two_routes
-    yield "coint/idempotent", "D(h)_(n,n)^2 = D(h)_(n,n)", idempotent
-    yield "coint/self-adjoint", "D(h)_(n,n)* = D(h)_(n,n)", selfadjoint
-    yield "coint/rank-one", "D(h)_(n,n) is a rank 1 projection", rank_one
-    yield "coint/invariant-vector", "range spanned by the canonical invariant vector", range_vec
+        rows.append(
+            {
+                "two-routes": max_abs(closed - coproduct_component(params, h, two_n, two_n)),
+                "idempotent": max_abs(closed @ closed - closed),
+                "self-adjoint": max_abs(closed - closed.conj().T),
+                "rank-one": worst([abs(float(sing[0]) - 1.0), *sing[1:2]]),
+                "invariant-vector": max_abs(closed - np.outer(vec, vec.conj())),
+            }
+        )
+    for name, law in (
+        ("two-routes", "closed form of D(h) equals the summand route"),
+        ("idempotent", "D(h)_(n,n)^2 = D(h)_(n,n)"),
+        ("self-adjoint", "D(h)_(n,n)* = D(h)_(n,n)"),
+        ("rank-one", "D(h)_(n,n) is a rank 1 projection"),
+        ("invariant-vector", "range spanned by the canonical invariant vector"),
+    ):
+        yield f"coint/{name}", law, [row[name] for row in rows]
 
-    absorb = 0.0
-    for a in [matrix_unit(0, 0, 0), matrix_unit(2, 2, 0), one_window([0, 1, 2])]:
-        absorb = max(absorb, (a * h - counit(a) * h).norm(), (h * a - counit(a) * h).norm())
-    yield "coint/absorbing", "a h = eps(a) h = h a", absorb
+    yield "coint/absorbing", "a h = eps(a) h = h a", (
+        (x - counit(a) * h).norm()
+        for a in [matrix_unit(0, 0, 0), matrix_unit(2, 2, 0), one_window([0, 1, 2])]
+        for x in (a * h, h * a)
+    )
     yield "coint/counit", "eps(h) = 1", abs(counit(h) - 1.0) < 1e-15
 
-    left_char = right_char = mod_elem = trace_form = 0.0
+    rows = []
     for two_n in _spins(nmax2, 6):
         dim = two_n + 1
         block = cointegral_coproduct(params, two_n)
         eye = np.eye(dim, dtype=complex)
         w_left = integral_weight_matrix(params, two_n, "left")
         w_right = integral_weight_matrix(params, two_n, "right")
-        left_char = max(left_char, max_abs(contract_second(block, dim, dim, w_left) - eye))
-        right_char = max(right_char, max_abs(contract_first(block, dim, dim, w_right) - eye))
-        mod_elem = max(
-            mod_elem,
-            max_abs(
-                contract_first(block, dim, dim, w_left) - modular_element_block(params, two_n)
-            ),
+        rows.append(
+            {
+                "left-integral": max_abs(contract_second(block, dim, dim, w_left) - eye),
+                "right-integral": max_abs(contract_first(block, dim, dim, w_right) - eye),
+                "modular-element": max_abs(
+                    contract_first(block, dim, dim, w_left) - modular_element_block(params, two_n)
+                ),
+                "trace-contraction": max_abs(
+                    contract_first(block, dim, dim, np.eye(dim, dtype=complex))
+                    - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
+                ),
+            }
         )
-        trace_form = max(
-            trace_form,
-            max_abs(
-                contract_first(block, dim, dim, np.eye(dim, dtype=complex))
-                - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
-            ),
-        )
-    yield "coint/left-integral", "(id (x) phi) D(h) = 1", left_char
-    yield "coint/right-integral", "(psi (x) id) D(h) = 1", right_char
-    yield "coint/modular-element", "(phi (x) id) D(h) = q^4", mod_elem
-    yield "coint/trace-contraction", "(trace (x) id) D(h) = q^2 / c", trace_form
+    for name, law in (
+        ("left-integral", "(id (x) phi) D(h) = 1"),
+        ("right-integral", "(psi (x) id) D(h) = 1"),
+        ("modular-element", "(phi (x) id) D(h) = q^4"),
+        ("trace-contraction", "(trace (x) id) D(h) = q^2 / c"),
+    ):
+        yield f"coint/{name}", law, [row[name] for row in rows]
 
-    worst = 0.0
+    values = [abs(left_integral(params, h) - 1.0), abs(right_integral(params, h) - 1.0)]
     for two_n in _spins(nmax2, 4):
         c_n = quantum_dimension(params, two_n)
         for two_r in weights(two_n):
             unit = matrix_unit(two_n, two_r, two_r)
-            worst = max(
-                worst,
-                abs(left_integral(params, unit) - c_n * params.lam_pow(-2 * two_r)),
-                abs(right_integral(params, unit) - c_n * params.lam_pow(2 * two_r)),
-            )
-        off = matrix_unit(two_n, two_n, -two_n) if two_n else None
-        if off is not None:
-            worst = max(worst, abs(left_integral(params, off)), abs(right_integral(params, off)))
-    worst = max(worst, abs(left_integral(params, h) - 1.0), abs(right_integral(params, h) - 1.0))
-    yield "coint/integral-values", "phi(e_(r,r)) = c lam^(-2r), psi(e_(r,r)) = c lam^(2r), phi(h) = 1", worst
+            values.append(abs(left_integral(params, unit) - c_n * params.lam_pow(-2 * two_r)))
+            values.append(abs(right_integral(params, unit) - c_n * params.lam_pow(2 * two_r)))
+        if two_n:
+            off = matrix_unit(two_n, two_n, -two_n)
+            values += [abs(left_integral(params, off)), abs(right_integral(params, off))]
+    yield "coint/integral-values", "phi(e_(r,r)) = c lam^(-2r), psi(e_(r,r)) = c lam^(2r), phi(h) = 1", values
 
-    left_worst = right_worst = 0.0
-    for _, a in _matrix_units(_spins(nmax2, 4)):
-        for two_n in _spins(nmax2, 4):
-            l, r = invariance_residual(params, a, two_n)
-            left_worst = max(left_worst, l)
-            right_worst = max(right_worst, r)
-    yield "coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", left_worst
-    yield "coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", right_worst
+    invariance = [
+        invariance_residual(params, a, two_n)
+        for _, a in _matrix_units(_spins(nmax2, 4))
+        for two_n in _spins(nmax2, 4)
+    ]
+    yield "coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", (left for left, _ in invariance)
+    yield "coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", (right for _, right in invariance)
 
-    worst = 0.0
     q4 = words.Q * words.Q * words.Q * words.Q
     window = _spins(nmax2, 4)
     # the (n, m) coproduct block draws on summands up to spin n + m, so the
     # embedded multiplier must cover twice the pair window
     delta = embed(params, q4, _spins(2 * nmax2, 8))
+    values = [max_abs(delta.block(two_n) - modular_element_block(params, two_n)) for two_n in window]
     for two_n in window:
-        worst = max(
-            worst, max_abs(delta.block(two_n) - modular_element_block(params, two_n))
-        )
         for two_m in window:
             grouplike = np.kron(
                 modular_element_block(params, two_n), modular_element_block(params, two_m)
             )
             diff = max_abs(coproduct_component(params, delta, two_n, two_m) - grouplike)
-            worst = max(worst, diff / max(1.0, max_abs(grouplike)))
-    yield "coint/modular-grouplike", "delta = q^4 with D(delta) = delta (x) delta", worst
+            values.append(diff / max(1.0, max_abs(grouplike)))
+    yield "coint/modular-grouplike", "delta = q^4 with D(delta) = delta (x) delta", values
 
 
 @_battery
 def modular_battery(params: Params, nmax2: int):
-    left_worst = right_worst = 0.0
-    for two_n in _spins(nmax2, 4):
-        left_worst = max(left_worst, modular_certificate_residual(params, two_n, "left"))
-        right_worst = max(right_worst, modular_certificate_residual(params, two_n, "right"))
-    yield "modular/left-certificate", "phi(a b) = phi(b sigma_phi(a)) over all matrix-unit pairs", left_worst
-    yield "modular/right-certificate", "psi(a b) = psi(b sigma_psi(a)) over all matrix-unit pairs", right_worst
+    yield "modular/left-certificate", "phi(a b) = phi(b sigma_phi(a)) over all matrix-unit pairs", (
+        modular_certificate_residual(params, two_n, "left") for two_n in _spins(nmax2, 4)
+    )
+    yield "modular/right-certificate", "psi(a b) = psi(b sigma_psi(a)) over all matrix-unit pairs", (
+        modular_certificate_residual(params, two_n, "right") for two_n in _spins(nmax2, 4)
+    )
 
-    worst = 0.0
+    values = []
     for _, a in _matrix_units(_spins(nmax2, 4)):
-        round_trip = modular_automorphism(
-            params, modular_automorphism(params, a, "left"), "right"
-        )
-        worst = max(worst, (round_trip - a).norm())
-        worst = max(
-            worst,
-            abs(
-                left_integral(params, modular_automorphism(params, a, "left"))
-                - left_integral(params, a)
-            ),
-        )
-    yield "modular/inverse-pair", "sigma_psi sigma_phi = id and phi sigma_phi = phi", worst
+        sigma_a = modular_automorphism(params, a, "left")
+        values.append((modular_automorphism(params, sigma_a, "right") - a).norm())
+        values.append(abs(left_integral(params, sigma_a) - left_integral(params, a)))
+    yield "modular/inverse-pair", "sigma_psi sigma_phi = id and phi sigma_phi = phi", values
 
 
 @_battery
@@ -1096,30 +1037,20 @@ def dual_battery(params: Params, nmax2: int, rng):
     lam = params.lam
 
     half = build_rep(params, 1, +1)
-    table = max(
-        max_abs(
-            np.array([[pair(AlgElement({1: half.q}), u_entry(i, j)) for j in U_LABELS] for i in U_LABELS])
-            - np.diag([lam**0.5, lam**-0.5])
-        ),
-        max_abs(
-            np.array([[pair(AlgElement({1: half.e}), u_entry(i, j)) for j in U_LABELS] for i in U_LABELS])
-            - np.array([[0.0, 1.0], [0.0, 0.0]])
-        ),
-        max_abs(
-            np.array([[pair(AlgElement({1: half.f}), u_entry(i, j)) for j in U_LABELS] for i in U_LABELS])
-            - np.array([[0.0, 0.0], [1.0, 0.0]])
-        ),
+    yield "dual/pairing-table", "<pi(q), u>, <pi(e), u>, <pi(f), u> closed forms", (
+        max_abs(np.array([[pair(AlgElement({1: m}), u_entry(i, j)) for j in U_LABELS] for i in U_LABELS]) - target)
+        for m, target in (
+            (half.q, np.diag([lam**0.5, lam**-0.5])),
+            (half.e, np.array([[0.0, 1.0], [0.0, 0.0]])),
+            (half.f, np.array([[0.0, 0.0], [1.0, 0.0]])),
+        )
     )
-    yield "dual/pairing-table", "<pi(q), u>, <pi(e), u>, <pi(f), u> closed forms", table
 
     one = dual_unit()
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            u = u_entry(i, j)
-            worst = max(worst, (dual_mul(params, one, u) - u).norm())
-            worst = max(worst, (dual_mul(params, u, one) - u).norm())
-    yield "dual/unit", "1 b = b = b 1 in the dual", worst
+    u_table = u_entries()
+    yield "dual/unit", "1 b = b = b 1 in the dual", (
+        (prod - u).norm() for u in u_table.values() for prod in (dual_mul(params, one, u), dual_mul(params, u, one))
+    )
 
     ok = abs(dual_counit(one) - 1.0) < 1e-15
     for i in U_LABELS:
@@ -1130,7 +1061,7 @@ def dual_battery(params: Params, nmax2: int, rng):
 
     yield "dual/coproduct-battery", "<a a', u[i,j]> = sum_k <a, u[i,k]><a', u[k,j]>", dual_coproduct_residual(params)
 
-    entries = [u_entry(i, j) for i in U_LABELS for j in U_LABELS]
+    entries = list(u_table.values())
     coeffs = rng.standard_normal(len(entries)) + 1j * rng.standard_normal(len(entries))
     x = DualElement()
     for cf, u in zip(coeffs, entries):
@@ -1142,44 +1073,36 @@ def dual_battery(params: Params, nmax2: int, rng):
     ).norm()
     yield "dual/associativity", "(x y) z = x (y z)", assoc
 
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            factor, (ti, tj) = dual_antipode_expected(params, i, j)
-            worst = max(worst, (dual_antipode(params, u_entry(i, j)) - factor * u_entry(ti, tj)).norm())
-    worst = max(worst, (dual_antipode(params, one) - one).norm())
+    diffs = [dual_antipode(params, one) - one]
+    for (i, j), u in u_table.items():
+        factor, target = dual_antipode_expected(params, i, j)
+        diffs.append(dual_antipode(params, u) - factor * u_table[target])
     yield (
         "dual/antipode-table",
         "S(u[r,s]) = (-1)^(r-s) lam^(r-s) u[-s,-r]; S(u11) = u22, S(u12) = -lam u12",
-        worst,
+        (d.norm() for d in diffs),
     )
 
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            u = u_entry(i, j)
-            worst = max(worst, (dual_antipode_inv(params, dual_antipode(params, u)) - u).norm())
-            expected = params.lam_pow(2 * (i - j)) * u
-            twice = dual_antipode(params, dual_antipode(params, u))
-            worst = max(worst, (twice - expected).norm())
-    yield "dual/antipode-squared", "S^2(u[r,j]) = lam^(2r-2j) u[r,j]", worst
+    yield "dual/antipode-squared", "S^2(u[r,j]) = lam^(2r-2j) u[r,j]", (
+        d.norm()
+        for (i, j), u in u_table.items()
+        for d in (
+            dual_antipode_inv(params, dual_antipode(params, u)) - u,
+            dual_antipode(params, dual_antipode(params, u)) - params.lam_pow(2 * (i - j)) * u,
+        )
+    )
 
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            lhs = dual_star(params, u_entry(i, j))
-            rhs = dual_antipode(params, u_entry(j, i))
-            worst = max(worst, (lhs - rhs).norm())
     alpha = u_entry(1, 1)
     gamma = u_entry(-1, 1)
-    worst = max(worst, (dual_star(params, alpha) - u_entry(-1, -1)).norm())
-    worst = max(
-        worst,
-        (u_entry(1, -1) + (1.0 / lam) * dual_star(params, gamma)).norm(),
+    diffs = [dual_star(params, u) - dual_antipode(params, u_table[j, i]) for (i, j), u in u_table.items()]
+    diffs += [
+        dual_star(params, alpha) - u_entry(-1, -1),
+        u_entry(1, -1) + (1.0 / lam) * dual_star(params, gamma),
+        dual_star(params, dual_star(params, alpha + 1j * gamma)) - (alpha + 1j * gamma),
+    ]
+    yield "dual/star-structure", "u[i,j]* = S(u[j,i]); u22 = u11*, u12 = -gamma*/lam; ** = id", (
+        d.norm() for d in diffs
     )
-    star_sq = dual_star(params, dual_star(params, alpha + 1j * gamma))
-    worst = max(worst, (star_sq - (alpha + 1j * gamma)).norm())
-    yield "dual/star-structure", "u[i,j]* = S(u[j,i]); u22 = u11*, u12 = -gamma*/lam; ** = id", worst
 
     for law, value in unitarity_residuals(params).items():
         slug = "left" if law.startswith("S(u)") else "right"
@@ -1199,78 +1122,57 @@ def dual_battery(params: Params, nmax2: int, rng):
     )
     yield "dual/haar-unit", "haar(1) = 1 and haar(u[i,j]) = 0", haar_ok
 
-    worst = 0.0
-    for k in U_LABELS:
-        for l in U_LABELS:
-            for i in U_LABELS:
-                for j in U_LABELS:
-                    prod = dual_mul(params, u_entry(k, l), u_entry(i, j))
-                    expected = dual_haar_quadratic_expected(params, k, l, i, j)
-                    worst = max(worst, abs(dual_haar(prod) - expected))
-    yield "dual/haar-quadratic", "haar(u[k,l] u[i,j]) = d(i,-k) d(j,-l) (-1)^(k-l) lam^(k+l)/(lam + 1/lam)", worst
+    # u[k,l] u[i,j] keyed by (k, l, i, j)
+    quadratics = {
+        (k, l, i, j): dual_mul(params, u_kl, u_ij)
+        for (k, l), u_kl in u_table.items()
+        for (i, j), u_ij in u_table.items()
+    }
+    yield "dual/haar-quadratic", "haar(u[k,l] u[i,j]) = d(i,-k) d(j,-l) (-1)^(k-l) lam^(k+l)/(lam + 1/lam)", (
+        abs(dual_haar(b) - dual_haar_quadratic_expected(params, *key)) for key, b in quadratics.items()
+    )
+    yield "dual/haar-antipode", "haar(S(b)) = haar(b)", (
+        abs(dual_haar(dual_antipode(params, b)) - dual_haar(b)) for b in quadratics.values()
+    )
 
-    worst = 0.0
-    quadratics = [
-        dual_mul(params, u_entry(k, l), u_entry(i, j))
-        for k in U_LABELS
-        for l in U_LABELS
-        for i in U_LABELS
-        for j in U_LABELS
+    values = []
+    for (i, j, k, l), b in quadratics.items():
+        acc = DualElement()
+        for r in U_LABELS:
+            for s in U_LABELS:
+                haar_val = dual_haar(quadratics[r, j, s, l])
+                if haar_val != 0:
+                    acc = acc + haar_val * quadratics[i, r, k, s]
+        values.append((acc - dual_haar(b) * one).norm())
+    yield "dual/haar-left-invariance", "(id (x) haar) D(b) = haar(b) 1 on quadratics", values
+
+    diffs = [
+        d
+        for (i, j), u in u_table.items()
+        for d in (
+            dual_modular(params, u) - params.lam_pow(2 * (i + j)) * u,
+            dual_modular_inv(params, dual_modular(params, u)) - u,
+            dual_modular(params, dual_star(params, u)) - dual_star(params, dual_modular_inv(params, u)),
+        )
     ]
-    for b in quadratics:
-        worst = max(worst, abs(dual_haar(dual_antipode(params, b)) - dual_haar(b)))
-    yield "dual/haar-antipode", "haar(S(b)) = haar(b)", worst
-
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            for k in U_LABELS:
-                for l in U_LABELS:
-                    target = dual_haar(dual_mul(params, u_entry(i, j), u_entry(k, l))) * one
-                    acc = DualElement()
-                    for r in U_LABELS:
-                        for s in U_LABELS:
-                            haar_val = dual_haar(dual_mul(params, u_entry(r, j), u_entry(s, l)))
-                            if haar_val != 0:
-                                acc = acc + haar_val * dual_mul(params, u_entry(i, r), u_entry(k, s))
-                    worst = max(worst, (acc - target).norm())
-    yield "dual/haar-left-invariance", "(id (x) haar) D(b) = haar(b) 1 on quadratics", worst
-
-    worst = 0.0
-    for i in U_LABELS:
-        for j in U_LABELS:
-            u = u_entry(i, j)
-            expected = params.lam_pow(2 * (i + j)) * u
-            worst = max(worst, (dual_modular(params, u) - expected).norm())
-            worst = max(worst, (dual_modular_inv(params, dual_modular(params, u)) - u).norm())
-            star_twist = (
-                dual_modular(params, dual_star(params, u))
-                - dual_star(params, dual_modular_inv(params, u))
-            ).norm()
-            worst = max(worst, star_twist)
-    for b in quadratics[:6]:
-        worst = max(worst, abs(dual_haar(dual_modular(params, b)) - dual_haar(b)))
     yield (
         "dual/modular-automorphism",
         "sigma(u[p,q]) = lam^(2p+2q) u[p,q]; sigma(b*) = sigma^-1(b)*; haar sigma = haar",
-        worst,
+        [
+            *(d.norm() for d in diffs),
+            *(abs(dual_haar(dual_modular(params, b)) - dual_haar(b)) for b in list(quadratics.values())[:6]),
+        ],
     )
 
-    worst = 0.0
     units_half = [a for _, a in _matrix_units([1])]
-    for i in U_LABELS:
-        for j in U_LABELS:
-            sigma_b = dual_modular(params, u_entry(i, j))
-            for a in units_half:
-                for a2 in units_half:
-                    lhs = pair(a * a2, sigma_b)
-                    rhs = sum(
-                        pair(a, dual_antipode(params, dual_antipode(params, u_entry(i, k))))
-                        * pair(a2, dual_modular(params, u_entry(k, j)))
-                        for k in U_LABELS
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-    yield "dual/modular-coproduct", "D sigma = (S^2 (x) sigma) D, tested legwise through the pairing", worst
+    twice = {key: dual_antipode(params, dual_antipode(params, u)) for key, u in u_table.items()}
+    sigma = {key: dual_modular(params, u) for key, u in u_table.items()}
+    yield "dual/modular-coproduct", "D sigma = (S^2 (x) sigma) D, tested legwise through the pairing", (
+        abs(pair(a * a2, sigma[i, j]) - sum(pair(a, twice[i, k]) * pair(a2, sigma[k, j]) for k in U_LABELS))
+        for i, j in u_table
+        for a in units_half
+        for a2 in units_half
+    )
 
     span = span_check(params, _spins(nmax2, 2)[-1])
     ok = all(entry["rank"] == entry["expected"] for entry in span.values())

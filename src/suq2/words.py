@@ -25,6 +25,8 @@ product and star differ only in how keys are joined and starred.
 from enum import Enum
 from operator import add
 
+from .util import worst
+
 
 class Gen(Enum):
     """Generator letters."""
@@ -120,7 +122,7 @@ class WordSum:
         return self._wrap(out)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst(abs(c) for c in self.terms.values())
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms

@@ -85,6 +85,20 @@ def test_verify_exit_code_on_failure(tmp_path):
     assert "FAIL" in result.stderr
 
 
+def test_verify_names_non_finite_residuals_instead_of_crashing(tmp_path):
+    # at t = 50 three residuals are NaN: failed checks in a parseable
+    # report, not the exit 2 of an unreportable number
+    out = tmp_path / "report50.json"
+    result = run_cli("verify", "--suite", "all", "--t", "50", "--out", str(out))
+    assert result.returncode == 1, result.stderr
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == 2
+    assert doc["summary"]["failed"] == 29
+    assert sum(check["residual"] == "nan" for check in doc["checks"]) == 3
+    assert "FAIL coint/modular-grouplike: residual nan" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_tables_round_trip(tmp_path):
     result = run_cli("tables", "--nmax", "2", check=True)
     doc = json.loads(result.stdout)

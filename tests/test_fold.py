@@ -1,0 +1,77 @@
+"""The one residual fold: `util.worst` and the norms and checks built on it.
+
+Python's ``max`` keeps its running value against a NaN, so a NaN residual
+would vanish or survive depending on where it sits; every fold here must
+report it wherever it sits.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from suq2.discrete import AlgElement
+from suq2.dual import DualElement
+from suq2.util import worst
+from suq2.verify import _check
+from suq2.words import AlgPoly, Gen
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("values", [[0.1, NAN], [NAN, 0.1], [0.3, 0.1, NAN, 0.2]])
+def test_worst_propagates_nan_from_any_position(values):
+    assert math.isnan(worst(values))
+    assert math.isnan(worst(iter(values)))
+
+
+@pytest.mark.parametrize("values", [[0.1, INF], [INF, 0.1]])
+def test_worst_propagates_inf(values):
+    assert worst(values) == INF
+
+
+def test_worst_of_nothing_is_zero():
+    assert worst([]) == 0.0
+    assert worst(x for x in ()) == 0.0
+
+
+def test_worst_is_the_exact_maximum_of_finite_values():
+    values = [0.1, 2.5e-13, np.float64(3.0000000000000004), 1]
+    assert worst(values) == 3.0000000000000004
+    assert type(worst(values)) is float
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("cls", [AlgElement, DualElement])
+def test_block_norm_reports_a_nan_in_any_block(cls, position):
+    blocks = {two_n: np.full((two_n + 1, two_n + 1), 0.5) for two_n in range(3)}
+    blocks[position][0, 0] = NAN
+    assert math.isnan(cls(blocks).norm())
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_word_coefficients_report_a_nan_in_any_position(position):
+    coeffs = [0.5, 2.0, -1.0]
+    coeffs[position] = NAN
+    x = AlgPoly({(Gen.E,): coeffs[0], (Gen.F,): coeffs[1], (Gen.Q, Gen.E): coeffs[2]})
+    assert math.isnan(x.max_abs_coeff())
+
+
+def test_check_folds_a_generator_of_residuals():
+    check = _check(1e-9, "x/fold", "law", (v for v in [1e-12, NAN, 1e-13]))
+    assert math.isnan(check.residual)
+    assert not check.passed
+    check = _check(1e-9, "x/fold", "law", (v for v in [1e-12, 3e-10]))
+    assert check.residual == 3e-10 and check.passed and check.tolerance == 1e-9
+    assert _check(1e-9, "x/fold", "law", iter(())).residual == 0.0
+
+
+def test_check_keeps_bools_and_numbers():
+    passed = _check(1e-9, "x/bool", "law", True)
+    failed = _check(1e-9, "x/bool", "law", np.bool_(False))
+    assert (passed.residual, passed.tolerance, passed.passed) == (0.0, 0.0, True)
+    assert (failed.residual, failed.tolerance, failed.passed) == (1.0, 0.0, False)
+    number = _check(1e-9, "x/number", "law", np.float64(2e-9), 1e-8)
+    assert (number.residual, number.tolerance, number.passed) == (2e-9, 1e-8, True)
+    assert not _check(1e-9, "x/number", "law", NAN).passed

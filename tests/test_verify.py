@@ -1,8 +1,12 @@
 """The check batteries: pinned ids per suite, results and tolerances."""
 
+import json
+import math
+
+import numpy as np
 import pytest
 
-from suq2.verify import SUITES, RunConfig, run_suite
+from suq2.verify import SUITES, RunConfig, dump_json, report_csv, report_doc, run_suite
 
 HOPF_IDS = [
     "words/antipode-antihomomorphism",
@@ -164,3 +168,31 @@ def test_pass_fail_checks_ignore_the_absolute_tolerance():
         assert results[check_id].tolerance == 0.0, check_id
     # the tight tolerance does reach the residual checks
     assert report.failures
+
+
+# At t = 50 the embedded q^4 and the integral weights overflow; these three
+# residuals fold a NaN from one of their items, wherever it sits.
+NAN_AT_T50 = {"coint/left-invariance", "coint/modular-grouplike", "coint/right-invariance"}
+
+
+def test_non_finite_residuals_are_named_failures_at_large_t():
+    with np.errstate(all="ignore"):
+        report = run_suite(RunConfig(t=50), "all")
+    checks = {c.id: c for c in report.checks}
+    assert len(checks) == 90
+    for check_id in NAN_AT_T50:
+        assert math.isnan(checks[check_id].residual), check_id
+        assert not checks[check_id].passed, check_id
+    non_finite = {c.id for c in report.checks if not math.isfinite(c.residual)}
+    assert non_finite == NAN_AT_T50
+    assert len(report.failures) == 29
+
+    doc = json.loads(dump_json(report_doc(report)))
+    assert doc["schema"] == 2
+    assert doc["summary"] == {"total": 90, "passed": 61, "failed": 29}
+    residuals = {c["id"]: c["residual"] for c in doc["checks"]}
+    assert {i for i, r in residuals.items() if isinstance(r, str)} == NAN_AT_T50
+    assert all(residuals[i] == "nan" for i in NAN_AT_T50)
+
+    rows = {line.split(",")[0]: line for line in report_csv(report).splitlines()[1:]}
+    assert all(rows[i].endswith(",nan,1.0000000000000001e-09,false") for i in NAN_AT_T50)
