@@ -363,22 +363,25 @@ def integral_weight_matrix(params: Params, two_n: int, kind: str) -> np.ndarray:
     raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
 
 
+def block_integrals(params: Params, two_n: int, mats: np.ndarray, kind: str) -> np.ndarray:
+    """An invariant integral of elements supported on block n, for a stack
+    of blocks (the last two axes): c_n trace(a_n q^-2) for kind "left",
+    c_n trace(a_n q^2) for kind "right"."""
+    if kind not in ("left", "right"):
+        raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
+    sign = -1.0 if kind == "left" else 1.0
+    c = quantum_dimension(params, two_n)
+    return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * np.exp(sign * params.t * weights(two_n)), axis=-1)
+
+
 def left_integral(params: Params, a: AlgElement) -> complex:
     """phi(a) = sum_n c_n trace(a_n q^-2); left invariant for D."""
-    total = 0.0 + 0.0j
-    for two_n, mat in a.blocks.items():
-        c = quantum_dimension(params, two_n)
-        total += c * np.sum(np.diag(mat) * np.exp(-params.t * weights(two_n)))
-    return complex(total)
+    return complex(sum((block_integrals(params, two_n, mat, "left") for two_n, mat in a.blocks.items()), 0.0j))
 
 
 def right_integral(params: Params, a: AlgElement) -> complex:
     """psi(a) = sum_n c_n trace(a_n q^2); right invariant for D."""
-    total = 0.0 + 0.0j
-    for two_n, mat in a.blocks.items():
-        c = quantum_dimension(params, two_n)
-        total += c * np.sum(np.diag(mat) * np.exp(params.t * weights(two_n)))
-    return complex(total)
+    return complex(sum((block_integrals(params, two_n, mat, "right") for two_n, mat in a.blocks.items()), 0.0j))
 
 
 def modular_element_block(params: Params, two_n: int) -> np.ndarray:

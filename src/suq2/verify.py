@@ -16,6 +16,13 @@ of residuals that `_check` folds with `util.worst`, so a NaN anywhere in
 it fails the check.  Every spin window a check runs over is declared
 once, as the cap handed to `_spins` next to that check.
 
+The certificates that run over a whole battery of elements share one
+kernel rule: evaluate the certified map once per basis element (or per
+element and block pair), extend it to the rest by linearity, and contract
+the whole battery in stacked matrix products.  The one-element helpers
+(`coassociativity_residual`, `invariance_residual`, `antipode_law_residual`)
+are batches of one through the same kernels.
+
 Reports carry no timestamps or environment data, so two runs with the
 same configuration produce byte-identical serializations.
 """
@@ -34,6 +41,7 @@ from .discrete import (
     antipode,
     antipode_inv,
     antipode_block,
+    block_integrals,
     coproduct_component,
     cointegral,
     cointegral_coproduct,
@@ -375,47 +383,94 @@ def counit_law_residual(params: Params, a: AlgElement, two_m: int) -> float:
 def antipode_law_residual(params: Params, a: AlgElement, two_n: int) -> float:
     """Convolution laws  m(S (x) id) D(a) = eps(a) 1 = m(id (x) S) D(a)
     read off on the (n, n) block."""
-    dim = two_n + 1
-    m4 = coproduct_component(params, a, two_n, two_n).reshape(dim, dim, dim, dim)
-    target = counit(a) * np.eye(dim, dtype=complex)
+    return float(_antipode_law_residuals(params, [a], [two_n])[0, 0])
 
-    unit = np.zeros((dim, dim), dtype=complex)
-    lhs = np.zeros((dim, dim), dtype=complex)
-    rhs = np.zeros((dim, dim), dtype=complex)
-    for p in range(dim):
-        for pp in range(dim):
-            unit[p, pp] = 1.0
-            s_unit = antipode_block(params, two_n, unit)
-            unit[p, pp] = 0.0
-            lhs += s_unit @ m4[p, :, pp, :]
-            rhs += m4[:, p, :, pp] @ s_unit
-    return worst((max_abs(lhs - target), max_abs(rhs - target)))
+
+def _antipode_law_residuals(params: Params, elements, two_ns) -> np.ndarray:
+    """`antipode_law_residual` of every element on every block n, shape
+    (len(elements), len(two_ns)).  S is evaluated once per matrix unit
+    e_(p,p') of block n; both convolutions of the whole battery are then one
+    stacked product with the slices of D(a)_(n,n), summed over (p, p')."""
+    counits = np.array([counit(a) for a in elements])
+    out = np.empty((len(elements), len(two_ns)))
+    for j, two_n in enumerate(two_ns):
+        dim = two_n + 1
+        units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+        s_units = np.array([antipode_block(params, two_n, unit) for unit in units])
+        m = np.array([coproduct_component(params, a, two_n, two_n) for a in elements])
+        m = m.reshape(-1, dim, dim, dim, dim)
+        # S(e_(p,p')) D(a)[p, :, p', :]  and  D(a)[:, p, :, p'] S(e_(p,p')), (p, p') flattened
+        lhs = np.sum(s_units @ m.transpose(0, 1, 3, 2, 4).reshape(-1, dim * dim, dim, dim), axis=1)
+        rhs = np.sum(m.transpose(0, 2, 4, 1, 3).reshape(-1, dim * dim, dim, dim) @ s_units, axis=1)
+        target = counits[:, None, None] * np.eye(dim)
+        out[:, j] = np.maximum(_max_abs_each(lhs - target), _max_abs_each(rhs - target))
+    return out
 
 
 def coassociativity_residual(params: Params, a: AlgElement, two_n: int, two_m: int, two_l: int) -> float:
     """(D (x) id) D(a) versus (id (x) D) D(a) on the block triple (n, m, l)."""
-    dims = (two_n + 1, two_m + 1, two_l + 1)
-    total = dims[0] * dims[1] * dims[2]
+    return float(_coassociativity_residuals(params, [a], [(two_n, two_m, two_l)])[0, 0])
 
-    lhs = np.zeros((total, total), dtype=complex)
-    dec_nm = decompose(params, two_n, two_m)
-    for two_k in index_set(two_n, two_m):
-        inner = coproduct_component(params, a, two_k, two_l)
-        if not np.count_nonzero(inner):
-            continue
-        lift = np.kron(dec_nm.piece(two_k).v, np.eye(dims[2]))
-        lhs += lift @ inner @ lift.conj().T
 
-    rhs = np.zeros((total, total), dtype=complex)
-    dec_ml = decompose(params, two_m, two_l)
-    for two_k in index_set(two_m, two_l):
-        inner = coproduct_component(params, a, two_n, two_k)
-        if not np.count_nonzero(inner):
-            continue
-        lift = np.kron(np.eye(dims[0]), dec_ml.piece(two_k).v)
-        rhs += lift @ inner @ lift.conj().T
+def _coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
+    """`coassociativity_residual` of every element on every block triple,
+    shape (len(elements), len(triples)).
 
-    return max_abs(lhs - rhs)
+    D(a) is evaluated once per element and block pair; on (n, m, l) each
+    component D(a)_(k,l), k in the index set of (n, m), is lifted by V_k on
+    the first leg for the whole battery at once, and D(a)_(n,k) by the V_k
+    of (m, l) on the second.
+    """
+    table = {}
+
+    def components(two_n, two_m):
+        if (two_n, two_m) not in table:
+            table[two_n, two_m] = np.array([coproduct_component(params, a, two_n, two_m) for a in elements])
+        return table[two_n, two_m]
+
+    out = np.empty((len(elements), len(triples)))
+    for j, (two_n, two_m, two_l) in enumerate(triples):
+        lhs = _lift(
+            [(piece.v, components(piece.two_k, two_l)) for piece in decompose(params, two_n, two_m).pieces],
+            two_l + 1,
+            leg=0,
+        )
+        rhs = _lift(
+            [(piece.v, components(two_n, piece.two_k)) for piece in decompose(params, two_m, two_l).pieces],
+            two_n + 1,
+            leg=1,
+        )
+        lhs -= rhs
+        out[:, j] = _max_abs_each(lhs)
+    return out
+
+
+def _lift(terms, other: int, leg: int) -> np.ndarray:
+    """sum_k L_k M_k L_k* over (V_k, M_k) terms, M_k a stack of operators on
+    summand (x) other (leg 0) or other (x) summand (leg 1) and L_k the real
+    isometry V_k on that leg: V_k (x) 1, resp. 1 (x) V_k.  Reshaped real
+    leg products, no Kronecker matrix."""
+
+    def on_rows(v, m, dims):
+        rows = m.reshape(len(m) * (dims[0] if leg else 1), dims[leg], -1)
+        return (v @ rows.view(float)).view(complex).reshape(len(m), -1, m.shape[2])
+
+    total = None
+    for v, stack in terms:
+        dims = (v.shape[1], other) if leg == 0 else (other, v.shape[1])
+        v = np.ascontiguousarray(v.real)
+        # L (L M)^T = (L M L*)^T: the sum is transposed back once
+        term = on_rows(v, np.ascontiguousarray(on_rows(v, stack, dims).transpose(0, 2, 1)), dims)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total.transpose(0, 2, 1)
+
+
+def _max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """`max_abs` of every operator in a stack; a NaN anywhere in one is its value."""
+    return np.max(np.abs(stack), axis=tuple(range(1, stack.ndim)), initial=0.0)
 
 
 def flip_residual(params: Params, a: AlgElement, two_n: int, two_m: int) -> float:
@@ -448,47 +503,71 @@ def invariance_residual(params: Params, a: AlgElement, two_n: int) -> tuple:
         sum_m (id (x) phi) D(a)_(n,m) = phi(a) 1_n
         sum_m (psi (x) id) D(a)_(m,n) = psi(a) 1_n
     """
-    dim = two_n + 1
-    left_sum = np.zeros((dim, dim), dtype=complex)
-    right_sum = np.zeros((dim, dim), dtype=complex)
-    # integral weights grow like lam^(2n); compare at the scale of the
-    # largest term entering the cancellation, never below 1
-    left_scales = [1.0]
-    right_scales = [1.0]
-    # every block of a reaches the m-blocks in its own index set; the
-    # coproduct component already sums over the support, so deduplicate
-    m_window = sorted(
-        {two_m for two_k in a.support for two_m in index_set(two_k, two_n)}
-    )
-    for two_m in m_window:
-        block = coproduct_component(params, a, two_n, two_m)
-        w = integral_weight_matrix(params, two_m, "left")
-        term = contract_second(block, dim, two_m + 1, w)
-        left_sum += term
-        left_scales.append(max_abs(term))
-        block = coproduct_component(params, a, two_m, two_n)
-        w = integral_weight_matrix(params, two_m, "right")
-        term = contract_first(block, two_m + 1, dim, w)
-        right_sum += term
-        right_scales.append(max_abs(term))
-    eye = np.eye(dim, dtype=complex)
-    return (
-        max_abs(left_sum - left_integral(params, a) * eye) / worst(left_scales),
-        max_abs(right_sum - right_integral(params, a) * eye) / worst(right_scales),
-    )
+    left, right = _invariance_residuals(params, [a], [two_n])[0, 0]
+    return float(left), float(right)
+
+
+def _invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
+    """`invariance_residual` of every element on every block n, shape
+    (len(elements), len(two_ns), 2).
+
+    On (n, m, k) one contraction gives (id (x) phi) D(e_(r,s))_(n,m) for
+    every matrix unit of block k at once, and (psi (x) id) D(e_(r,s))_(m,n)
+    likewise; each element's terms are their combination with its
+    coefficients.
+    """
+    support = sorted(set().union(*(a.blocks for a in elements)))
+    coefficients = {two_k: np.array([a.block(two_k).ravel() for a in elements]) for two_k in support}
+    targets = np.array([[left_integral(params, a), right_integral(params, a)] for a in elements])
+    out = np.empty((len(elements), len(two_ns), 2))
+    for j, two_n in enumerate(two_ns):
+        eye = np.eye(two_n + 1).ravel()
+        # every block k reaches the m-blocks in its own index set
+        m_window = sorted({two_m for two_k in support for two_m in index_set(two_k, two_n)})
+        for side, kind in enumerate(("left", "right")):
+            total = np.zeros((len(elements), eye.size), dtype=complex)
+            # integral weights grow like lam^(2n); compare at the scale of the
+            # largest term entering the cancellation, never below 1
+            scale = np.ones(len(elements))
+            for two_m in m_window:
+                term = np.zeros_like(total)
+                for two_k in support:
+                    if two_k in index_set(two_n, two_m):
+                        term += coefficients[two_k] @ _unit_contractions(params, two_n, two_m, two_k, kind)
+                total += term
+                scale = np.maximum(scale, _max_abs_each(term))
+            out[:, j, side] = _max_abs_each(total - targets[:, side, None] * eye) / scale
+    return out
+
+
+def _unit_contractions(params: Params, two_n: int, two_m: int, two_k: int, kind: str) -> np.ndarray:
+    """(id (x) phi) D(e_(r,s))_(n,m) for kind "left", (psi (x) id) D(e_(r,s))_(m,n)
+    for kind "right", one row per matrix unit e_(r,s) of block k (r major),
+    flattened blocks n.  D(e_(r,s)) = V_k e_(r,s) V_k* is column r of V_k
+    times the conjugate of column s, so the integral's leg is contracted
+    with V_k once for all units."""
+    if kind == "left":
+        v = decompose(params, two_n, two_m).piece(two_k).v.reshape(two_n + 1, two_m + 1, two_k + 1)
+        v = v.transpose(1, 0, 2)
+    else:
+        v = decompose(params, two_m, two_n).piece(two_k).v.reshape(two_m + 1, two_n + 1, two_k + 1)
+    # v[u, p, r]: leg u meets the integral, leg p stays, r is the unit's row
+    w = integral_weight_matrix(params, two_m, kind)
+    terms = np.tensordot(v, np.tensordot(w, v.conj(), axes=(1, 0)), axes=(0, 0))
+    return terms.transpose(1, 3, 0, 2).reshape((two_k + 1) ** 2, (two_n + 1) ** 2)
 
 
 def modular_certificate_residual(params: Params, two_n: int, kind: str) -> float:
-    """Brute force sweep of  integral(a b) = integral(b sigma(a))  over all
-    matrix-unit pairs of one block."""
-    integral = left_integral if kind == "left" else right_integral
+    """integral(a b) = integral(b sigma(a)) over all matrix-unit pairs of one
+    block: sigma evaluated once per unit, the products of all pairs stacked,
+    and the integral taken on the whole stack at once."""
     units = [a for _, a in _matrix_units([two_n])]
-    sigmas = [modular_automorphism(params, a, kind) for a in units]
-    return worst(
-        abs(integral(params, a * b) - integral(params, b * sig_a))
-        for a, sig_a in zip(units, sigmas)
-        for b in units
-    )
+    blocks = np.array([a.block(two_n) for a in units])
+    sigmas = np.array([modular_automorphism(params, a, kind).block(two_n) for a in units])
+    # [i, j] is the pair (a, b) = (unit i, unit j)
+    ab = blocks[:, None] @ blocks[None, :]
+    b_sigma_a = blocks[None, :] @ sigmas[:, None]
+    return max_abs(block_integrals(params, two_n, ab, kind) - block_integrals(params, two_n, b_sigma_a, kind))
 
 
 def dual_coproduct_residual(params: Params) -> float:
@@ -798,17 +877,18 @@ def hopf_battery(params: Params, nmax2: int, rng):
     yield "dqg/counit-laws", "(eps(x)id)D = id = (id(x)eps)D", (
         counit_law_residual(params, a, two_m) for a in battery for two_m in window
     )
-    yield "dqg/antipode-laws", "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)", (
-        antipode_law_residual(params, a, two_n) for a in battery for two_n in window
+    yield (
+        "dqg/antipode-laws",
+        "m(S(x)id)D(a) = eps(a)1 = m(id(x)S)D(a)",
+        _antipode_law_residuals(params, battery, window).ravel(),
     )
 
     coassoc_battery = [word_elements["e"], word_elements["ef"]] + random_elements
-    yield "dqg/coassociativity", "(D(x)id)D = (id(x)D)D", (
-        coassociativity_residual(params, a, two_n, two_m, two_l)
-        for a in coassoc_battery
-        for two_n in window
-        for two_m in window
-        for two_l in window
+    triples = [(two_n, two_m, two_l) for two_n in window for two_m in window for two_l in window]
+    yield (
+        "dqg/coassociativity",
+        "(D(x)id)D = (id(x)D)D",
+        _coassociativity_residuals(params, coassoc_battery, triples).ravel(),
     )
 
     hom_pairs = [
@@ -991,13 +1071,10 @@ def cointegral_battery(params: Params, nmax2: int):
             values += [abs(left_integral(params, off)), abs(right_integral(params, off))]
     yield "coint/integral-values", "phi(e_(r,r)) = c lam^(-2r), psi(e_(r,r)) = c lam^(2r), phi(h) = 1", values
 
-    invariance = [
-        invariance_residual(params, a, two_n)
-        for _, a in _matrix_units(_spins(nmax2, 4))
-        for two_n in _spins(nmax2, 4)
-    ]
-    yield "coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", (left for left, _ in invariance)
-    yield "coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", (right for _, right in invariance)
+    units = [a for _, a in _matrix_units(_spins(nmax2, 4))]
+    invariance = _invariance_residuals(params, units, _spins(nmax2, 4))
+    yield "coint/left-invariance", "(id (x) phi) D(a) = phi(a) 1", invariance[..., 0].ravel()
+    yield "coint/right-invariance", "(psi (x) id) D(a) = psi(a) 1", invariance[..., 1].ravel()
 
     q4 = words.Q * words.Q * words.Q * words.Q
     window = _spins(nmax2, 4)

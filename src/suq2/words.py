@@ -36,6 +36,10 @@ class Gen(Enum):
     E = "e"
     F = "f"
 
+    # members are singletons compared by identity, so the identity hash is
+    # consistent with equality and, unlike Enum's hash of the name, runs in C
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return self.value
 

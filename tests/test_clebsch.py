@@ -1,8 +1,11 @@
 """Tensor product decompositions: index sets, isometries, reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from suq2 import clebsch
 from suq2.clebsch import (
     decompose,
     decomposition_residuals,
@@ -42,6 +45,20 @@ def test_decomposition_residuals(two_n, two_m):
     assert res["orthonormality"] < 1e-9
     assert res["completeness"] < 1e-9
     assert res["intertwining"] < 1e-9
+
+
+def test_decomposition_residuals_see_an_imaginary_part(monkeypatch):
+    """The certificates multiply in real arithmetic; an imaginary part of
+    the pieces or of a generator image must still fail them."""
+    dec = decompose(PARAMS, 2, 1)
+    pieces = tuple(dataclasses.replace(p, v=p.v + 1e-6j) for p in dec.pieces)
+    monkeypatch.setattr(clebsch, "decompose", lambda *args: dataclasses.replace(dec, pieces=pieces))
+    assert decomposition_residuals(PARAMS, 2, 1)["orthonormality"] >= 1e-6
+    monkeypatch.undo()
+
+    plain = clebsch.tensor_rep
+    monkeypatch.setattr(clebsch, "tensor_rep", lambda l, r: dataclasses.replace(plain(l, r), e=plain(l, r).e + 1e-6j))
+    assert decomposition_residuals(PARAMS, 2, 1)["intertwining"] >= 1e-6
 
 
 def test_worked_half_half_example():

@@ -1,0 +1,194 @@
+"""Batched certificate kernels against their one-element references.
+
+Each reference below is the direct form of a law the verification
+batteries certify: a dense Kronecker lift for coassociativity, one matrix
+unit at a time for the integrals' invariance and the antipode laws, one
+algebra product and integral per pair for the modular certificates.  The
+kernels in `suq2.verify` evaluate each map once per basis element and
+contract whole batteries in stacked products; here they must agree with
+the references item by item over the default batteries.
+"""
+
+import numpy as np
+import pytest
+
+from suq2.clebsch import decompose, index_set
+from suq2.discrete import (
+    antipode_block,
+    contract_first,
+    contract_second,
+    coproduct_component,
+    counit,
+    embed,
+    integral_weight_matrix,
+    left_integral,
+    matrix_unit,
+    modular_automorphism,
+    right_integral,
+)
+from suq2.params import Params
+from suq2.util import max_abs, weight_index, weights, worst
+from suq2.verify import (
+    WORD_BATTERY,
+    _antipode_law_residuals,
+    _coassociativity_residuals,
+    _invariance_residuals,
+    _matrix_units,
+    _random_alg_element,
+    antipode_law_residual,
+    coassociativity_residual,
+    invariance_residual,
+    modular_certificate_residual,
+)
+
+T_VALUES = (0.1, 0.3, 1.0)
+WINDOW = range(5)
+TOL = 1e-15
+
+
+def reference_coassociativity(params, a, two_n, two_m, two_l):
+    dims = (two_n + 1, two_m + 1, two_l + 1)
+    total = dims[0] * dims[1] * dims[2]
+    lhs = np.zeros((total, total), dtype=complex)
+    dec_nm = decompose(params, two_n, two_m)
+    for two_k in index_set(two_n, two_m):
+        lift = np.kron(dec_nm.piece(two_k).v, np.eye(dims[2]))
+        lhs += lift @ coproduct_component(params, a, two_k, two_l) @ lift.conj().T
+    rhs = np.zeros((total, total), dtype=complex)
+    dec_ml = decompose(params, two_m, two_l)
+    for two_k in index_set(two_m, two_l):
+        lift = np.kron(np.eye(dims[0]), dec_ml.piece(two_k).v)
+        rhs += lift @ coproduct_component(params, a, two_n, two_k) @ lift.conj().T
+    return max_abs(lhs - rhs)
+
+
+def reference_invariance(params, a, two_n):
+    dim = two_n + 1
+    left_sum = np.zeros((dim, dim), dtype=complex)
+    right_sum = np.zeros((dim, dim), dtype=complex)
+    left_scales, right_scales = [1.0], [1.0]
+    m_window = sorted({two_m for two_k in a.support for two_m in index_set(two_k, two_n)})
+    for two_m in m_window:
+        term = contract_second(
+            coproduct_component(params, a, two_n, two_m), dim, two_m + 1,
+            integral_weight_matrix(params, two_m, "left"),
+        )
+        left_sum += term
+        left_scales.append(max_abs(term))
+        term = contract_first(
+            coproduct_component(params, a, two_m, two_n), two_m + 1, dim,
+            integral_weight_matrix(params, two_m, "right"),
+        )
+        right_sum += term
+        right_scales.append(max_abs(term))
+    eye = np.eye(dim)
+    return (
+        max_abs(left_sum - left_integral(params, a) * eye) / worst(left_scales),
+        max_abs(right_sum - right_integral(params, a) * eye) / worst(right_scales),
+    )
+
+
+def reference_antipode_law(params, a, two_n):
+    dim = two_n + 1
+    m4 = coproduct_component(params, a, two_n, two_n).reshape(dim, dim, dim, dim)
+    target = counit(a) * np.eye(dim)
+    unit = np.zeros((dim, dim), dtype=complex)
+    lhs = np.zeros((dim, dim), dtype=complex)
+    rhs = np.zeros((dim, dim), dtype=complex)
+    for p in range(dim):
+        for pp in range(dim):
+            unit[p, pp] = 1.0
+            s_unit = antipode_block(params, two_n, unit)
+            unit[p, pp] = 0.0
+            lhs += s_unit @ m4[p, :, pp, :]
+            rhs += m4[:, p, :, pp] @ s_unit
+    return worst((max_abs(lhs - target), max_abs(rhs - target)))
+
+
+def reference_modular_certificate(params, two_n, kind):
+    integral = left_integral if kind == "left" else right_integral
+    units = [a for _, a in _matrix_units([two_n])]
+    return worst(
+        abs(integral(params, a * b) - integral(params, b * modular_automorphism(params, a, kind)))
+        for a in units
+        for b in units
+    )
+
+
+def hopf_battery_elements(params):
+    """The shapes of the hopf battery: word elements, units up to spin 1, two random elements."""
+    rng = np.random.default_rng(0)
+    words = {name: embed(params, x, WINDOW) for name, x in WORD_BATTERY.items()}
+    units = [a for _, a in _matrix_units(range(3))]
+    randoms = [_random_alg_element(rng, WINDOW) for _ in range(2)]
+    return words, units, randoms
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+def test_coassociativity_kernel_matches_the_kronecker_lift(t):
+    params = Params(t=t)
+    words, _, randoms = hopf_battery_elements(params)
+    battery = [words["e"], words["ef"]] + randoms
+    triples = [(n, m, l) for n in WINDOW for m in WINDOW for l in WINDOW]
+    kernel = _coassociativity_residuals(params, battery, triples)
+    reference = np.array([[reference_coassociativity(params, a, *triple) for triple in triples] for a in battery])
+    np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+def test_invariance_kernel_matches_one_unit_at_a_time(t):
+    params = Params(t=t)
+    units = [a for _, a in _matrix_units(WINDOW)]
+    kernel = _invariance_residuals(params, units, WINDOW)
+    reference = np.array([[reference_invariance(params, a, two_n) for two_n in WINDOW] for a in units])
+    np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+def test_antipode_law_kernel_matches_the_unit_loop(t):
+    params = Params(t=t)
+    words, units, randoms = hopf_battery_elements(params)
+    battery = list(words.values()) + units + randoms
+    kernel = _antipode_law_residuals(params, battery, WINDOW)
+    reference = np.array([[reference_antipode_law(params, a, two_n) for two_n in WINDOW] for a in battery])
+    np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_modular_certificate_matches_the_pair_sweep(t, kind):
+    params = Params(t=t)
+    for two_n in WINDOW:
+        assert abs(
+            modular_certificate_residual(params, two_n, kind) - reference_modular_certificate(params, two_n, kind)
+        ) <= TOL
+
+
+def test_public_helpers_are_batches_of_one():
+    params = Params(t=0.3)
+    words, _, randoms = hopf_battery_elements(params)
+    a = randoms[0]
+    assert coassociativity_residual(params, a, 2, 3, 1) == _coassociativity_residuals(params, [a], [(2, 3, 1)])[0, 0]
+    assert antipode_law_residual(params, words["ef"], 3) == _antipode_law_residuals(params, [words["ef"]], [3])[0, 0]
+    assert invariance_residual(params, a, 2) == tuple(_invariance_residuals(params, [a], [2])[0, 0])
+    assert all(isinstance(x, float) for x in invariance_residual(params, a, 2))
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0))
+def test_coproduct_of_a_matrix_unit_is_the_outer_product_of_its_columns(t):
+    """The invariance kernel reads D(e_(r,s)) = V_k e_(r,s) V_k* as column r
+    of V_k times the conjugate of column s; coproduct_component must give
+    exactly that, on every pair the kernel reads and both leg orders."""
+    params = Params(t=t)
+    for two_k in range(9):
+        for two_n in WINDOW:
+            for two_m in index_set(two_k, two_n):
+                for pair in ((two_n, two_m), (two_m, two_n)):
+                    v = decompose(params, *pair).piece(two_k).v
+                    for two_r in weights(two_k):
+                        for two_s in weights(two_k):
+                            r, s = weight_index(two_k, two_r), weight_index(two_k, two_s)
+                            np.testing.assert_array_equal(
+                                coproduct_component(params, matrix_unit(two_k, two_r, two_s), *pair),
+                                np.outer(v[:, r], v[:, s].conj()),
+                            )
