@@ -31,12 +31,13 @@ the order of their singular values:
 
 The multiplicities are known, so no rank cutoff is needed, and singular
 vectors are orthonormal, so no normalization guard either.  The orthogonal
-per-weight blocks are what `Decomposition` stores; the dense V_k are
-scattered from them once.
+per-weight blocks are what `Decomposition` stores, with the singular
+values beside them as a record of conditioning; the dense V_k are
+scattered from them the first time they are read.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,25 +107,64 @@ class Decomposition:
     the product basis vector ``rows[s, r]``, column i the spin
     |two_n - two_m| + 2i summand, zero where that spin lacks the weight.
     Rows past the subspace's dimension are zero, with ``rows`` set to the
-    full dimension.  The blocks are the construction; the rest is read off
-    them once: ``pieces`` holds the dense V_k, ``coefficients[i, c]`` the
-    entry of product vector c in spin column i, and ``weight_of[c]`` the
-    weight index of product vector c.
+    full dimension.  ``singular_values[s, i]`` is the singular value of B_w
+    (w the weight of index s) that belongs to column i: the amplitude
+    taking that vector up to weight w + 2, zero for a new highest weight
+    and where the spin lacks the weight.
+
+    The blocks are the construction.  ``coefficients[i, c]``, the entry of
+    product vector c in spin column i, and ``weight_of[c]``, the weight
+    index of product vector c, are read off them once.  The dense V_k are
+    scattered from them only when ``pieces`` or ``piece(k)`` is first read,
+    and then kept; `decomposition_residuals` scatters its own and drops
+    them.
     """
 
     two_n: int
     two_m: int
-    pieces: tuple
     blocks: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
     weight_of: np.ndarray = field(repr=False)
+    singular_values: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """The dense V_k as `CGIsometry`, spins ascending."""
+        return self._scatter()
+
+    def _scatter(self) -> tuple:
+        """The dense V_k scattered from the blocks, anew on every call."""
+        dim = (self.two_n + 1) * (self.two_m + 1)
+        pieces = []
+        for i, two_k in enumerate(index_set(self.two_n, self.two_m)):
+            col = np.arange(two_k + 1)
+            s = (self.two_n + self.two_m - two_k) // 2 + col
+            v = np.zeros((dim + 1, two_k + 1), dtype=complex)
+            v[self.rows[s], col[:, None]] = self.blocks[s, :, i]
+            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=v[:dim]))
+        return tuple(pieces)
 
     def piece(self, two_k: int) -> CGIsometry:
         for p in self.pieces:
             if p.two_k == two_k:
                 return p
         raise KeyError(two_k)
+
+    @property
+    def singular_gap(self):
+        """Smallest relative singular gap of the construction: over the
+        weights whose B_w fixes two or more vectors, the least distance
+        between two of its singular values (a new highest weight's zero
+        included) over its largest one.  None when no weight has two."""
+        dim = (self.two_n + 1) * (self.two_m + 1)
+        size = self.rows.shape[1]
+        gaps = [
+            np.min(np.diff(sv[size - count :])) / sv[-1]
+            for sv, count in zip(self.singular_values, np.sum(self.rows < dim, axis=1))
+            if count > 1
+        ]
+        return float(min(gaps)) if gaps else None
 
 
 @lru_cache(maxsize=None)
@@ -136,90 +176,132 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     """
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
-    two_ks = index_set(two_n, two_m)
-    size = len(two_ks)
+    size = len(index_set(two_n, two_m))
     dim = left.dim * right.dim
     q_left = np.exp(0.5 * params.t * weights(two_n))
     q_inv_right = np.exp(-0.5 * params.t * weights(two_m))
 
+    # product vector c = (p, u), left and right index, has weight index
+    # s = p + u and sits at row p - lo[s] of that weight's block, which
+    # holds count[s] rows
+    p, u = np.divmod(np.arange(dim), right.dim)
+    weight_of = p + u
+    lo = np.maximum(0, np.arange(two_n + two_m + 1) - two_m)
+    count = (np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1).tolist()
+    slots = weight_of * size + p - lo[weight_of]
+    rows = np.full((two_n + two_m + 1) * size, dim)
+    rows[slots] = np.arange(dim)
+    rows = rows.reshape(-1, size)
+    # raising[s] is B_w of weight index s, padded: D(e) sends (p, u) to
+    # (p, u - 1) and (p - 1, u), both of weight index s - 1
+    raising = np.zeros((two_n + two_m + 1, size, size))
+    up = u >= 1
+    s_up = weight_of[up]
+    raising[s_up, p[up] - lo[s_up - 1], p[up] - lo[s_up]] = q_left[p[up]] * right.r[u[up] - 1]
+    up = p >= 1
+    s_up = weight_of[up]
+    raising[s_up, p[up] - 1 - lo[s_up - 1], p[up] - lo[s_up]] = left.r[p[up] - 1] * q_inv_right[u[up]]
+
     blocks = np.zeros((two_n + two_m + 1, size, size))
-    rows = np.full((two_n + two_m + 1, size), dim)
-    above = np.ones((1, 1))
-    for s in range(two_n + two_m + 1):
-        # product vectors (p, u) = (left index, right index) with p + u = s
-        p = np.arange(max(0, s - two_m), min(two_n, s) + 1)
-        u = s - p
-        rows[s, : p.size] = p * right.dim + u
-        if s == 0:
-            blocks[0, 0, -1] = 1.0
-            continue
-        # B_w: D(e) sends (p, u) to (p, u - 1) and (p - 1, u); the target
-        # vectors start at left index p_up
-        p_up = max(0, s - 1 - two_m)
-        raising = np.zeros((above.shape[0], p.size))
-        col = np.arange(p.size)
-        up = u >= 1
-        raising[p[up] - p_up, col[up]] = q_left[p[up]] * right.r[u[up] - 1]
-        up = p >= 1
-        raising[p[up] - 1 - p_up, col[up]] = left.r[p[up] - 1] * q_inv_right[u[up]]
-        lsv, _, vh = np.linalg.svd(raising)
+    singular_values = np.zeros((two_n + two_m + 1, size))
+    blocks[0, 0, -1] = 1.0
+    above = blocks[0, :1, -1:]
+    for s in range(1, two_n + two_m + 1):
+        lsv, sv, vh = np.linalg.svd(raising[s, : count[s - 1], : count[s]])
         x = vh[::-1].T
-        lowered = min(raising.shape)
-        overlap = np.sum(lsv[:, lowered - 1 :: -1] * above[:, -lowered:], axis=0)
+        lowered = min(count[s - 1], count[s])
+        overlap = (lsv[:, lowered - 1 :: -1] * above[:, -lowered:]).sum(axis=0)
         x[:, -lowered:] *= np.sign(overlap)
-        if lowered < p.size:
-            x[:, 0] *= np.sign(np.sum(x[::2, 0]) - np.sum(x[1::2, 0]))
-        blocks[s, : p.size, size - p.size :] = x
+        if lowered < count[s]:
+            x[:, 0] *= np.sign(x[::2, 0].sum() - x[1::2, 0].sum())
+        blocks[s, : count[s], size - count[s] :] = x
+        singular_values[s, size - lowered :] = sv[::-1]
         above = x
 
-    # position of every product vector in the flattened (weight, row) layout
-    slots = np.argsort(rows.ravel(), kind="stable")[:dim]
     coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
-    pieces = []
-    for i, two_k in enumerate(two_ks):
-        col = np.arange(two_k + 1)
-        s = (two_n + two_m - two_k) // 2 + col
-        v = np.zeros((dim + 1, two_k + 1), dtype=complex)
-        v[rows[s], col[:, None]] = blocks[s, :, i]
-        pieces.append(CGIsometry(two_n=two_n, two_m=two_m, two_k=two_k, v=v[:dim]))
     return Decomposition(
-        two_n=two_n, two_m=two_m, pieces=tuple(pieces), blocks=blocks, rows=rows,
-        coefficients=coefficients, weight_of=slots // size,
+        two_n=two_n, two_m=two_m, blocks=blocks, rows=rows, coefficients=coefficients,
+        weight_of=weight_of, singular_values=singular_values,
     )
+
+
+@lru_cache(maxsize=None)
+def _factor(rep: Rep) -> tuple:
+    """The real diagonals of q, q^-1, e and f (offsets 0, 0, +1, -1) of a
+    representation, those of e and f padded with a trailing zero to the
+    dimension, and the largest entry of the four matrices off those
+    diagonals or imaginary."""
+    diags, stray = [], []
+    for mat, offset in ((rep.q, 0), (rep.q_inv, 0), (rep.e, 1), (rep.f, -1)):
+        diag = np.diagonal(mat, offset).real
+        diags.append(np.append(diag, 0.0) if offset else diag)
+        stray.append(max_abs(mat - np.diag(diag, offset)))
+    return (*diags, worst(stray))
 
 
 def decomposition_residuals(params: Params, two_n: int, two_m: int) -> dict:
     """Numerical certificates that the summand isometries are correct.
 
-    Returns max-abs residuals for orthonormality of each V_k, mutual
+    Returns max-abs residuals for orthonormality of each V_k and mutual
     orthogonality of different summands, completeness (the V_k V_k* sum to
-    the identity) and generator intertwining  V_k pi_k(x) = D(x) V_k  for
-    x in {q, e, f}, against the dense generator images of `tensor_rep`.
-    Everything here is real by construction, so the products run in real
-    arithmetic; the largest imaginary part of the pieces is folded into
-    orthonormality and that of the generator images into intertwining, so
+    the identity) and generator intertwining  D(x) V_k = V_k pi_k(x)  for
+    x in {q, e, f}.
+
+    Orthonormality and completeness are Gram products of the per-weight
+    blocks the V_k are scattered from.  The dense V_k, scattered for this
+    call and not kept on the decomposition, must vanish exactly off the
+    entries joining vectors of equal weight; q intertwining alone would see
+    such an entry only through the gap between q eigenvalues, which closes
+    as t -> 0.  Intertwining takes the V_k side by side, reshaped to
+    (n+1, m+1, sum of k+1), and applies D(q) = q (x) q,
+    D(e) = q (x) e + e (x) q^-1 and D(f) likewise as products along its
+    axes with the diagonals of the `build_rep` factors, so it stays
+    independent of the blocks.  Everything runs in real arithmetic: the
+    largest imaginary part of the V_k is folded into orthonormality, and
+    every factor entry off its diagonal or imaginary into intertwining, so
     a nonzero one still fails.
     """
     dec = decompose(params, two_n, two_m)
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
-    trep = tensor_rep(left, right)
+    two_ks = np.array(index_set(two_n, two_m))
+    top = two_n + two_m
+    pieces = dec._scatter()
+    v = np.concatenate([p.v.real for p in pieces], axis=1).reshape(left.dim, right.dim, -1)
 
-    v = np.hstack([p.v for p in dec.pieces])
-    real = np.ascontiguousarray(v.real)
-    ortho = worst((max_abs(real.T @ real - np.eye(trep.dim)), max_abs(v.imag)))
-    completeness = max_abs(real @ real.T - np.eye(trep.dim))
+    # spin two_ks[i] has weight index s where its row j = s - (top - two_k)/2
+    # is one of 0..two_k; rows of a block past its weight's subspace are padding
+    j = np.arange(top + 1)[:, None] - (top - two_ks) // 2
+    present = (j >= 0) & (j <= two_ks)
+    valid = dec.rows < left.dim * right.dim
+    eye = np.eye(two_ks.size)
+    gram = np.swapaxes(dec.blocks, 1, 2) @ dec.blocks - present[:, :, None] * eye
+    # weight index of each entry of the stacked V_k, by product vector and by column
+    row_weight = np.add.outer(np.arange(left.dim), np.arange(right.dim))[:, :, None]
+    col_weight = np.concatenate([(top - two_k) // 2 + np.arange(two_k + 1) for two_k in two_ks])
+    off_weight = max_abs(np.where(row_weight == col_weight, 0.0, v))
+    orthonormality = worst((max_abs(gram), off_weight, *(max_abs(p.v.imag) for p in pieces)))
+    completeness = max_abs(dec.blocks @ np.swapaxes(dec.blocks, 1, 2) - valid[:, :, None] * eye)
 
-    values = [max_abs(big.imag) for big in (trep.q, trep.e, trep.f)]
-    gens = [np.ascontiguousarray(big.real) for big in (trep.q, trep.e, trep.f)]
-    for p in dec.pieces:
-        rep_k = build_rep(params, p.two_k, +1)
-        v_k = np.ascontiguousarray(p.v.real)
-        for big, small in zip(gens, (rep_k.q, rep_k.e, rep_k.f)):
-            values += [max_abs(big @ v_k - v_k @ small.real), max_abs(small.imag)]
-    intertwine = worst(values)
-    return {
-        "orthonormality": ortho,
-        "completeness": completeness,
-        "intertwining": intertwine,
-    }
+    q_l, _, e_l, f_l, stray_l = _factor(left)
+    q_r, q_inv_r, e_r, f_r, stray_r = _factor(right)
+    q_k, _, e_k, f_k, stray_k = zip(*(_factor(build_rep(params, p.two_k, +1)) for p in pieces))
+    res, tmp = np.empty_like(v), np.empty_like(v)
+    np.subtract(np.multiply.outer(q_l, q_r)[:, :, None], np.concatenate(q_k), out=res)
+    res *= v
+    values = [stray_l, stray_r, *stray_k, max_abs(res)]
+    # D(x) = q (x) x + x (x) q^-1 for x = e, f; pi(x) of the direct sum
+    # keeps one diagonal, zero between summands
+    for x_l, x_r, x_k, offset in ((e_l, e_r, e_k, 1), (f_l, f_r, f_k, -1)):
+        right_leg = np.multiply.outer(q_l, x_r[:-1])[:, :, None]
+        left_leg = np.multiply.outer(x_l[:-1], q_inv_r)[:, :, None]
+        pi_x = np.concatenate(x_k)[:-1]
+        # x moves a basis index by -offset: entry i of x v reads entry
+        # i + offset, and the one entry with nothing to read is zero
+        to, at = (slice(None, -1), slice(1, None))[::offset]
+        res[:, -1 if offset > 0 else 0] = 0.0
+        np.multiply(right_leg, v[:, at], out=res[:, to])
+        res[to] += np.multiply(left_leg, v[at], out=tmp[to])
+        res[:, :, at] -= np.multiply(pi_x, v[:, :, to], out=tmp[:, :, at])
+        values.append(max_abs(res))
+    return {"orthonormality": orthonormality, "completeness": completeness, "intertwining": worst(values)}

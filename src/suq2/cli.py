@@ -214,6 +214,7 @@ def cmd_cg(args, parser) -> int:
         "index_set": index_set(args.n, args.m),
         "isometries": {str(piece.two_k): _matrix_doc(piece.v) for piece in dec.pieces},
         "residuals": {law: float(v) for law, v in residuals.items()},
+        "singular_gap": dec.singular_gap,
     }
     _emit(parser, args, _render(doc, args.fmt))
     return 0

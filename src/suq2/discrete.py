@@ -8,7 +8,9 @@ The comultiplication of an element is specified by its components
     D(a)_(n,m) = sum_k V_k a_k V_k*        (k in the index set of (n, m)),
 
 living on the tensor product of the spin-n and spin-m blocks, where the
-V_k are the summand isometries of the tensor product decomposition.  On
+V_k are the summand isometries of the tensor product decomposition.  The
+components are applied one weight at a time from the decomposition's
+orthogonal per-weight blocks, so no dense V_k is built for them.  On
 top of this sit a counit (the spin-0 entry), a polar-decomposed antipode
 S = R o tau_(-i/2) built from a conjugate-linear flip unitary and the
 analytic continuation of the scaling group, a cointegral h (the unit of
@@ -33,6 +35,10 @@ from .params import Params
 from .reps import build_rep, evaluate
 from .util import max_abs, weight_index, weights, worst
 from .words import AlgPoly
+
+# bytes of the padded (weights, spins, product vectors) intermediate one
+# slab of `coproduct_component` may hold
+_SLAB_BYTES = 1 << 19
 
 
 class BlockSum:
@@ -169,8 +175,10 @@ def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -
     decomposition: the (w, w') block of sum_k V_k a_k V_k* is
     X_w A_(w,w') X_w'^T, with A_(w,w') diagonal over the spins k and entries
     a_k[(k - w)/2, (k - w')/2].  Only weights |w| <= the largest spin of a
-    in the index set meet a, and all of them go through one batched
-    real-times-complex product.
+    in the index set meet a.  They go through a batched real-times-complex
+    product in slabs of consecutive weights, each slab's padded
+    intermediate held under a fixed byte budget, and every slab's rows are
+    written straight into the result.  The dense V_k are never formed.
     """
     dim = (two_n + 1) * (two_m + 1)
     two_ks = [k for k in index_set(two_n, two_m) if k in a.blocks]
@@ -180,20 +188,24 @@ def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -
     base, top = abs(two_n - two_m), two_ks[-1]
     size = (top - base) // 2 + 1
     lo = (two_n + two_m - top) // 2
-    weights_met = slice(lo, lo + top + 1)
     # amat[s - lo, i, s'] = a_k[j, j'] for the spin k = base + 2i, whose
     # weight indices s and s' sit at its rows j and j'
     amat = np.zeros((top + 1, size, two_n + two_m + 1), dtype=complex)
     for two_k in two_ks:
         s0 = (two_n + two_m - two_k) // 2
         amat[s0 - lo : s0 - lo + two_k + 1, (two_k - base) // 2, s0 : s0 + two_k + 1] = a.blocks[two_k]
-    # the rows of A V*, gathered by weight: columns of amat spread over the
-    # product vectors of each weight, times their CG coefficients
-    rows_av = np.take(amat, dec.weight_of, axis=2)
-    rows_av *= dec.coefficients[:size]
-    out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
+    coefficients = dec.coefficients[:size]
     full = np.zeros((dim + 1, dim), dtype=complex)
-    full[dec.rows[weights_met]] = out
+    step = max(1, _SLAB_BYTES // (16 * size * dim))
+    for start in range(0, top + 1, step):
+        stop = min(start + step, top + 1)
+        # the rows of A V*, gathered by weight: columns of amat spread over
+        # the product vectors of each weight, times their CG coefficients
+        rows_av = np.take(amat[start:stop], dec.weight_of, axis=2)
+        rows_av *= coefficients
+        weights_met = slice(lo + start, lo + stop)
+        out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
+        full[dec.rows[weights_met]] = out
     return full[:dim]
 
 

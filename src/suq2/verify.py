@@ -211,6 +211,8 @@ def _flatten(doc, prefix=""):
             yield from _flatten(v, f"{prefix}[{i}]")
     elif isinstance(doc, bool):
         yield prefix, "true" if doc else "false"
+    elif doc is None:
+        yield prefix, "null"
     elif isinstance(doc, (int, np.integer)):
         yield prefix, str(int(doc))
     elif isinstance(doc, (float, np.floating)):

@@ -1,0 +1,283 @@
+"""Clebsch-Gordan on the weight blocks against the dense references.
+
+The references below are the dense forms the graded code replaced: the
+one-batch padded `coproduct_component`, the definitional sum
+sum_k V_k a_k V_k^T over dense pieces, the certificates computed against
+the dense generator images of `tensor_rep`, and the eager scatter of the
+pieces from the blocks.  The graded code must match them exactly where
+it does the same arithmetic and to roundoff where it does not.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from suq2 import clebsch, discrete
+from suq2.clebsch import decompose, decomposition_residuals, index_set, tensor_rep
+from suq2.discrete import AlgElement, coproduct_component
+from suq2.params import Params
+from suq2.reps import build_rep
+from suq2.util import max_abs, worst
+
+SMALL_PAIRS = [(two_n, two_m) for two_n in range(17) for two_m in range(17)]
+PARAMS_03 = Params(t=0.3)
+
+
+def reference_coproduct_component(params, a, two_n, two_m):
+    """Every weight in one batched product, scattered through a padded target."""
+    dim = (two_n + 1) * (two_m + 1)
+    two_ks = [k for k in index_set(two_n, two_m) if k in a.blocks]
+    if not two_ks:
+        return np.zeros((dim, dim), dtype=complex)
+    dec = decompose(params, two_n, two_m)
+    base, top = abs(two_n - two_m), two_ks[-1]
+    size = (top - base) // 2 + 1
+    lo = (two_n + two_m - top) // 2
+    weights_met = slice(lo, lo + top + 1)
+    amat = np.zeros((top + 1, size, two_n + two_m + 1), dtype=complex)
+    for two_k in two_ks:
+        s0 = (two_n + two_m - two_k) // 2
+        amat[s0 - lo : s0 - lo + two_k + 1, (two_k - base) // 2, s0 : s0 + two_k + 1] = a.blocks[two_k]
+    rows_av = np.take(amat, dec.weight_of, axis=2)
+    rows_av *= dec.coefficients[:size]
+    out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
+    full = np.zeros((dim + 1, dim), dtype=complex)
+    full[dec.rows[weights_met]] = out
+    return full[:dim]
+
+
+def definitional_coproduct_component(params, a, two_n, two_m):
+    """sum_k V_k a_k V_k^T over the dense pieces."""
+    dim = (two_n + 1) * (two_m + 1)
+    out = np.zeros((dim, dim), dtype=complex)
+    for piece in decompose(params, two_n, two_m).pieces:
+        if piece.two_k in a.blocks:
+            out += piece.v @ a.blocks[piece.two_k] @ piece.v.T
+    return out
+
+
+def reference_residuals(params, two_n, two_m):
+    """The certificates as dense products with the `tensor_rep` images."""
+    dec = decompose(params, two_n, two_m)
+    trep = tensor_rep(build_rep(params, two_n, +1), build_rep(params, two_m, +1))
+    v = np.hstack([p.v for p in dec.pieces])
+    real = np.ascontiguousarray(v.real)
+    ortho = worst((max_abs(real.T @ real - np.eye(trep.dim)), max_abs(v.imag)))
+    completeness = max_abs(real @ real.T - np.eye(trep.dim))
+    values = [max_abs(big.imag) for big in (trep.q, trep.e, trep.f)]
+    gens = [np.ascontiguousarray(big.real) for big in (trep.q, trep.e, trep.f)]
+    for p in dec.pieces:
+        rep_k = build_rep(params, p.two_k, +1)
+        v_k = np.ascontiguousarray(p.v.real)
+        for big, small in zip(gens, (rep_k.q, rep_k.e, rep_k.f)):
+            values += [max_abs(big @ v_k - v_k @ small.real), max_abs(small.imag)]
+    return {"orthonormality": ortho, "completeness": completeness, "intertwining": worst(values)}
+
+
+def reference_pieces(dec):
+    """The dense V_k scattered from the blocks, as `decompose` built them eagerly."""
+    dim = (dec.two_n + 1) * (dec.two_m + 1)
+    pieces = []
+    for i, two_k in enumerate(index_set(dec.two_n, dec.two_m)):
+        col = np.arange(two_k + 1)
+        s = (dec.two_n + dec.two_m - two_k) // 2 + col
+        v = np.zeros((dim + 1, two_k + 1), dtype=complex)
+        v[dec.rows[s], col[:, None]] = dec.blocks[s, :, i]
+        pieces.append(v[:dim])
+    return pieces
+
+
+def _supports(two_n, two_m):
+    """Full support, the top spin left out, a single block, and none at all."""
+    ks = index_set(two_n, two_m)
+    return {"full": ks, "partial": ks[:-1], "single": ks[len(ks) // 2 : len(ks) // 2 + 1], "empty": [two_n + two_m + 2]}
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_coproduct_component_matches_the_padded_kernel_and_the_definition(t):
+    params = Params(t=t)
+    rng = np.random.default_rng(int(10 * t))
+    try:
+        for two_n, two_m in SMALL_PAIRS + [(24, 24), (24, 16)]:
+            for name, support in _supports(two_n, two_m).items():
+                a = AlgElement(
+                    {k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1)) for k in support}
+                )
+                got = coproduct_component(params, a, two_n, two_m)
+                np.testing.assert_array_equal(got, reference_coproduct_component(params, a, two_n, two_m))
+                scale = max((max_abs(m) for m in a.blocks.values()), default=0.0)
+                definition = definitional_coproduct_component(params, a, two_n, two_m)
+                assert max_abs(got - definition) <= 1e-13 * scale, (two_n, two_m, name)
+            decompose.cache_clear()
+    finally:
+        decompose.cache_clear()
+
+
+@pytest.mark.parametrize("budget", (1, 1 << 12))
+def test_coproduct_component_does_not_depend_on_the_slab_size(monkeypatch, budget):
+    # budget 1 runs one weight per slab; 1 << 12 cuts the larger pairs into a few
+    params = Params(t=0.3)
+    monkeypatch.setattr(discrete, "_SLAB_BYTES", budget)
+    rng = np.random.default_rng(budget)
+    for two_n, two_m in ((0, 0), (1, 2), (4, 4), (8, 5), (8, 8)):
+        for support in _supports(two_n, two_m).values():
+            a = AlgElement({k: rng.standard_normal((k + 1, k + 1)) + 0.5j for k in support})
+            np.testing.assert_array_equal(
+                coproduct_component(params, a, two_n, two_m), reference_coproduct_component(params, a, two_n, two_m)
+            )
+
+
+def test_decomposition_residuals_match_the_dense_route():
+    params = Params(t=0.3)
+    try:
+        for two_n, two_m in SMALL_PAIRS:
+            got = decomposition_residuals(params, two_n, two_m)
+            expected = reference_residuals(params, two_n, two_m)
+            assert got.keys() == expected.keys()
+            for key in got:
+                assert got[key] <= 1e-9 and expected[key] <= 1e-9, (two_n, two_m, key)
+                assert abs(got[key] - expected[key]) <= 1e-13, (two_n, two_m, key, got[key], expected[key])
+    finally:
+        decompose.cache_clear()
+
+
+@pytest.mark.parametrize("broken_spin", (1, 2, 3))
+@pytest.mark.parametrize("gen, fault", [("e", 1e-6j), ("e", 1e-6), ("q", 1e-6)])
+def test_intertwining_sees_a_fault_in_any_one_factor(monkeypatch, broken_spin, gen, fault):
+    """Spin-1 (x) 1/2 = 1/2 + 3/2 reads the factors of doubled spins 2 (left
+    leg), 1 (right leg and a summand) and 3 (a summand).  An imaginary part
+    or a real entry off the diagonal in the e of any one of them fails, and
+    so does a changed eigenvalue of its q."""
+    plain = clebsch.build_rep
+
+    def build_rep_with_fault(params, two_n, sign=1):
+        rep = plain(params, two_n, sign)
+        if two_n != broken_spin:
+            return rep
+        mat = getattr(rep, gen).copy()
+        mat[-1, -1 if gen == "q" else 0] += fault
+        return dataclasses.replace(rep, **{gen: mat})
+
+    decompose(PARAMS_03, 2, 1)
+    monkeypatch.setattr(clebsch, "build_rep", build_rep_with_fault)
+    assert decomposition_residuals(PARAMS_03, 2, 1)["intertwining"] > PARAMS_03.tol_abs
+
+
+def _broken(monkeypatch, dec, blocks):
+    """Serve a decomposition whose blocks are replaced, pieces rebuilt from them."""
+    broken = dataclasses.replace(dec, blocks=blocks)
+    monkeypatch.setattr(clebsch, "decompose", lambda *args: broken)
+
+
+@pytest.mark.parametrize("two_n, two_m", [(1, 1), (3, 2), (4, 4), (6, 3)])
+def test_certificates_fail_on_a_flipped_column(monkeypatch, two_n, two_m):
+    params = Params(t=0.3)
+    dec = decompose(params, two_n, two_m)
+    # the middle weight holds every spin; flip the vector of the largest
+    blocks = dec.blocks.copy()
+    blocks[(two_n + two_m) // 2, :, -1] *= -1.0
+    _broken(monkeypatch, dec, blocks)
+    assert max(decomposition_residuals(params, two_n, two_m).values()) > params.tol_abs
+
+
+@pytest.mark.parametrize("two_n, two_m", [(1, 1), (3, 2), (4, 4), (6, 3)])
+def test_certificates_fail_on_a_perturbed_entry(monkeypatch, two_n, two_m):
+    params = Params(t=0.3)
+    dec = decompose(params, two_n, two_m)
+    blocks = dec.blocks.copy()
+    blocks[(two_n + two_m) // 2, 0, -1] += 1e-6
+    _broken(monkeypatch, dec, blocks)
+    res = decomposition_residuals(params, two_n, two_m)
+    assert res["orthonormality"] >= 1e-7 and res["completeness"] >= 1e-7
+
+
+@pytest.mark.parametrize("t", (0.05, 0.3))
+def test_orthonormality_sees_an_entry_off_its_weight(monkeypatch, t):
+    """The Gram products read the blocks, not the scattered V_k; an entry of
+    a V_k joining vectors of different weights must fail by its full size,
+    not scaled down by the q eigenvalue gap as in q intertwining."""
+    params = Params(t=t)
+    scatter = clebsch.Decomposition._scatter
+
+    def scatter_with_stray(dec):
+        pieces = scatter(dec)
+        v = pieces[-1].v.copy()
+        # product vector 1 = (0, 1) has weight index 1, column 0 of the top spin weight index 0
+        v[1, 0] += 2e-9
+        return pieces[:-1] + (dataclasses.replace(pieces[-1], v=v),)
+
+    monkeypatch.setattr(clebsch.Decomposition, "_scatter", scatter_with_stray)
+    assert decomposition_residuals(params, 2, 2)["orthonormality"] >= 2e-9
+
+
+def test_pieces_are_built_on_first_read_only():
+    params = Params(t=0.3)
+    rng = np.random.default_rng(5)
+    try:
+        for two_n, two_m in ((3, 2), (8, 8), (16, 10)):
+            dec = decompose(params, two_n, two_m)
+            a = AlgElement({k: rng.standard_normal((k + 1, k + 1)) for k in index_set(two_n, two_m)})
+            coproduct_component(params, a, two_n, two_m)
+            decomposition_residuals(params, two_n, two_m)
+            assert "pieces" not in vars(dec)
+            pieces = dec.pieces
+            assert "pieces" in vars(dec)
+            assert dec.pieces is pieces
+            assert dec.piece(two_n + two_m) is pieces[-1]
+            expected = reference_pieces(dec)
+            assert [p.two_k for p in pieces] == index_set(two_n, two_m)
+            for piece, v in zip(pieces, expected):
+                assert piece.v.dtype == complex and piece.v.shape == v.shape
+                np.testing.assert_array_equal(piece.v, v)
+    finally:
+        decompose.cache_clear()
+
+
+def _qnum(t, x):
+    return np.sinh(x * t) / np.sinh(t)
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0))
+def test_singular_values_are_the_spin_amplitudes(t):
+    """Column i of the weight-s block is row j of V_k; B_w scales it by the
+    amplitude r^(k)_(j-1) = sqrt([k - j + 1] [j]) taking row j up to j - 1,
+    and a new highest weight (j = 0) by zero."""
+    params = Params(t=t)
+    try:
+        for two_n, two_m in SMALL_PAIRS:
+            dec = decompose(params, two_n, two_m)
+            two_ks = np.array(index_set(two_n, two_m))
+            top = two_n + two_m
+            j = np.arange(top + 1)[:, None] - (top - two_ks) // 2
+            present = (j >= 0) & (j <= two_ks)
+            expected = np.sqrt(_qnum(t, np.where(present, two_ks - j + 1, 0)) * _qnum(t, np.where(present, j, 0)))
+            np.testing.assert_array_equal(dec.singular_values[~present | (j == 0)], 0.0)
+            lowered = present & (j > 0)
+            rel = np.abs(dec.singular_values[lowered] - expected[lowered]) / expected[lowered]
+            assert rel.max(initial=0.0) <= 1e-12, (two_n, two_m, rel.max())
+    finally:
+        decompose.cache_clear()
+
+
+def test_singular_gap_reads_the_closed_form_amplitudes():
+    params = Params(t=0.3)
+    assert decompose(params, 0, 4).singular_gap is None
+    assert decompose(params, 3, 0).singular_gap is None
+    # 1/2 (x) 1/2: the middle weight holds the singlet (0) and the triplet
+    # vector raised by r^(2)_0 = sqrt([2] [1]), so the gap is the whole of it
+    assert decompose(params, 1, 1).singular_gap == 1.0
+    for two_n, two_m in ((2, 2), (5, 3), (8, 8), (16, 11)):
+        top = two_n + two_m
+        gaps = []
+        for s in range(top + 1):
+            # the spins at weight index s, each at row j of its V_k
+            amps = sorted(
+                np.sqrt(_qnum(params.t, two_k - j + 1) * _qnum(params.t, j))
+                for two_k in index_set(two_n, two_m)
+                for j in [s - (top - two_k) // 2]
+                if 0 <= j <= two_k
+            )
+            if len(amps) > 1:
+                gaps.append(np.min(np.diff(amps)) / amps[-1])
+        assert abs(decompose(params, two_n, two_m).singular_gap - min(gaps)) <= 1e-9 * min(gaps)

@@ -50,14 +50,15 @@ def test_decomposition_residuals(two_n, two_m):
 def test_decomposition_residuals_see_an_imaginary_part(monkeypatch):
     """The certificates multiply in real arithmetic; an imaginary part of
     the pieces or of a generator image must still fail them."""
-    dec = decompose(PARAMS, 2, 1)
-    pieces = tuple(dataclasses.replace(p, v=p.v + 1e-6j) for p in dec.pieces)
-    monkeypatch.setattr(clebsch, "decompose", lambda *args: dataclasses.replace(dec, pieces=pieces))
+    scatter = clebsch.Decomposition._scatter
+    monkeypatch.setattr(
+        clebsch.Decomposition, "_scatter", lambda dec: tuple(dataclasses.replace(p, v=p.v + 1e-6j) for p in scatter(dec))
+    )
     assert decomposition_residuals(PARAMS, 2, 1)["orthonormality"] >= 1e-6
     monkeypatch.undo()
 
-    plain = clebsch.tensor_rep
-    monkeypatch.setattr(clebsch, "tensor_rep", lambda l, r: dataclasses.replace(plain(l, r), e=plain(l, r).e + 1e-6j))
+    plain = clebsch.build_rep
+    monkeypatch.setattr(clebsch, "build_rep", lambda *args: dataclasses.replace(plain(*args), e=plain(*args).e + 1e-6j))
     assert decomposition_residuals(PARAMS, 2, 1)["intertwining"] >= 1e-6
 
 

@@ -54,6 +54,15 @@ def test_cg_emits_valid_json():
     assert doc["index_set"] == [0, 2]
     assert set(doc["isometries"]) == {"0", "2"}
     assert all(value < 1e-9 for value in doc["residuals"].values())
+    assert doc["singular_gap"] == 1.0
+
+
+def test_cg_singular_gap_is_null_without_two_vectors_of_one_weight(tmp_path):
+    doc = json.loads(run_cli("cg", "--n", "0", "--m", "3", check=True).stdout)
+    assert doc["singular_gap"] is None
+    out = tmp_path / "cg.csv"
+    run_cli("cg", "--n", "0", "--m", "3", "--format", "csv", "--out", str(out), check=True)
+    assert "singular_gap,null" in out.read_text().splitlines()
 
 
 def test_verify_passes_and_reports(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from suq2.discrete import AlgElement
 from suq2.dual import DualElement
-from suq2.util import worst
+from suq2.util import max_abs, worst
 from suq2.verify import _check
 from suq2.words import AlgPoly, Gen
 
@@ -29,6 +29,20 @@ def test_worst_propagates_nan_from_any_position(values):
 @pytest.mark.parametrize("values", [[0.1, INF], [INF, 0.1]])
 def test_worst_propagates_inf(values):
     assert worst(values) == INF
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([-3.0, 1.0], 3.0), ([2.0, -1.0], 2.0), ([-0.0], 0.0), ([1.0, NAN], NAN), ([-INF, 1.0], INF), ([3 - 4j], 5.0)],
+)
+def test_max_abs_is_the_largest_absolute_value(values, expected):
+    """Real arrays are read by their max and min, complex ones through abs;
+    either gives the largest absolute value, NaN and +0.0 included, on a
+    strided view as on a contiguous array."""
+    contiguous = np.array(values)
+    for m in (contiguous, np.repeat(contiguous, 2)[::2]):
+        got = max_abs(m)
+        assert (math.isnan(got) and math.isnan(expected)) or (got == expected and math.copysign(1.0, got) == 1.0)
 
 
 def test_worst_of_nothing_is_zero():
