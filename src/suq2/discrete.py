@@ -264,9 +264,8 @@ def unitary_antipode_block(two_n: int, mat: np.ndarray) -> np.ndarray:
 
 
 def scaling_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:
-    """tau_s(a) = q^(-2is) a q^(2is) on one block (s real)."""
-    phase = np.exp(-1j * params.t * s * weights(two_n))
-    return mat * np.outer(phase, 1.0 / phase)
+    """tau_s(a) = q^(-2is) a q^(2is) on one block (s real): tau_(is) at imaginary s."""
+    return scaling_imag_block(params, two_n, mat, -1j * s)
 
 
 def scaling_imag_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:
@@ -320,6 +319,14 @@ def cointegral() -> AlgElement:
     return AlgElement({0: np.array([[1.0]], dtype=complex)})
 
 
+def _kind_sign(kind: str) -> float:
+    """-1 for the left invariant integral, +1 for the right one: the power of
+    q^2 its weights, and its modular automorphism, carry."""
+    if kind not in ("left", "right"):
+        raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
+    return -1.0 if kind == "left" else 1.0
+
+
 def quantum_dimension(params: Params, two_n: int) -> float:
     """sum_j lam^(2j) over the weights of the spin-(two_n/2) block."""
     return float(np.sum(np.exp(params.t * weights(two_n))))
@@ -366,23 +373,18 @@ def integral_weight_matrix(params: Params, two_n: int, kind: str) -> np.ndarray:
     kind "left" is the left invariant integral  phi(e_(r,s)) = c d(r,s) lam^(-2r);
     kind "right" the right invariant one       psi(e_(r,s)) = c d(r,s) lam^(2r).
     """
-    c = quantum_dimension(params, two_n)
-    two_js = weights(two_n)
-    if kind == "left":
-        return np.diag(c * np.exp(-params.t * two_js)).astype(complex)
-    if kind == "right":
-        return np.diag(c * np.exp(params.t * two_js)).astype(complex)
-    raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
+    sign = _kind_sign(kind)
+    return np.diag(quantum_dimension(params, two_n) * np.exp(sign * params.t * weights(two_n))).astype(complex)
 
 
 def block_integrals(params: Params, two_n: int, mats: np.ndarray, kind: str) -> np.ndarray:
     """An invariant integral of elements supported on block n, for a stack
     of blocks (the last two axes): c_n trace(a_n q^-2) for kind "left",
     c_n trace(a_n q^2) for kind "right"."""
-    if kind not in ("left", "right"):
-        raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
-    sign = -1.0 if kind == "left" else 1.0
+    sign = _kind_sign(kind)
     c = quantum_dimension(params, two_n)
+    # c multiplies the sum, not the weights: folding it into exp(+-t w) rounds
+    # the t = 2 modular certificates past their tolerance
     return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * np.exp(sign * params.t * weights(two_n)), axis=-1)
 
 
@@ -409,11 +411,8 @@ def modular_automorphism(params: Params, a: AlgElement, kind: str) -> AlgElement
 
     The two are mutually inverse.
     """
-    if kind == "left":
-        return a.map(lambda n, m: scaling_imag_block(params, n, m, -1.0))
-    if kind == "right":
-        return a.map(lambda n, m: scaling_imag_block(params, n, m, +1.0))
-    raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
+    s = _kind_sign(kind)
+    return a.map(lambda n, m: scaling_imag_block(params, n, m, s))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from .discrete import (
 from .params import Params
 from .util import weight_index, worst
 
-_UNIT_CACHE = {}
-
 
 class DualElement(BlockSum):
     """Finitely supported functional, one coefficient matrix per block.
@@ -172,12 +170,9 @@ U_LABELS = (1, -1)
 
 def u_entry(two_i: int, two_j: int) -> DualElement:
     """Matrix coefficient u[i, j] of the spin-1/2 block: <a, u[i,j]> = a[i, j]."""
-    key = (two_i, two_j)
-    if key not in _UNIT_CACHE:
-        mat = np.zeros((2, 2), dtype=complex)
-        mat[weight_index(1, two_i), weight_index(1, two_j)] = 1.0
-        _UNIT_CACHE[key] = DualElement({1: mat})
-    return _UNIT_CACHE[key]
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[weight_index(1, two_i), weight_index(1, two_j)] = 1.0
+    return DualElement({1: mat})
 
 
 def u_entries() -> dict:

@@ -44,11 +44,3 @@ def weight_index(two_n: int, two_j: int) -> int:
         raise ValueError(f"weight {two_j} does not occur in the spin module {two_n}")
     return (two_n - two_j) // 2
 
-
-def swap_matrix(dim_left: int, dim_right: int) -> np.ndarray:
-    """Permutation matrix exchanging tensor factors, left (x) right -> right (x) left."""
-    w = np.zeros((dim_right * dim_left, dim_left * dim_right))
-    for p in range(dim_left):
-        for u in range(dim_right):
-            w[u * dim_left + p, p * dim_right + u] = 1.0
-    return w

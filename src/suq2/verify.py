@@ -30,7 +30,7 @@ same configuration produce byte-identical serializations.
 import functools
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .discrete import (
     quantum_dimension,
     right_integral,
     scaling,
+    scaling_block,
     scaling_imag,
     unitary_antipode,
 )
@@ -93,7 +94,7 @@ from .reps import (
     ladder_poly_matrix,
     relation_residuals,
 )
-from .util import max_abs, swap_matrix, weights, worst
+from .util import max_abs, weights, worst
 from .words import AlgPoly, Gen, formal_antipode, formal_coproduct, formal_counit
 
 
@@ -234,13 +235,7 @@ def doc_csv(doc) -> str:
 
 
 def config_doc(config: RunConfig) -> dict:
-    return {
-        "t": config.t,
-        "nmax2": config.nmax2,
-        "tol_abs": config.tol_abs,
-        "tol_rel": config.tol_rel,
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 def report_doc(report: Report) -> dict:
@@ -327,17 +322,12 @@ def tensor_evaluate_formal(params: Params, two_n: int, two_m: int, x: AlgPoly) -
 
 
 def block_reconstruction_residual(params: Params, two_n: int, two_m: int, x: AlgPoly) -> float:
-    """| sum_k V_k pi_k(x) V_k*  -  D(x) on the product basis |."""
-    left = build_rep(params, two_n, +1)
-    right = build_rep(params, two_m, +1)
-    trep = tensor_rep(left, right)
-    direct = evaluate_in(trep.gen_matrices, x, trep.dim)
-    dec = decompose(params, two_n, two_m)
-    assembled = np.zeros_like(direct)
-    for piece in dec.pieces:
-        rep_k = build_rep(params, piece.two_k, +1)
-        assembled += piece.v @ evaluate(rep_k, x) @ piece.v.conj().T
-    return max_abs(assembled - direct)
+    """| sum_k V_k pi_k(x) V_k*  -  D(x) on the product basis |: the shipped
+    coproduct of x, embedded over the summands, against the tensor product
+    generators."""
+    trep = tensor_rep(build_rep(params, two_n, +1), build_rep(params, two_m, +1))
+    assembled = coproduct_component(params, embed(params, x, index_set(two_n, two_m)), two_n, two_m)
+    return max_abs(assembled - evaluate_in(trep.gen_matrices, x, trep.dim))
 
 
 def _ladder_residuals(params: Params, rep):
@@ -423,12 +413,9 @@ def _coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
     the first leg for the whole battery at once, and D(a)_(n,k) by the V_k
     of (m, l) on the second.
     """
-    table = {}
-
+    @functools.cache
     def components(two_n, two_m):
-        if (two_n, two_m) not in table:
-            table[two_n, two_m] = np.array([coproduct_component(params, a, two_n, two_m) for a in elements])
-        return table[two_n, two_m]
+        return np.array([coproduct_component(params, a, two_n, two_m) for a in elements])
 
     out = np.empty((len(elements), len(triples)))
     for j, (two_n, two_m, two_l) in enumerate(triples):
@@ -478,24 +465,21 @@ def _max_abs_each(stack: np.ndarray) -> np.ndarray:
 def flip_residual(params: Params, a: AlgElement, two_n: int, two_m: int) -> float:
     """R reverses the comultiplication:
     D(R(a))_(m,n) = flip (R (x) R) D(a)_(n,m)."""
-    p_n = conjugate_unitary(two_n).matrix
-    p_m = conjugate_unitary(two_m).matrix
     block = coproduct_component(params, a, two_n, two_m)
-    p_big = np.kron(p_n, p_m)
-    r_tensor = p_big.T @ block.T @ p_big
-    w = swap_matrix(two_n + 1, two_m + 1)
-    flipped = w @ r_tensor @ w.T
+    # R (x) R is the signed index flip of `unitary_antipode_block` on the
+    # product basis; the leg swap is a transpose of the four-index form
+    signs = np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs)
+    r_tensor = np.outer(signs, signs) * block[::-1, ::-1].T
+    dims = (two_n + 1, two_m + 1)
+    flipped = r_tensor.reshape(dims + dims).transpose(1, 0, 3, 2).reshape(block.shape)
     return max_abs(coproduct_component(params, unitary_antipode(a), two_m, two_n) - flipped)
 
 
 def scaling_compat_residual(params: Params, a: AlgElement, two_n: int, two_m: int, s: float) -> float:
     """The scaling group is a coproduct symmetry:
     D(tau_s(a))_(n,m) = (tau_s (x) tau_s) D(a)_(n,m)."""
-    phase_n = np.exp(-1j * params.t * s * weights(two_n))
-    phase_m = np.exp(-1j * params.t * s * weights(two_m))
-    d = np.kron(phase_n, phase_m)
-    block = coproduct_component(params, a, two_n, two_m)
-    both_legs = block * np.outer(d, 1.0 / d)
+    legs = [scaling_block(params, two_k, np.ones((two_k + 1, two_k + 1)), s) for two_k in (two_n, two_m)]
+    both_legs = coproduct_component(params, a, two_n, two_m) * np.kron(*legs)
     return max_abs(coproduct_component(params, scaling(params, a, s), two_n, two_m) - both_legs)
 
 
@@ -1005,9 +989,13 @@ def cointegral_battery(params: Params, nmax2: int):
 
     rows = []
     for two_n in _spins(nmax2, 6):
+        dim = two_n + 1
         closed = cointegral_coproduct(params, two_n)
         sing = np.linalg.svd(closed, compute_uv=False)
         vec = invariant_vector(params, two_n)
+        eye = np.eye(dim, dtype=complex)
+        w_left = integral_weight_matrix(params, two_n, "left")
+        w_right = integral_weight_matrix(params, two_n, "right")
         rows.append(
             {
                 "two-routes": max_abs(closed - coproduct_component(params, h, two_n, two_n)),
@@ -1015,6 +1003,15 @@ def cointegral_battery(params: Params, nmax2: int):
                 "self-adjoint": max_abs(closed - closed.conj().T),
                 "rank-one": worst([abs(float(sing[0]) - 1.0), *sing[1:2]]),
                 "invariant-vector": max_abs(closed - np.outer(vec, vec.conj())),
+                "left-integral": max_abs(contract_second(closed, dim, dim, w_left) - eye),
+                "right-integral": max_abs(contract_first(closed, dim, dim, w_right) - eye),
+                "modular-element": max_abs(
+                    contract_first(closed, dim, dim, w_left) - modular_element_block(params, two_n)
+                ),
+                "trace-contraction": max_abs(
+                    contract_first(closed, dim, dim, eye)
+                    - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
+                ),
             }
         )
     for name, law in (
@@ -1023,6 +1020,10 @@ def cointegral_battery(params: Params, nmax2: int):
         ("self-adjoint", "D(h)_(n,n)* = D(h)_(n,n)"),
         ("rank-one", "D(h)_(n,n) is a rank 1 projection"),
         ("invariant-vector", "range spanned by the canonical invariant vector"),
+        ("left-integral", "(id (x) phi) D(h) = 1"),
+        ("right-integral", "(psi (x) id) D(h) = 1"),
+        ("modular-element", "(phi (x) id) D(h) = q^4"),
+        ("trace-contraction", "(trace (x) id) D(h) = q^2 / c"),
     ):
         yield f"coint/{name}", law, [row[name] for row in rows]
 
@@ -1032,34 +1033,6 @@ def cointegral_battery(params: Params, nmax2: int):
         for x in (a * h, h * a)
     )
     yield "coint/counit", "eps(h) = 1", abs(counit(h) - 1.0) < 1e-15
-
-    rows = []
-    for two_n in _spins(nmax2, 6):
-        dim = two_n + 1
-        block = cointegral_coproduct(params, two_n)
-        eye = np.eye(dim, dtype=complex)
-        w_left = integral_weight_matrix(params, two_n, "left")
-        w_right = integral_weight_matrix(params, two_n, "right")
-        rows.append(
-            {
-                "left-integral": max_abs(contract_second(block, dim, dim, w_left) - eye),
-                "right-integral": max_abs(contract_first(block, dim, dim, w_right) - eye),
-                "modular-element": max_abs(
-                    contract_first(block, dim, dim, w_left) - modular_element_block(params, two_n)
-                ),
-                "trace-contraction": max_abs(
-                    contract_first(block, dim, dim, np.eye(dim, dtype=complex))
-                    - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
-                ),
-            }
-        )
-    for name, law in (
-        ("left-integral", "(id (x) phi) D(h) = 1"),
-        ("right-integral", "(psi (x) id) D(h) = 1"),
-        ("modular-element", "(phi (x) id) D(h) = q^4"),
-        ("trace-contraction", "(trace (x) id) D(h) = q^2 / c"),
-    ):
-        yield f"coint/{name}", law, [row[name] for row in rows]
 
     values = [abs(left_integral(params, h) - 1.0), abs(right_integral(params, h) - 1.0)]
     for two_n in _spins(nmax2, 4):

@@ -8,6 +8,7 @@ from suq2.discrete import (
     BiElement,
     antipode,
     antipode_inv,
+    block_integrals,
     cointegral,
     cointegral_coproduct,
     conjugate_unitary,
@@ -15,6 +16,7 @@ from suq2.discrete import (
     coproduct_window,
     counit,
     embed,
+    integral_weight_matrix,
     invariant_vector,
     left_integral,
     matrix_unit,
@@ -348,6 +350,25 @@ def test_quantum_dimension_values():
 @pytest.mark.parametrize("kind", ["left", "right"])
 def test_modular_certificates(two_n, kind):
     assert modular_certificate_residual(PARAMS, two_n, kind) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: integral_weight_matrix(PARAMS, 2, kind),
+        lambda kind: block_integrals(PARAMS, 2, np.eye(3), kind),
+        lambda kind: modular_automorphism(PARAMS, matrix_unit(2, 2, 0), kind),
+        lambda kind: modular_automorphism(PARAMS, AlgElement(), kind),
+        lambda kind: modular_certificate_residual(PARAMS, 2, kind),
+    ],
+    ids=["integral_weight_matrix", "block_integrals", "modular_automorphism", "modular_automorphism-empty",
+         "modular_certificate_residual"],
+)
+def test_an_integral_kind_other_than_left_or_right_is_refused(call):
+    call("left")
+    call("right")
+    with pytest.raises(ValueError, match="kind must be 'left' or 'right'"):
+        call("up")
 
 
 def test_modular_automorphisms_are_mutually_inverse():

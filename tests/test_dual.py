@@ -153,6 +153,17 @@ def test_commutation_relations():
         assert value < 1e-9, law
 
 
+def test_u_entries_are_fresh_objects():
+    """Mutating a returned entry leaves later entries and the relations alone."""
+    expected = woronowicz_residuals(PARAMS)
+    entry = u_entry(1, 1)
+    entry.blocks[1][0, 0] = 2.0
+    assert u_entry(1, 1) is not entry
+    np.testing.assert_array_equal(u_entry(1, 1).blocks[1], [[1.0, 0.0], [0.0, 0.0]])
+    assert woronowicz_residuals(PARAMS) == expected
+    assert woronowicz_residuals(PARAMS)["alpha* alpha + gamma* gamma = 1"] < 1e-15
+
+
 def test_haar_state_values():
     assert abs(dual_haar(dual_unit()) - 1.0) < 1e-14
     for u in u_entries().values():

@@ -7,14 +7,21 @@ algebra product and integral per pair for the modular certificates.  The
 kernels in `suq2.verify` evaluate each map once per basis element and
 contract whole batteries in stacked products; here they must agree with
 the references item by item over the default batteries.
+
+The dense forms the checks of `suq2.verify` no longer carry are kept here
+too: R (x) R as a Kronecker sandwich of the signed flip with a swap
+permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k, and the
+tau_s (x) tau_s multiplier from its product-basis phases.  The checks now
+call the maps the library ships, and must agree with these.
 """
 
 import numpy as np
 import pytest
 
-from suq2.clebsch import decompose, index_set
+from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
     antipode_block,
+    conjugate_unitary,
     contract_first,
     contract_second,
     coproduct_component,
@@ -25,8 +32,12 @@ from suq2.discrete import (
     matrix_unit,
     modular_automorphism,
     right_integral,
+    scaling,
+    scaling_block,
+    unitary_antipode,
 )
 from suq2.params import Params
+from suq2.reps import build_rep, evaluate, evaluate_in
 from suq2.util import max_abs, weight_index, weights, worst
 from suq2.verify import (
     WORD_BATTERY,
@@ -36,10 +47,14 @@ from suq2.verify import (
     _matrix_units,
     _random_alg_element,
     antipode_law_residual,
+    block_reconstruction_residual,
     coassociativity_residual,
+    flip_residual,
     invariance_residual,
     modular_certificate_residual,
+    scaling_compat_residual,
 )
+from suq2.words import AlgPoly, Gen
 
 T_VALUES = (0.1, 0.3, 1.0)
 WINDOW = range(5)
@@ -113,6 +128,36 @@ def reference_modular_certificate(params, two_n, kind):
         for a in units
         for b in units
     )
+
+
+def reference_flip(params, a, two_n, two_m):
+    """flip (R (x) R) D(a)_(n,m) as P^T D^T P with P = P_n (x) P_m, between
+    the swap permutations of the two legs."""
+    dims = (two_n + 1, two_m + 1)
+    p_big = np.kron(conjugate_unitary(two_n).matrix, conjugate_unitary(two_m).matrix)
+    r_tensor = p_big.T @ coproduct_component(params, a, two_n, two_m).T @ p_big
+    swap = np.zeros((dims[0] * dims[1],) * 2)
+    for p in range(dims[0]):
+        for u in range(dims[1]):
+            swap[u * dims[0] + p, p * dims[1] + u] = 1.0
+    flipped = swap @ r_tensor @ swap.T
+    return max_abs(coproduct_component(params, unitary_antipode(a), two_m, two_n) - flipped)
+
+
+def reference_block_reconstruction(params, two_n, two_m, x):
+    """sum_k V_k pi_k(x) V_k* over the dense V_k against D(x), and max|D(x)|."""
+    trep = tensor_rep(build_rep(params, two_n, +1), build_rep(params, two_m, +1))
+    direct = evaluate_in(trep.gen_matrices, x, trep.dim)
+    assembled = np.zeros_like(direct)
+    for piece in decompose(params, two_n, two_m).pieces:
+        assembled += piece.v @ evaluate(build_rep(params, piece.two_k, +1), x) @ piece.v.conj().T
+    return max_abs(assembled - direct), max_abs(direct)
+
+
+def reference_scaling_multiplier(params, two_n, two_m, s):
+    """tau_s (x) tau_s on the (n, m) product basis as the entrywise factor d_i / d_j."""
+    d = np.kron(np.exp(-1j * params.t * s * weights(two_n)), np.exp(-1j * params.t * s * weights(two_m)))
+    return np.outer(d, 1.0 / d)
 
 
 def hopf_battery_elements(params):
@@ -192,3 +237,57 @@ def test_coproduct_of_a_matrix_unit_is_the_outer_product_of_its_columns(t):
                                 coproduct_component(params, matrix_unit(two_k, two_r, two_s), *pair),
                                 np.outer(v[:, r], v[:, s].conj()),
                             )
+
+
+PAIRS = [(two_n, two_m) for two_n in range(7) for two_m in range(7)]
+S_VALUES = (0.7, -1.3, 1.9, -0.35)
+
+
+def random_polys(rng, count):
+    """Random complex combinations of the words of length at most 2."""
+    letters = [()] + [(g,) for g in Gen] + [(g, h) for g in Gen for h in Gen]
+    return [
+        AlgPoly({w: complex(*rng.standard_normal(2)) for w in letters})
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_flip_residual_matches_the_kronecker_sandwich(t):
+    params = Params(t=t)
+    window = range(7)
+    rng = np.random.default_rng(5)
+    elements = [embed(params, x, window) for x in WORD_BATTERY.values()]
+    elements += [_random_alg_element(rng, window) for _ in range(2)]
+    for a in elements:
+        for two_n, two_m in PAIRS:
+            assert flip_residual(params, a, two_n, two_m) == reference_flip(params, a, two_n, two_m)
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_block_reconstruction_matches_the_dense_summand_loop(t):
+    params = Params(t=t)
+    battery = list(WORD_BATTERY.values()) + random_polys(np.random.default_rng(6), 2)
+    for x in battery:
+        for two_n, two_m in PAIRS:
+            reference, scale = reference_block_reconstruction(params, two_n, two_m, x)
+            assert abs(block_reconstruction_residual(params, two_n, two_m, x) - reference) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_scaling_multiplier_matches_the_product_phases(t):
+    """scaling_compat_residual takes tau_s (x) tau_s as the Kronecker product of
+    scaling_block on each leg's all-ones block; it is the phase ratio d_i / d_j
+    to roundoff, and the residual it gives is the reference one to roundoff."""
+    params = Params(t=t)
+    rng = np.random.default_rng(7)
+    elements = [_random_alg_element(rng, range(7)) for _ in range(2)]
+    for s in S_VALUES:
+        for two_n, two_m in PAIRS:
+            legs = [scaling_block(params, k, np.ones((k + 1, k + 1)), s) for k in (two_n, two_m)]
+            reference = reference_scaling_multiplier(params, two_n, two_m, s)
+            assert max_abs(np.kron(*legs) - reference) <= 1e-15
+            for a in elements:
+                block = coproduct_component(params, a, two_n, two_m)
+                expected = max_abs(coproduct_component(params, scaling(params, a, s), two_n, two_m) - block * reference)
+                assert abs(scaling_compat_residual(params, a, two_n, two_m, s) - expected) <= 1e-15 * max_abs(block)
