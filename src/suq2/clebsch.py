@@ -43,7 +43,7 @@ import numpy as np
 
 from .params import Params
 from .reps import Rep, build_rep
-from .util import max_abs, weights, worst
+from .util import max_abs, read_only, weights, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +117,9 @@ class Decomposition:
     index of product vector c, are read off them once.  The dense V_k are
     scattered from them only when ``pieces`` or ``piece(k)`` is first read,
     and then kept; `decomposition_residuals` scatters its own and drops
-    them.
+    them.  ``basis``, the V_k side by side as one real matrix, is likewise
+    scattered on first read.  Every array is read-only: the object is
+    shared by the cache of `decompose`.
     """
 
     two_n: int
@@ -133,16 +135,35 @@ class Decomposition:
         """The dense V_k as `CGIsometry`, spins ascending."""
         return self._scatter()
 
-    def _scatter(self) -> tuple:
-        """The dense V_k scattered from the blocks, anew on every call."""
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The V_k side by side, spins ascending: the real orthogonal change
+        of basis of the whole tensor product, which `dual_mul` compresses
+        with."""
+        return read_only(self._side_by_side(float))
+
+    def _side_by_side(self, dtype) -> np.ndarray:
+        """The V_k side by side, scattered from the blocks into a new
+        (dim, dim) array of ``dtype``."""
         dim = (self.two_n + 1) * (self.two_m + 1)
-        pieces = []
+        v = np.zeros((dim + 1, dim), dtype=dtype)
+        start = 0
         for i, two_k in enumerate(index_set(self.two_n, self.two_m)):
             col = np.arange(two_k + 1)
             s = (self.two_n + self.two_m - two_k) // 2 + col
-            v = np.zeros((dim + 1, two_k + 1), dtype=complex)
-            v[self.rows[s], col[:, None]] = self.blocks[s, :, i]
-            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=v[:dim]))
+            v[self.rows[s], start + col[:, None]] = self.blocks[s, :, i]
+            start += two_k + 1
+        return v[:dim]
+
+    def _scatter(self) -> tuple:
+        """The dense V_k scattered from the blocks, anew on every call:
+        complex column slices of one side-by-side array."""
+        v = read_only(self._side_by_side(complex))
+        pieces, start = [], 0
+        for two_k in index_set(self.two_n, self.two_m):
+            piece = v[:, start : start + two_k + 1]
+            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=piece))
+            start += two_k + 1
         return tuple(pieces)
 
     def piece(self, two_k: int) -> CGIsometry:
@@ -172,7 +193,9 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     """Decompose spin-n (x) spin-m into irreducible summands, weight by weight.
 
     Results are memoized per (params, two_n, two_m); the returned object is
-    shared, so callers must treat it as read-only.
+    shared, and its arrays are read-only.  Raises ``ValueError`` when an
+    entry of some B_w is not finite (t too large for the spins), before
+    LAPACK would be handed it.
     """
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
@@ -201,6 +224,13 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     up = p >= 1
     s_up = weight_of[up]
     raising[s_up, p[up] - 1 - lo[s_up - 1], p[up] - lo[s_up]] = left.r[p[up] - 1] * q_inv_right[u[up]]
+    finite = np.isfinite(raising).all(axis=(1, 2))
+    if not finite.all():
+        first = two_n + two_m - 2 * int(np.argmin(finite))
+        raise ValueError(
+            f"decompose: B_w of 2n = {two_n}, 2m = {two_m} at t = {params.t!r} is not "
+            f"finite, first at doubled weight w = {first}"
+        )
 
     blocks = np.zeros((two_n + two_m + 1, size, size))
     singular_values = np.zeros((two_n + two_m + 1, size))
@@ -219,10 +249,8 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
         above = x
 
     coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
-    return Decomposition(
-        two_n=two_n, two_m=two_m, blocks=blocks, rows=rows, coefficients=coefficients,
-        weight_of=weight_of, singular_values=singular_values,
-    )
+    arrays = (blocks, rows, coefficients, weight_of, singular_values)
+    return Decomposition(two_n, two_m, *map(read_only, arrays))
 
 
 @lru_cache(maxsize=None)

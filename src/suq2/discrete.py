@@ -33,7 +33,7 @@ import numpy as np
 from .clebsch import decompose, index_set
 from .params import Params
 from .reps import build_rep, evaluate
-from .util import max_abs, weight_index, weights, worst
+from .util import max_abs, read_only, weight_index, weights, worst
 from .words import AlgPoly
 
 # bytes of the padded (weights, spins, product vectors) intermediate one
@@ -248,11 +248,12 @@ class ConjugateUnitary:
 @lru_cache(maxsize=None)
 def conjugate_unitary(two_n: int) -> ConjugateUnitary:
     """The flip sending the weight-j vector to (-1)^(n+j) times the
-    weight-(-j) vector, composed with complex conjugation."""
+    weight-(-j) vector, composed with complex conjugation.  Memoized;
+    its arrays are read-only."""
     dim = two_n + 1
     perm = np.arange(dim - 1, -1, -1)
     signs = np.array([(-1.0) ** (two_n - i) for i in range(dim)])
-    return ConjugateUnitary(two_n=two_n, perm=perm, signs=signs)
+    return ConjugateUnitary(two_n=two_n, perm=read_only(perm), signs=read_only(signs))
 
 
 def unitary_antipode_block(two_n: int, mat: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import Params
-from .util import max_abs, weights
+from .util import max_abs, read_only, weights
 from .words import AlgPoly, Gen
 
 
@@ -63,6 +63,8 @@ def build_rep(params: Params, two_n: int, sign: int = 1) -> Rep:
         Doubled spin, a nonnegative integer; the dimension is two_n + 1.
     sign : int
         +1 or -1; the sign of the highest q-eigenvalue.
+
+    Results are memoized and shared, so their arrays are read-only.
     """
     if not isinstance(two_n, (int, np.integer)) or two_n < 0:
         raise ValueError(f"doubled spin must be a nonnegative integer, got {two_n!r}")
@@ -85,6 +87,7 @@ def build_rep(params: Params, two_n: int, sign: int = 1) -> Rep:
     q = np.diag(q_diag.astype(complex))
     q_inv = np.diag((1.0 / q_diag).astype(complex))
 
+    r, q, q_inv, e, f = map(read_only, (r, q, q_inv, e, f))
     return Rep(two_n=int(two_n), sign=int(sign), t=params.t, r=r, q=q, q_inv=q_inv, e=e, f=f)
 
 

@@ -27,6 +27,14 @@ def worst(values) -> float:
     return float(np.max(np.fromiter(values, float), initial=0.0))
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with writes disabled; for arrays a cache hands to every
+    caller, so that an in-place edit raises instead of corrupting later
+    results."""
+    array.flags.writeable = False
+    return array
+
+
 def weights(two_n: int) -> np.ndarray:
     """Doubled weights of the spin-(two_n/2) module, highest first.
 

@@ -222,6 +222,7 @@ def test_pieces_are_built_on_first_read_only():
             decomposition_residuals(params, two_n, two_m)
             assert "pieces" not in vars(dec)
             pieces = dec.pieces
+            assert "basis" not in vars(dec)
             assert "pieces" in vars(dec)
             assert dec.pieces is pieces
             assert dec.piece(two_n + two_m) is pieces[-1]

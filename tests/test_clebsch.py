@@ -1,6 +1,8 @@
 """Tensor product decompositions: index sets, isometries, reconstruction."""
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +163,18 @@ def test_decompose_results_are_memoized():
     a = decompose(PARAMS, 2, 2)
     b = decompose(PARAMS, 2, 2)
     assert a is b
+
+
+def test_decompose_rejects_a_non_finite_raising_matrix():
+    """At t = 100 the spin-4 amplitudes overflow, and LAPACK does not
+    return on a B_w holding an inf: decompose must raise first.  It runs in
+    a child with a timeout, so a regression fails instead of hanging."""
+    code = "from suq2 import Params, decompose; decompose(Params(t=100), 2, 8)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("ValueError: decompose: B_w of 2n = 2, 2m = 8 at t = 100")
+    assert last.endswith("first at doubled weight w = 8")
 
 
 def test_decomposition_piece_lookup():

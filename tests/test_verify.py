@@ -6,6 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from suq2.clebsch import decompose
+from suq2.discrete import conjugate_unitary
+from suq2.params import Params
+from suq2.reps import build_rep
 from suq2.verify import SUITES, RunConfig, dump_json, report_csv, report_doc, run_suite
 
 HOPF_IDS = [
@@ -237,3 +241,19 @@ def test_non_finite_residuals_are_named_failures_at_large_t(report_t50):
 
     rows = {line.split(",")[0]: line for line in report_csv(report).splitlines()[1:]}
     assert all(rows[i].endswith(",nan,1.0000000000000001e-09,false") for i in NAN_AT_T50)
+
+
+def test_cached_arrays_are_read_only():
+    """An in-place edit of an array a cache hands out raises instead of
+    corrupting every later result in the process."""
+    with pytest.raises(ValueError):
+        build_rep(Params(), 2, 1).e[0, 1] += 1.0
+    rep = build_rep(Params(), 3, -1)
+    dec = decompose(Params(), 3, 2)
+    flip = conjugate_unitary(3)
+    arrays = [rep.r, rep.q, rep.q_inv, rep.e, rep.f, flip.perm, flip.signs, dec.basis]
+    arrays += [dec.blocks, dec.rows, dec.coefficients, dec.weight_of, dec.singular_values]
+    arrays += [piece.v for piece in dec.pieces]
+    assert not any(a.flags.writeable for a in arrays)
+    report = run_suite(RunConfig(), "dqg")
+    assert not [c.id for c in report.checks if not c.passed]
