@@ -140,30 +140,18 @@ class Decomposition:
         """The V_k side by side, spins ascending: the real orthogonal change
         of basis of the whole tensor product, which `dual_mul` compresses
         with."""
-        return read_only(self._side_by_side(float))
+        return read_only(np.hstack([p.v.real for p in self._scatter()]))
 
-    def _side_by_side(self, dtype) -> np.ndarray:
-        """The V_k side by side, scattered from the blocks into a new
-        (dim, dim) array of ``dtype``."""
+    def _scatter(self) -> tuple:
+        """The dense V_k scattered from the blocks, anew on every call."""
         dim = (self.two_n + 1) * (self.two_m + 1)
-        v = np.zeros((dim + 1, dim), dtype=dtype)
-        start = 0
+        pieces = []
         for i, two_k in enumerate(index_set(self.two_n, self.two_m)):
             col = np.arange(two_k + 1)
             s = (self.two_n + self.two_m - two_k) // 2 + col
-            v[self.rows[s], start + col[:, None]] = self.blocks[s, :, i]
-            start += two_k + 1
-        return v[:dim]
-
-    def _scatter(self) -> tuple:
-        """The dense V_k scattered from the blocks, anew on every call:
-        complex column slices of one side-by-side array."""
-        v = read_only(self._side_by_side(complex))
-        pieces, start = [], 0
-        for two_k in index_set(self.two_n, self.two_m):
-            piece = v[:, start : start + two_k + 1]
-            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=piece))
-            start += two_k + 1
+            v = np.zeros((dim + 1, two_k + 1), dtype=complex)
+            v[self.rows[s], col[:, None]] = self.blocks[s, :, i]
+            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=read_only(v[:dim])))
         return tuple(pieces)
 
     def piece(self, two_k: int) -> CGIsometry:
