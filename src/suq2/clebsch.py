@@ -30,14 +30,18 @@ the order of their singular values:
         lowering construction, with the same phase convention.
 
 The multiplicities are known, so no rank cutoff is needed, and singular
-vectors are orthonormal, so no normalization guard either.  The orthogonal
-per-weight blocks are what `Decomposition` stores, with the singular
-values beside them as a record of conditioning; the dense V_k are
-scattered from them the first time they are read.
+vectors are orthonormal, so no normalization guard either.  The loop over
+weights only calls LAPACK; the signs follow in one pass, since a column's
+sign is its own overlap sign times that of the column above it.  The
+orthogonal per-weight blocks are what `Decomposition` stores, with the
+singular values beside them as a record of conditioning; the dense V_k
+are scattered from them the first time they are read, and neither
+`coproduct_component` nor the certificates below form them.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -116,10 +120,10 @@ class Decomposition:
     product vector c in spin column i, and ``weight_of[c]``, the weight
     index of product vector c, are read off them once.  The dense V_k are
     scattered from them only when ``pieces`` or ``piece(k)`` is first read,
-    and then kept; `decomposition_residuals` scatters its own and drops
-    them.  ``basis``, the V_k side by side as one real matrix, is likewise
-    scattered on first read.  Every array is read-only: the object is
-    shared by the cache of `decompose`.
+    and then kept; `decomposition_residuals` reads the blocks and the row
+    map instead.  ``basis``, the V_k side by side as one real matrix, is
+    likewise scattered on first read.  Every array is read-only: the
+    object is shared by the cache of `decompose`.
     """
 
     two_n: int
@@ -180,10 +184,12 @@ class Decomposition:
 def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     """Decompose spin-n (x) spin-m into irreducible summands, weight by weight.
 
-    Results are memoized per (params, two_n, two_m); the returned object is
-    shared, and its arrays are read-only.  Raises ``ValueError`` when an
-    entry of some B_w is not finite (t too large for the spins), before
-    LAPACK would be handed it.
+    One stacked SVD per run of equal-shape B_w (a single B_w, except on
+    the plateau of weights when n != m), then the sign convention in one
+    vectorized pass over the unsigned factors.  Results are memoized per
+    (params, two_n, two_m); the returned object is shared, and its arrays
+    are read-only.  Raises ``ValueError`` when an entry of some B_w is not
+    finite (t too large for the spins), before LAPACK would be handed it.
     """
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
@@ -198,7 +204,7 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     p, u = np.divmod(np.arange(dim), right.dim)
     weight_of = p + u
     lo = np.maximum(0, np.arange(two_n + two_m + 1) - two_m)
-    count = (np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1).tolist()
+    count = np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1
     slots = weight_of * size + p - lo[weight_of]
     rows = np.full((two_n + two_m + 1) * size, dim)
     rows[slots] = np.arange(dim)
@@ -220,21 +226,33 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
             f"finite, first at doubled weight w = {first}"
         )
 
+    # unsigned factors: right singular vectors as columns, ascending, and
+    # the left ones each under the column it was lowered into
     blocks = np.zeros((two_n + two_m + 1, size, size))
+    left_vectors = np.zeros_like(blocks)
     singular_values = np.zeros((two_n + two_m + 1, size))
     blocks[0, 0, -1] = 1.0
-    above = blocks[0, :1, -1:]
-    for s in range(1, two_n + two_m + 1):
-        lsv, sv, vh = np.linalg.svd(raising[s, : count[s - 1], : count[s]])
-        x = vh[::-1].T
-        lowered = min(count[s - 1], count[s])
-        overlap = (lsv[:, lowered - 1 :: -1] * above[:, -lowered:]).sum(axis=0)
-        x[:, -lowered:] *= np.sign(overlap)
-        if lowered < count[s]:
-            x[:, 0] *= np.sign(x[::2, 0].sum() - x[1::2, 0].sum())
-        blocks[s, : count[s], size - count[s] :] = x
-        singular_values[s, size - lowered :] = sv[::-1]
-        above = x
+    stop = 1
+    for (above, here), run in groupby(zip(count[:-1].tolist(), count[1:].tolist())):
+        start, stop = stop, stop + len(list(run))
+        lsv, sv, vh = np.linalg.svd(raising[start:stop, :above, :here])
+        kept = min(above, here)
+        blocks[start:stop, :here, size - here :] = np.swapaxes(vh[:, ::-1], 1, 2)
+        left_vectors[start:stop, :above, size - kept :] = lsv[:, :, kept - 1 :: -1]
+        singular_values[start:stop, size - kept :] = sv[:, ::-1]
+
+    # a lowered column's sign is that of its left vector's overlap with the
+    # unsigned column above, times the sign above: a product down the
+    # weights.  A new highest weight vector takes the sign of its
+    # alternating sum, which makes its first entry positive.
+    lowered = np.minimum(count[:-1], count[1:])
+    overlap = (left_vectors[1:] * blocks[:-1]).sum(axis=1)
+    signs = np.ones((two_n + two_m + 1, size))
+    signs[1:] = np.where(np.arange(size) >= size - lowered[:, None], np.sign(overlap), 1.0)
+    new = np.flatnonzero(lowered < count[1:]) + 1
+    top_vectors = blocks[new, :, size - count[new]]
+    signs[new, size - count[new]] = np.sign(top_vectors[:, ::2].sum(axis=1) - top_vectors[:, 1::2].sum(axis=1))
+    blocks *= np.cumprod(signs, axis=0)[:, None, :]
 
     coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
     arrays = (blocks, rows, coefficients, weight_of, singular_values)
@@ -261,63 +279,80 @@ def decomposition_residuals(params: Params, two_n: int, two_m: int) -> dict:
     Returns max-abs residuals for orthonormality of each V_k and mutual
     orthogonality of different summands, completeness (the V_k V_k* sum to
     the identity) and generator intertwining  D(x) V_k = V_k pi_k(x)  for
-    x in {q, e, f}.
+    x in {q, e, f}.  All three read the per-weight blocks; no dense V_k is
+    formed.
 
-    Orthonormality and completeness are Gram products of the per-weight
-    blocks the V_k are scattered from.  The dense V_k, scattered for this
-    call and not kept on the decomposition, must vanish exactly off the
-    entries joining vectors of equal weight; q intertwining alone would see
-    such an entry only through the gap between q eigenvalues, which closes
-    as t -> 0.  Intertwining takes the V_k side by side, reshaped to
-    (n+1, m+1, sum of k+1), and applies D(q) = q (x) q,
-    D(e) = q (x) e + e (x) q^-1 and D(f) likewise as products along its
-    axes with the diagonals of the `build_rep` factors, so it stays
-    independent of the blocks.  Everything runs in real arithmetic: the
-    largest imaginary part of the V_k is folded into orthonormality, and
-    every factor entry off its diagonal or imaginary into intertwining, so
-    a nonzero one still fails.
+    Orthonormality and completeness are Gram products of the blocks.  A
+    block holds no entry off its weight, so in place of that check the row
+    map must put every product vector on exactly one row, of a block of its
+    own weight, and ``weight_of`` must agree; a fault counts in
+    orthonormality by its size in rows or weight indices, at any t, where
+    q intertwining would see it only through the gap between q eigenvalues.
+    Intertwining lays the blocks out on the product grid, (p, u) by spin,
+    applies D(x) there as shifted diagonal products and compares with
+    pi_k(x), one diagonal entry per spin and weight.  Every coefficient
+    comes from the `build_rep` factors, not from the B_w of the
+    construction.  Everything runs in real arithmetic: the largest
+    imaginary part of the blocks is folded into orthonormality, and every
+    factor entry off its diagonal or imaginary into intertwining, so a
+    nonzero one still fails.
     """
     dec = decompose(params, two_n, two_m)
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
     two_ks = np.array(index_set(two_n, two_m))
     top = two_n + two_m
-    pieces = dec._scatter()
-    v = np.concatenate([p.v.real for p in pieces], axis=1).reshape(left.dim, right.dim, -1)
+    dim = left.dim * right.dim
+    blocks = dec.blocks.real
 
     # spin two_ks[i] has weight index s where its row j = s - (top - two_k)/2
     # is one of 0..two_k; rows of a block past its weight's subspace are padding
     j = np.arange(top + 1)[:, None] - (top - two_ks) // 2
     present = (j >= 0) & (j <= two_ks)
-    valid = dec.rows < left.dim * right.dim
+    valid = (dec.rows >= 0) & (dec.rows < dim)
     eye = np.eye(two_ks.size)
-    gram = np.swapaxes(dec.blocks, 1, 2) @ dec.blocks - present[:, :, None] * eye
-    # weight index of each entry of the stacked V_k, by product vector and by column
-    row_weight = np.add.outer(np.arange(left.dim), np.arange(right.dim))[:, :, None]
-    col_weight = np.concatenate([(top - two_k) // 2 + np.arange(two_k + 1) for two_k in two_ks])
-    off_weight = max_abs(np.where(row_weight == col_weight, 0.0, v))
-    orthonormality = worst((max_abs(gram), off_weight, *(max_abs(p.v.imag) for p in pieces)))
-    completeness = max_abs(dec.blocks @ np.swapaxes(dec.blocks, 1, 2) - valid[:, :, None] * eye)
+    gram = np.swapaxes(blocks, 1, 2) @ blocks - present[:, :, None] * eye
+    completeness = max_abs(blocks @ np.swapaxes(blocks, 1, 2) - valid[:, :, None] * eye)
+    # product vector (p, u) has weight index p + u
+    weight = np.add.outer(np.arange(left.dim), np.arange(right.dim))
+    placed = dec.rows[valid]
+    row_map = (
+        np.bincount(placed, minlength=dim) - 1,
+        weight.reshape(-1)[placed] - np.nonzero(valid)[0],
+        dec.weight_of - weight.reshape(-1),
+    )
+    orthonormality = worst((max_abs(gram), *map(max_abs, row_map), max_abs(dec.blocks.imag)))
 
+    # v[p, u, i]: the entry of product vector (p, u) in spin column i
+    v = np.zeros((dim + 1, two_ks.size))
+    v[np.where(valid, dec.rows, dim)] = blocks
+    v = v[:dim].reshape(left.dim, right.dim, -1)
     q_l, _, e_l, f_l, stray_l = _factor(left)
     q_r, q_inv_r, e_r, f_r, stray_r = _factor(right)
-    q_k, _, e_k, f_k, stray_k = zip(*(_factor(build_rep(params, p.two_k, +1)) for p in pieces))
+    q_k, _, e_k, f_k, stray_k = zip(*(_factor(build_rep(params, two_k, +1)) for two_k in two_ks.tolist()))
+    # entry j of the diagonals of spin two_ks[i], all spins side by side
+    flat = np.where(present, np.cumsum(two_ks + 1) - two_ks - 1 + j, 0)
+
+    def pi(diags, shift):
+        """The factor pi_k(x) puts on the column arriving at row j of spin
+        i, for j its row at weight p + u: entry j - shift of its diagonal."""
+        return np.where(present & (j >= shift), np.concatenate(diags)[flat - shift], 0.0)[weight]
+
     res, tmp = np.empty_like(v), np.empty_like(v)
-    np.subtract(np.multiply.outer(q_l, q_r)[:, :, None], np.concatenate(q_k), out=res)
+    np.subtract(np.multiply.outer(q_l, q_r)[:, :, None], pi(q_k, 0), out=res)
     res *= v
     values = [stray_l, stray_r, *stray_k, max_abs(res)]
-    # D(x) = q (x) x + x (x) q^-1 for x = e, f; pi(x) of the direct sum
-    # keeps one diagonal, zero between summands
+    # D(x) = q (x) x + x (x) q^-1 for x = e, f; pi_k(e) takes row j + 1 to
+    # j, pi_k(f) row j - 1 to j
     for x_l, x_r, x_k, offset in ((e_l, e_r, e_k, 1), (f_l, f_r, f_k, -1)):
         right_leg = np.multiply.outer(q_l, x_r[:-1])[:, :, None]
         left_leg = np.multiply.outer(x_l[:-1], q_inv_r)[:, :, None]
-        pi_x = np.concatenate(x_k)[:-1]
         # x moves a basis index by -offset: entry i of x v reads entry
         # i + offset, and the one entry with nothing to read is zero
         to, at = (slice(None, -1), slice(1, None))[::offset]
         res[:, -1 if offset > 0 else 0] = 0.0
         np.multiply(right_leg, v[:, at], out=res[:, to])
         res[to] += np.multiply(left_leg, v[at], out=tmp[to])
-        res[:, :, at] -= np.multiply(pi_x, v[:, :, to], out=tmp[:, :, at])
+        res -= np.multiply(pi(x_k, 0 if offset > 0 else 1), v, out=tmp)
         values.append(max_abs(res))
     return {"orthonormality": orthonormality, "completeness": completeness, "intertwining": worst(values)}

@@ -36,8 +36,9 @@ from .reps import build_rep, evaluate
 from .util import max_abs, read_only, weight_index, weights, worst
 from .words import AlgPoly
 
-# bytes of the padded (weights, spins, product vectors) intermediate one
-# slab of `coproduct_component` may hold
+# bytes of the padded (weights, spins, product vectors) intermediate up to
+# which `coproduct_component` takes every weight in one batched product;
+# past it each weight runs on its live block
 _SLAB_BYTES = 1 << 19
 
 
@@ -175,10 +176,12 @@ def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -
     decomposition: the (w, w') block of sum_k V_k a_k V_k* is
     X_w A_(w,w') X_w'^T, with A_(w,w') diagonal over the spins k and entries
     a_k[(k - w)/2, (k - w')/2].  Only weights |w| <= the largest spin of a
-    in the index set meet a.  They go through a batched real-times-complex
-    product in slabs of consecutive weights, each slab's padded
-    intermediate held under a fixed byte budget, and every slab's rows are
-    written straight into the result.  The dense V_k are never formed.
+    in the index set meet a.  Where the padded intermediate of all those
+    weights fits a fixed byte budget (small spins), they go through one
+    batched real-times-complex product.  Past it, each weight multiplies
+    only its live block, its product vectors by the spins that have the
+    weight, and writes the product straight into its rows of the result,
+    which form one strided run.  The dense V_k are never formed.
     """
     dim = (two_n + 1) * (two_m + 1)
     two_ks = [k for k in index_set(two_n, two_m) if k in a.blocks]
@@ -195,18 +198,31 @@ def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -
         s0 = (two_n + two_m - two_k) // 2
         amat[s0 - lo : s0 - lo + two_k + 1, (two_k - base) // 2, s0 : s0 + two_k + 1] = a.blocks[two_k]
     coefficients = dec.coefficients[:size]
-    full = np.zeros((dim + 1, dim), dtype=complex)
-    step = max(1, _SLAB_BYTES // (16 * size * dim))
-    for start in range(0, top + 1, step):
-        stop = min(start + step, top + 1)
+    weights_met = slice(lo, lo + top + 1)
+    if 16 * size * dim * (top + 1) <= _SLAB_BYTES:
         # the rows of A V*, gathered by weight: columns of amat spread over
         # the product vectors of each weight, times their CG coefficients
-        rows_av = np.take(amat[start:stop], dec.weight_of, axis=2)
+        rows_av = np.take(amat, dec.weight_of, axis=2)
         rows_av *= coefficients
-        weights_met = slice(lo + start, lo + stop)
         out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
+        full = np.zeros((dim + 1, dim), dtype=complex)
         full[dec.rows[weights_met]] = out
-    return full[:dim]
+        return full[:dim]
+    # weight s holds count[s] product vectors and the count[s] largest
+    # spins, from column first[s] on: its live block takes just the rows of
+    # A V* of those spins, and its product vectors (p, s - p) are the rows
+    # s + 2m p of the result, a strided run the product is written into
+    count = np.count_nonzero(dec.rows[weights_met] < dim, axis=1)
+    first = dec.blocks.shape[2] - count
+    full = np.zeros((dim, dim), dtype=complex)
+    step = max(two_m, 1)
+    starts = dec.rows[weights_met, 0].tolist()
+    for s, row, rows, col in zip(range(lo, lo + top + 1), starts, count.tolist(), first.tolist()):
+        live = np.take(amat[s - lo, col:], dec.weight_of, axis=1)
+        live *= coefficients[col:]
+        run = full[row : row + step * (rows - 1) + 1 : step]
+        np.matmul(dec.blocks[s, :rows, col:size], live.view(float), out=run.view(float))
+    return full
 
 
 def coproduct_window(params: Params, a: AlgElement, pairs) -> BiElement:

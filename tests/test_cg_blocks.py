@@ -1,6 +1,7 @@
 """Clebsch-Gordan on the weight blocks against the dense references.
 
-The references below are the dense forms the graded code replaced: the
+The references below are the forms the graded code replaced: the
+per-weight loop of `decompose` that fixed each sign as it went, the
 one-batch padded `coproduct_component`, the definitional sum
 sum_k V_k a_k V_k^T over dense pieces, the certificates computed against
 the dense generator images of `tensor_rep`, and the eager scatter of the
@@ -9,6 +10,7 @@ it does the same arithmetic and to roundoff where it does not.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +20,67 @@ from suq2.clebsch import decompose, decomposition_residuals, index_set, tensor_r
 from suq2.discrete import AlgElement, coproduct_component
 from suq2.params import Params
 from suq2.reps import build_rep
-from suq2.util import max_abs, worst
+from suq2.util import max_abs, weights, worst
 
 SMALL_PAIRS = [(two_n, two_m) for two_n in range(17) for two_m in range(17)]
 PARAMS_03 = Params(t=0.3)
+
+
+def reference_decompose(params, two_n, two_m):
+    """One SVD per weight, each column signed as soon as it is found."""
+    left = build_rep(params, two_n, +1)
+    right = build_rep(params, two_m, +1)
+    size = len(index_set(two_n, two_m))
+    dim = left.dim * right.dim
+    q_left = np.exp(0.5 * params.t * weights(two_n))
+    q_inv_right = np.exp(-0.5 * params.t * weights(two_m))
+    p, u = np.divmod(np.arange(dim), right.dim)
+    weight_of = p + u
+    lo = np.maximum(0, np.arange(two_n + two_m + 1) - two_m)
+    count = (np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1).tolist()
+    slots = weight_of * size + p - lo[weight_of]
+    rows = np.full((two_n + two_m + 1) * size, dim)
+    rows[slots] = np.arange(dim)
+    rows = rows.reshape(-1, size)
+    raising = np.zeros((two_n + two_m + 1, size, size))
+    up = u >= 1
+    s_up = weight_of[up]
+    raising[s_up, p[up] - lo[s_up - 1], p[up] - lo[s_up]] = q_left[p[up]] * right.r[u[up] - 1]
+    up = p >= 1
+    s_up = weight_of[up]
+    raising[s_up, p[up] - 1 - lo[s_up - 1], p[up] - lo[s_up]] = left.r[p[up] - 1] * q_inv_right[u[up]]
+    finite = np.isfinite(raising).all(axis=(1, 2))
+    if not finite.all():
+        first = two_n + two_m - 2 * int(np.argmin(finite))
+        raise ValueError(
+            f"decompose: B_w of 2n = {two_n}, 2m = {two_m} at t = {params.t!r} is not "
+            f"finite, first at doubled weight w = {first}"
+        )
+
+    blocks = np.zeros((two_n + two_m + 1, size, size))
+    singular_values = np.zeros((two_n + two_m + 1, size))
+    blocks[0, 0, -1] = 1.0
+    above = blocks[0, :1, -1:]
+    for s in range(1, two_n + two_m + 1):
+        lsv, sv, vh = np.linalg.svd(raising[s, : count[s - 1], : count[s]])
+        x = vh[::-1].T
+        lowered = min(count[s - 1], count[s])
+        overlap = (lsv[:, lowered - 1 :: -1] * above[:, -lowered:]).sum(axis=0)
+        x[:, -lowered:] *= np.sign(overlap)
+        if lowered < count[s]:
+            x[:, 0] *= np.sign(x[::2, 0].sum() - x[1::2, 0].sum())
+        blocks[s, : count[s], size - count[s] :] = x
+        singular_values[s, size - lowered :] = sv[::-1]
+        above = x
+
+    coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
+    return {
+        "blocks": blocks,
+        "singular_values": singular_values,
+        "coefficients": coefficients,
+        "rows": rows,
+        "weight_of": weight_of,
+    }
 
 
 def reference_coproduct_component(params, a, two_n, two_m):
@@ -48,13 +107,16 @@ def reference_coproduct_component(params, a, two_n, two_m):
 
 
 def definitional_coproduct_component(params, a, two_n, two_m):
-    """sum_k V_k a_k V_k^T over the dense pieces."""
+    """sum_k V_k a_k V_k^T over the dense pieces, which are real: the real
+    and imaginary parts of a_k are carried through apart."""
     dim = (two_n + 1) * (two_m + 1)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((2, dim, dim))
     for piece in decompose(params, two_n, two_m).pieces:
         if piece.two_k in a.blocks:
-            out += piece.v @ a.blocks[piece.two_k] @ piece.v.T
-    return out
+            v = piece.v.real
+            va = v @ a.blocks[piece.two_k]
+            out += np.stack((va.real, va.imag)) @ v.T
+    return out[0] + 1j * out[1]
 
 
 def reference_residuals(params, two_n, two_m):
@@ -95,11 +157,30 @@ def _supports(two_n, two_m):
 
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_decompose_matches_the_per_weight_loop(t):
+    params = Params(t=t)
+    try:
+        for two_n, two_m in SMALL_PAIRS + [(24, 24), (24, 16), (32, 20), (48, 48)]:
+            try:
+                expected = reference_decompose(params, two_n, two_m)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    decompose(params, two_n, two_m)
+                continue
+            dec = decompose(params, two_n, two_m)
+            for name, array in expected.items():
+                np.testing.assert_array_equal(getattr(dec, name), array, err_msg=f"{name} at {two_n}, {two_m}")
+            decompose.cache_clear()
+    finally:
+        decompose.cache_clear()
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_coproduct_component_matches_the_padded_kernel_and_the_definition(t):
     params = Params(t=t)
     rng = np.random.default_rng(int(10 * t))
     try:
-        for two_n, two_m in SMALL_PAIRS + [(24, 24), (24, 16)]:
+        for two_n, two_m in SMALL_PAIRS + [(24, 24), (24, 16), (32, 32), (32, 20), (17, 9), (48, 40)]:
             for name, support in _supports(two_n, two_m).items():
                 a = AlgElement(
                     {k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1)) for k in support}
@@ -114,13 +195,15 @@ def test_coproduct_component_matches_the_padded_kernel_and_the_definition(t):
         decompose.cache_clear()
 
 
-@pytest.mark.parametrize("budget", (1, 1 << 12))
+@pytest.mark.parametrize("budget", (1, 1 << 12, 1 << 24))
 def test_coproduct_component_does_not_depend_on_the_slab_size(monkeypatch, budget):
-    # budget 1 runs one weight per slab; 1 << 12 cuts the larger pairs into a few
+    # the one padded slab runs where it fits the budget, every weight on its
+    # live block elsewhere: budget 1 takes the live blocks everywhere, 1 << 12
+    # keeps the smallest pairs in one slab, and 1 << 24 holds up to (24, 24)
     params = Params(t=0.3)
     monkeypatch.setattr(discrete, "_SLAB_BYTES", budget)
     rng = np.random.default_rng(budget)
-    for two_n, two_m in ((0, 0), (1, 2), (4, 4), (8, 5), (8, 8)):
+    for two_n, two_m in ((0, 0), (1, 2), (4, 4), (8, 5), (8, 8), (24, 24), (24, 16), (17, 9)):
         for support in _supports(two_n, two_m).values():
             a = AlgElement({k: rng.standard_normal((k + 1, k + 1)) + 0.5j for k in support})
             np.testing.assert_array_equal(
@@ -194,21 +277,21 @@ def test_certificates_fail_on_a_perturbed_entry(monkeypatch, two_n, two_m):
 
 @pytest.mark.parametrize("t", (0.05, 0.3))
 def test_orthonormality_sees_an_entry_off_its_weight(monkeypatch, t):
-    """The Gram products read the blocks, not the scattered V_k; an entry of
-    a V_k joining vectors of different weights must fail by its full size,
-    not scaled down by the q eigenvalue gap as in q intertwining."""
+    """The blocks cannot hold an entry off its weight; the row map can put
+    a block row on a product vector of another weight, or on one that
+    already has a row.  Either must fail by its full size, not scaled down
+    by the q eigenvalue gap as in q intertwining."""
     params = Params(t=t)
-    scatter = clebsch.Decomposition._scatter
-
-    def scatter_with_stray(dec):
-        pieces = scatter(dec)
-        v = pieces[-1].v.copy()
-        # product vector 1 = (0, 1) has weight index 1, column 0 of the top spin weight index 0
-        v[1, 0] += 2e-9
-        return pieces[:-1] + (dataclasses.replace(pieces[-1], v=v),)
-
-    monkeypatch.setattr(clebsch.Decomposition, "_scatter", scatter_with_stray)
-    assert decomposition_residuals(params, 2, 2)["orthonormality"] >= 2e-9
+    dec = decompose(params, 2, 2)
+    # weight index 1 holds product vectors 1 = (0, 1) and 3 = (1, 0),
+    # weight index 2 holds 2 = (0, 2), 4 = (1, 1) and 6 = (2, 0)
+    swapped = dec.rows.copy()
+    swapped[1, 0], swapped[2, 0] = swapped[2, 0], swapped[1, 0]
+    doubled = dec.rows.copy()
+    doubled[2, 1] = doubled[2, 0]
+    for rows in (swapped, doubled):
+        monkeypatch.setattr(clebsch, "decompose", lambda *args: dataclasses.replace(dec, rows=rows))
+        assert decomposition_residuals(params, 2, 2)["orthonormality"] >= 1.0
 
 
 def test_pieces_are_built_on_first_read_only():

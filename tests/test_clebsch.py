@@ -51,11 +51,9 @@ def test_decomposition_residuals(two_n, two_m):
 
 def test_decomposition_residuals_see_an_imaginary_part(monkeypatch):
     """The certificates multiply in real arithmetic; an imaginary part of
-    the pieces or of a generator image must still fail them."""
-    scatter = clebsch.Decomposition._scatter
-    monkeypatch.setattr(
-        clebsch.Decomposition, "_scatter", lambda dec: tuple(dataclasses.replace(p, v=p.v + 1e-6j) for p in scatter(dec))
-    )
+    the blocks or of a generator image must still fail them."""
+    dec = decompose(PARAMS, 2, 1)
+    monkeypatch.setattr(clebsch, "decompose", lambda *args: dataclasses.replace(dec, blocks=dec.blocks + 1e-6j))
     assert decomposition_residuals(PARAMS, 2, 1)["orthonormality"] >= 1e-6
     monkeypatch.undo()
 
