@@ -48,18 +48,22 @@ from .dual import U_LABELS
 _ENV_PREFIX = "SUQ2_"
 
 
-def _env(name: str, cast, default):
+def _env(name: str, cast, default, choices=None):
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
+        if choices is None or value in choices:
+            return value
     except ValueError:
-        sys.stderr.write(f"suq2: invalid {_ENV_PREFIX + name}={raw!r}\n")
-        raise SystemExit(2)
+        pass
+    sys.stderr.write(f"suq2: invalid {_ENV_PREFIX + name}={raw!r}\n")
+    raise SystemExit(2)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    formats = ("json", "csv")
     parser.add_argument(
         "--t",
         type=float,
@@ -86,8 +90,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("json", "csv"),
-        default=_env("FORMAT", str, "json"),
+        choices=formats,
+        default=_env("FORMAT", str, "json", formats),
         dest="fmt",
         help="output format",
     )

@@ -20,10 +20,11 @@ class Params:
     t : float
         Deformation parameter, must be positive.  lam = exp(t).
     tol_abs : float
-        Absolute tolerance for residual checks.
+        Absolute tolerance for residual checks, finite and nonnegative.
     tol_rel : float
-        Relative tolerance, used where a natural scale is available (the
-        rank of the dual span check, the classifier's annihilation test).
+        Relative tolerance, finite and nonnegative, used where a natural
+        scale is available (the rank of the dual span check, the
+        classifier's annihilation test).
     """
 
     t: float = 0.3
@@ -33,8 +34,10 @@ class Params:
     def __post_init__(self):
         if not (self.t > 0.0 and math.isfinite(self.t)):
             raise ValueError(f"deformation parameter t must be positive, got {self.t!r}")
-        if self.tol_abs < 0.0 or self.tol_rel < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("tol_abs", "tol_rel"):
+            tol = getattr(self, name)
+            if not (tol >= 0.0 and math.isfinite(tol)):
+                raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
     @property
     def lam(self) -> float:

@@ -165,31 +165,27 @@ def ladder_poly_matrix(params: Params, rep: Rep, k: int) -> np.ndarray:
 def classify_by_highest_weight(params: Params, q, e, f) -> tuple:
     """Identify an irreducible *-representation from its generator matrices.
 
-    Finds the q-eigenvector annihilated by e, reads the eigenvalue
-    a = sign * lam^n off it, and returns ``(two_n, sign)``.  The input may
-    be given in any orthonormal basis (the weight basis is not assumed).
+    Reads ker e first, from one SVD of e: the right singular vectors with
+    singular value at most tol_abs + tol_rel * max(1, max|e|).  The
+    eigenvalue of largest modulus of q's Hermitian part on that kernel is
+    a = sign * lam^n, and ``(two_n, sign)`` is returned.  The input may be
+    given in any orthonormal basis (the weight basis is not assumed).
 
     Raises
     ------
     ValueError
-        If no eigenvector is annihilated by e, if |a| does not sit on the
+        If no vector is annihilated by e, if |a| does not sit on the
         half-integer grid lam^(Z/2), or if the dimension is inconsistent
         with the recovered spin.
     """
     q = np.asarray(q, dtype=complex)
     dim = q.shape[0]
-    vals, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
-
-    scale = max(1.0, max_abs(e))
-    threshold = params.tol_abs + params.tol_rel * scale
-    candidates = [
-        i for i in range(dim) if float(np.linalg.norm(e @ vecs[:, i])) <= threshold
-    ]
-    if not candidates:
-        raise ValueError("no q-eigenvector is annihilated by e; not an irreducible *-representation")
-
-    top = max(candidates, key=lambda i: abs(vals[i]))
-    a = float(vals[top])
+    _, s, vh = np.linalg.svd(e)
+    kernel = vh[s <= params.tol_abs + params.tol_rel * max(1.0, max_abs(e))].conj().T
+    if kernel.shape[1] == 0:
+        raise ValueError("no vector is annihilated by e; not an irreducible *-representation")
+    vals = np.linalg.eigvalsh(kernel.conj().T @ (0.5 * (q + q.conj().T)) @ kernel)
+    a = float(vals[np.argmax(np.abs(vals))])
     if abs(a) <= 0.0:
         raise ValueError("highest weight eigenvalue is zero; q must be invertible")
 

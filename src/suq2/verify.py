@@ -28,6 +28,7 @@ same configuration produce byte-identical serializations.
 """
 
 import functools
+import itertools
 import json
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
@@ -210,14 +211,8 @@ def _flatten(doc, prefix=""):
     elif isinstance(doc, (list, tuple)):
         for i, v in enumerate(doc):
             yield from _flatten(v, f"{prefix}[{i}]")
-    elif isinstance(doc, bool):
-        yield prefix, "true" if doc else "false"
-    elif doc is None:
-        yield prefix, "null"
-    elif isinstance(doc, (int, np.integer)):
-        yield prefix, str(int(doc))
-    elif isinstance(doc, (float, np.floating)):
-        yield prefix, _format_float(doc)
+    elif doc is None or isinstance(doc, (int, float, np.integer, np.floating)):
+        yield prefix, dump_json(doc)
     elif isinstance(doc, (complex, np.complexfloating)):
         yield prefix + ".re", _format_float(doc.real)
         yield prefix + ".im", _format_float(doc.imag)
@@ -619,13 +614,7 @@ def _battery(gen):
 
 
 def _all_words(max_len: int):
-    letters = list(Gen)
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (g,) for w in frontier for g in letters]
-        out.extend(frontier)
-    return out
+    return [w for k in range(max_len + 1) for w in itertools.product(Gen, repeat=k)]
 
 
 @_battery

@@ -207,6 +207,30 @@ def test_garbage_environment_exits_two():
     assert "SUQ2_T" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["tables", "verify"])
+def test_environment_format_outside_the_choices_exits_two(command):
+    # argparse checks --format against its choices, but not a default
+    result = run_cli(command, env_extra={"SUQ2_FORMAT": "xml"})
+    assert result.returncode == 2
+    assert "suq2: invalid SUQ2_FORMAT='xml'" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--tol-abs", "nan"),
+        ("rep", "--n", "2", "--tol-abs", "nan"),
+        ("cg", "--n", "1", "--m", "1", "--tol-abs", "inf"),
+    ],
+)
+def test_non_finite_tolerance_exits_two(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert "suq2: error: tol_abs must be finite and nonnegative" in result.stderr
+    assert result.stdout == ""
+
+
 SEEDED_CHECKS = {
     "dqg/antipode-laws",
     "dqg/antipode-squared",

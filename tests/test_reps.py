@@ -160,16 +160,37 @@ def test_classification_round_trip(two_n, sign):
     assert classify_by_highest_weight(PARAMS, rep.q, rep.e, rep.f) == (two_n, sign)
 
 
+def _haar_conjugation(dim: int, seed: int):
+    """m -> u m u* for a seeded Haar-random unitary u."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u, r = np.linalg.qr(z)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+    return lambda m: u @ m @ u.conj().T
+
+
 @pytest.mark.parametrize("two_n", range(0, 7))
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_classification_survives_unitary_conjugation(two_n, sign):
-    rng = np.random.default_rng(12345 + two_n)
     rep = build_rep(PARAMS, two_n, sign)
-    z = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
-    u, r = np.linalg.qr(z)
-    u = u * (np.diag(r) / np.abs(np.diag(r)))[None, :]
-    conj = lambda m: u @ m @ u.conj().T
+    conj = _haar_conjugation(rep.dim, 12345 + two_n)
     assert classify_by_highest_weight(PARAMS, conj(rep.q), conj(rep.e), conj(rep.f)) == (
+        two_n,
+        sign,
+    )
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-6])
+@pytest.mark.parametrize("two_n", range(0, 7))
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_classification_near_the_classical_limit(t, two_n, sign):
+    # neighbouring q-eigenvalues differ by about t / 2, so eigenvectors of a
+    # conjugated q mix weights at t = 1e-8; ker e is still the top weight line
+    params = Params(t=t)
+    rep = build_rep(params, two_n, sign)
+    assert classify_by_highest_weight(params, rep.q, rep.e, rep.f) == (two_n, sign)
+    conj = _haar_conjugation(rep.dim, 12345 + two_n)
+    assert classify_by_highest_weight(params, conj(rep.q), conj(rep.e), conj(rep.f)) == (
         two_n,
         sign,
     )

@@ -10,7 +10,7 @@ from suq2.clebsch import decompose
 from suq2.discrete import conjugate_unitary
 from suq2.params import Params
 from suq2.reps import build_rep
-from suq2.verify import SUITES, RunConfig, dump_json, report_csv, report_doc, run_suite
+from suq2.verify import SUITES, RunConfig, doc_csv, dump_json, report_csv, report_doc, run_suite
 
 HOPF_IDS = [
     "words/antipode-antihomomorphism",
@@ -257,3 +257,30 @@ def test_cached_arrays_are_read_only():
     assert not any(a.flags.writeable for a in arrays)
     report = run_suite(RunConfig(), "dqg")
     assert not [c.id for c in report.checks if not c.passed]
+
+
+def test_csv_cells_render_scalars_like_json():
+    doc = {
+        "flag": True,
+        "none": None,
+        "ints": [3, np.int64(-2)],
+        "floats": [0.1, np.float32(0.5), np.float64(1e-300)],
+        "z": 1 + 2j,
+        "s": 'a "b"',
+    }
+    rows = doc_csv(doc).splitlines()[1:]
+    assert rows == [
+        "flag,true",
+        "none,null",
+        "ints[0],3",
+        "ints[1],-2",
+        "floats[0]," + dump_json(0.1),
+        "floats[1],0.5",
+        "floats[2]," + dump_json(1e-300),
+        "z.re,1",
+        "z.im,2",
+        's,"a ""b"""',
+    ]
+    # an array cannot end up in one cell
+    with pytest.raises(TypeError):
+        doc_csv({"m": np.zeros(2)})
