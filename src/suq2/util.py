@@ -27,6 +27,14 @@ def worst(values) -> float:
     return float(np.max(np.fromiter(values, float), initial=0.0))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, the same single products, as one
+    broadcast product without the general-rank wrapper that costs more
+    than the small products made here."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     """``array`` with writes disabled; for arrays a cache hands to every
     caller, so that an in-place edit raises instead of corrupting later

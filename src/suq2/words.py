@@ -20,9 +20,14 @@ Polynomials (``AlgPoly``, keyed by words) and tensors (``TensorPoly``,
 keyed by tuples of words, one per leg) share the storage base
 ``WordSum``: a dict of exact-zero-pruned complex coefficients whose
 product and star differ only in how keys are joined and starred.
+
+The coproduct of each word is folded once per process and kept in a
+module-level ``lru_cache``.  A cached polynomial is only read inside this
+module; every public function returns a fresh object its caller may edit.
 """
 
 from enum import Enum
+from functools import lru_cache
 from operator import add
 
 from .util import worst
@@ -199,15 +204,24 @@ _COPRODUCT_LETTER = {
 _COUNIT_LETTER = {Gen.Q: 1.0, Gen.QINV: 1.0, Gen.E: 0.0, Gen.F: 0.0}
 
 
+@lru_cache(maxsize=None)
+def _word_coproduct(word) -> TensorPoly:
+    """D(word) with unit coefficient, the left fold D(w[:-1]) D(last letter)
+    over memoized prefixes.  Shared by every caller, so never handed out:
+    its terms are only read."""
+    if not word:
+        return TensorPoly({((), ()): 1.0})
+    return _word_coproduct(word[:-1]) * _COPRODUCT_LETTER[word[-1]]
+
+
 def formal_coproduct(x: AlgPoly) -> TensorPoly:
-    """Letterwise comultiplication, extended multiplicatively to words."""
-    total = TensorPoly()
+    """Letterwise comultiplication, extended multiplicatively to words;
+    a fresh `TensorPoly`, which the caller owns."""
+    out = {}
     for word, coeff in x.terms.items():
-        term = TensorPoly({((), ()): coeff})
-        for g in word:
-            term = term * _COPRODUCT_LETTER[g]
-        total = total + term
-    return total
+        for key, c in _word_coproduct(word).terms.items():
+            out[key] = out.get(key, 0.0) + coeff * c
+    return TensorPoly._wrap(out)
 
 
 def formal_counit(x: AlgPoly) -> complex:
@@ -221,14 +235,20 @@ def formal_counit(x: AlgPoly) -> complex:
     return complex(total)
 
 
-def formal_antipode(x: AlgPoly, lam: float) -> AlgPoly:
-    """Antihomomorphism with S(q) = q^-1, S(e) = -e/lam, S(f) = -lam f."""
-    letter = {
+@lru_cache(maxsize=None)
+def _antipode_letters(lam: float) -> dict:
+    """Each letter's antipode image as (word, factor); never handed out."""
+    return {
         Gen.Q: ((Gen.QINV,), 1.0),
         Gen.QINV: ((Gen.Q,), 1.0),
         Gen.E: ((Gen.E,), -1.0 / lam),
         Gen.F: ((Gen.F,), -lam),
     }
+
+
+def formal_antipode(x: AlgPoly, lam: float) -> AlgPoly:
+    """Antihomomorphism with S(q) = q^-1, S(e) = -e/lam, S(f) = -lam f."""
+    letter = _antipode_letters(lam)
     out = {}
     for word, coeff in x.terms.items():
         new_word = ()
@@ -249,10 +269,9 @@ def coproduct_leg(tp: TensorPoly, leg: int) -> dict:
     """
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
-    total = TensorPoly()
+    out = {}
     for (w1, w2), coeff in tp.terms.items():
-        expanded = formal_coproduct(AlgPoly({w1 if leg == 0 else w2: 1.0}))
-        total = total + TensorPoly(
-            {((a, b, w2) if leg == 0 else (w1, a, b)): coeff * c for (a, b), c in expanded.terms.items()}
-        )
-    return total.terms
+        for (a, b), c in _word_coproduct(w1 if leg == 0 else w2).terms.items():
+            key = (a, b, w2) if leg == 0 else (w1, a, b)
+            out[key] = out.get(key, 0.0) + coeff * c
+    return TensorPoly._wrap(out).terms

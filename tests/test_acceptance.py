@@ -465,39 +465,39 @@ def test_acceptance_09_classification(acceptance_report):
 
 
 def test_acceptance_10_determinism(acceptance_report):
+    """Two in-process runs, the second on warm caches, against fresh
+    children: ``hopf`` twice in children, ``all`` once, cold."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUQ2_")}
     results = {}
     for t in T_VALUES:
-        config = RunConfig(t=t, nmax2=4, seed=0)
-        in_process_1 = dump_json(report_doc(run_suite(config, "hopf")))
-        in_process_2 = dump_json(report_doc(run_suite(config, "hopf")))
+        for suite, children in (("hopf", 2), ("all", 1)):
+            config = RunConfig(t=t, nmax2=4, seed=0)
+            in_process_1 = dump_json(report_doc(run_suite(config, suite)))
+            in_process_2 = dump_json(report_doc(run_suite(config, suite)))
 
-        cmd = [
-            sys.executable,
-            "-m",
-            "suq2.cli",
-            "verify",
-            "--suite",
-            "hopf",
-            "--t",
-            str(t),
-            "--nmax",
-            "4",
-            "--seed",
-            "0",
-        ]
-        env = {k: v for k, v in os.environ.items() if not k.startswith("SUQ2_")}
-        sub_1 = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
-        sub_2 = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
-
-        ok = (
-            in_process_1 == in_process_2
-            and sub_1.returncode == 0
-            and sub_1.stdout == sub_2.stdout
-            and sub_1.stdout.strip() == in_process_1
-        )
-        results[t] = ok
+            cmd = [
+                sys.executable,
+                "-m",
+                "suq2.cli",
+                "verify",
+                "--suite",
+                suite,
+                "--t",
+                str(t),
+                "--nmax",
+                "4",
+                "--seed",
+                "0",
+            ]
+            subs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env) for _ in range(children)]
+            results[t, suite] = (
+                in_process_1 == in_process_2
+                and all(sub.returncode == 0 and sub.stdout.strip() == in_process_1 for sub in subs)
+            )
     passed = all(results.values())
-    detail = "; ".join(f"t={t}: {'byte-identical' if ok else 'drifted'}" for t, ok in results.items())
+    detail = "; ".join(
+        f"t={t} {suite}: {'byte-identical' if ok else 'drifted'}" for (t, suite), ok in results.items()
+    )
     _record(acceptance_report, 10, "deterministic reports", passed, detail)
-    for t, ok in results.items():
-        assert ok, f"t={t}: reports are not byte-identical"
+    for (t, suite), ok in results.items():
+        assert ok, f"t={t}, suite {suite}: reports are not byte-identical"

@@ -38,12 +38,14 @@ from suq2.discrete import (
 )
 from suq2.params import Params
 from suq2.reps import build_rep, evaluate, evaluate_in
-from suq2.util import max_abs, weight_index, weights, worst
+from suq2.util import kron, max_abs, weight_index, weights, worst
 from suq2.verify import (
     WORD_BATTERY,
     _antipode_law_residuals,
     _coassociativity_residuals,
+    _flip_residuals,
     _invariance_residuals,
+    _scaling_compat_residuals,
     _matrix_units,
     _random_alg_element,
     antipode_law_residual,
@@ -291,3 +293,49 @@ def test_scaling_multiplier_matches_the_product_phases(t):
                 block = coproduct_component(params, a, two_n, two_m)
                 expected = max_abs(coproduct_component(params, scaling(params, a, s), two_n, two_m) - block * reference)
                 assert abs(scaling_compat_residual(params, a, two_n, two_m, s) - expected) <= 1e-15 * max_abs(block)
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0))
+def test_scaling_and_flip_kernels_match_the_one_element_helpers(t):
+    """The batched kernels of dqg/scaling-coproduct and dqg/flip-coproduct
+    give, item by item, the one-element helpers' residuals."""
+    params = Params(t=t)
+    words, units, randoms = hopf_battery_elements(params)
+    elements = randoms + [words["ef"], units[1]]
+    pairs = [(two_n, two_m) for two_n in range(4) for two_m in range(5)]
+    kernel = _scaling_compat_residuals(params, elements, S_VALUES, pairs)
+    reference = [[[scaling_compat_residual(params, a, *pair, s) for pair in pairs] for s in S_VALUES] for a in elements]
+    np.testing.assert_array_equal(kernel, np.array(reference))
+    # and the per-item form, every map evaluated anew for each item
+    direct = [
+        [
+            [
+                max_abs(
+                    coproduct_component(params, scaling(params, a, s), *pair)
+                    - coproduct_component(params, a, *pair)
+                    * np.kron(*(scaling_block(params, k, np.ones((k + 1, k + 1)), s) for k in pair))
+                )
+                for pair in pairs
+            ]
+            for s in S_VALUES
+        ]
+        for a in elements
+    ]
+    np.testing.assert_array_equal(kernel, np.array(direct))
+    kernel = _flip_residuals(params, elements, pairs)
+    reference = [[flip_residual(params, a, *pair) for pair in pairs] for a in elements]
+    np.testing.assert_array_equal(kernel, np.array(reference))
+
+
+def test_kron_is_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for shape_a, shape_b in (((1, 1), (3, 3)), ((2, 3), (4, 1)), ((5, 5), (5, 5)), ((3, 2), (0, 2))):
+        for dtype in (float, complex):
+            a = rng.standard_normal(shape_a).astype(dtype)
+            b = rng.standard_normal(shape_b).astype(dtype)
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(shape_a)
+                b = b + 1j * rng.standard_normal(shape_b)
+            out = kron(a, b)
+            assert out.dtype == np.kron(a, b).dtype
+            np.testing.assert_array_equal(out, np.kron(a, b))

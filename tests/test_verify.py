@@ -2,15 +2,17 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from suq2.clebsch import decompose
+from suq2.clebsch import decompose, tensor_rep
 from suq2.discrete import conjugate_unitary
 from suq2.params import Params
 from suq2.reps import build_rep
-from suq2.verify import SUITES, RunConfig, doc_csv, dump_json, report_csv, report_doc, run_suite
+from suq2.verify import SUITES, RunConfig, _leg_matrix, doc_csv, dump_json, report_csv, report_doc, run_suite
+from suq2.words import Gen
 
 HOPF_IDS = [
     "words/antipode-antihomomorphism",
@@ -147,6 +149,36 @@ def test_all_suite_is_the_union(reports):
     assert [c.id for c in reports["all"].checks] == union
 
 
+def clear_caches():
+    """Empty every cache bound in a suq2 module, so the next run is cold."""
+    for name, module in list(sys.modules.items()):
+        if name == "suq2" or name.startswith("suq2."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_each_suite_matches_its_all_rows_in_either_order():
+    """The memoized intermediates make no check depend on what ran before:
+    each suite, run before and after ``all`` from cold caches, serializes
+    to the rows ``all`` gives for its ids, byte for byte.  Before ``all``
+    the suites run in reverse, so ``dqg`` fills the shared caches first."""
+    config = RunConfig(seed=7)
+    parts = ("hopf", "dqg", "dual")
+    rows = lambda report: {c["id"]: dump_json(c) for c in report_doc(report)["checks"]}
+    clear_caches()
+    before = {suite: rows(run_suite(config, suite)) for suite in reversed(parts)}
+    all_after = rows(run_suite(config, "all"))
+    clear_caches()
+    all_before = rows(run_suite(config, "all"))
+    after = {suite: rows(run_suite(config, suite)) for suite in parts}
+    assert all_before == all_after
+    for suite in parts:
+        assert list(before[suite]) == EXPECTED_IDS[suite]
+        for checks in (before[suite], after[suite]):
+            assert checks == {check_id: all_before[check_id] for check_id in checks}, suite
+
+
 def test_every_check_passes_at_the_default_config(reports):
     assert [c.id for c in reports["all"].failures] == []
 
@@ -254,6 +286,10 @@ def test_cached_arrays_are_read_only():
     arrays = [rep.r, rep.q, rep.q_inv, rep.e, rep.f, flip.perm, flip.signs, dec.basis]
     arrays += [dec.blocks, dec.rows, dec.coefficients, dec.weight_of, dec.singular_values]
     arrays += [piece.v for piece in dec.pieces]
+    trep = tensor_rep(rep, build_rep(Params(), 2, 1))
+    assert tensor_rep(rep, build_rep(Params(), 2, 1)) is trep
+    arrays += [trep.q, trep.q_inv, trep.e, trep.f, trep.two_weights]
+    arrays += [_leg_matrix(rep, ()), _leg_matrix(rep, (Gen.Q, Gen.E, Gen.F))]
     assert not any(a.flags.writeable for a in arrays)
     report = run_suite(RunConfig(), "dqg")
     assert not [c.id for c in report.checks if not c.passed]

@@ -175,3 +175,42 @@ def test_three_leg_tensor_product_and_star_act_legwise():
     }
     assert x.star().terms == {((Gen.Q,), (Gen.F,), ()): 2.0, ((), (Gen.E,), (Gen.QINV,)): -1j}
     assert (x * y).star() == y.star() * x.star()
+
+
+def letterwise_fold(x):
+    """D(x) folded letter by letter from each word's coefficient, with no
+    memoized prefix: the reference for the cached word coproducts."""
+    letter = {g: formal_coproduct(AlgPoly({(g,): 1.0})) for g in Gen}
+    total = TensorPoly()
+    for word, coeff in x.terms.items():
+        term = TensorPoly({((), ()): coeff})
+        for g in word:
+            term = term * letter[g]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_strategy)
+def test_memoized_coproduct_is_the_letterwise_fold(x):
+    reference = letterwise_fold(x)
+    tp = formal_coproduct(x)
+    assert list(tp.terms) == list(reference.terms)
+    assert tp.terms == reference.terms
+
+
+def test_editing_a_coproduct_leaves_later_ones_unchanged():
+    for x in (E, E * F, Q * E * F + 2.0 * QINV):
+        first = formal_coproduct(x)
+        expected = dict(first.terms)
+        key = next(iter(first.terms))
+        first.terms[key] = 99.0
+        first.terms[((Gen.F,), (Gen.F,))] = 1.0
+        assert formal_coproduct(x).terms == expected
+        # a longer word reuses the edited one's prefix
+        assert formal_coproduct(x * F) == letterwise_fold(x * F)
+        first.terms.clear()
+        assert formal_coproduct(x).terms == expected
+    legs = coproduct_leg(formal_coproduct(E * F), 0)
+    legs.clear()
+    assert coproduct_leg(formal_coproduct(E * F), 0)
