@@ -29,11 +29,11 @@ from suq2 import (
 )
 from suq2.verify import (
     WORD_BATTERY,
-    antipode_law_residual,
-    coassociativity_residual,
+    antipode_law_residuals,
+    coassociativity_residuals,
     counit_law_residual,
-    flip_residual,
-    invariance_residual,
+    flip_residuals,
+    invariance_residuals,
 )
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
@@ -58,12 +58,10 @@ print(coproduct_component(params, a, 1, 1).real)
 # ---------------------------------------------------------------------------
 battery = [a, matrix_unit(2, 2, 0), matrix_unit(1, -1, -1)]
 worst_counit = max(counit_law_residual(params, x, two_m) for x in battery for two_m in window)
-worst_antipode = max(antipode_law_residual(params, x, two_n) for x in battery for two_n in window)
-worst_coassoc = max(
-    coassociativity_residual(params, x, n, m, l)
-    for x in battery for n in window[:3] for m in window[:3] for l in window[:3]
-)
-worst_flip = max(flip_residual(params, x, n, m) for x in battery for n in window for m in window)
+worst_antipode = antipode_law_residuals(params, battery, window).max()
+triples = [(n, m, l) for n in window[:3] for m in window[:3] for l in window[:3]]
+worst_coassoc = coassociativity_residuals(params, battery, triples).max()
+worst_flip = flip_residuals(params, battery, [(n, m) for n in window for m in window]).max()
 print("\nHopf laws on the battery:")
 print(f"  counit law          {worst_counit:.3e}")
 print(f"  antipode law        {worst_antipode:.3e}")
@@ -96,7 +94,7 @@ for two_r in weights(2):
           f"   (c_n = {c_n:.6f})")
 
 x = matrix_unit(2, 2, 0) + 0.5 * matrix_unit(1, 1, 1)
-left_res, right_res = invariance_residual(params, x, 2)
+left_res, right_res = invariance_residuals(params, [x], [2])[0, 0]
 print(f"\ninvariance residuals on a mixed element:  left {left_res:.3e},  right {right_res:.3e}")
 
 print("\nmodular element block 2n = 1 (this is q^4 restricted to the block):")

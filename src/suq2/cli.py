@@ -31,6 +31,7 @@ from .reps import (
 )
 from .util import max_abs, weights
 from .verify import (
+    CHECKS,
     RunConfig,
     SUITES,
     config_doc,
@@ -46,6 +47,8 @@ from .dual import U_LABELS
 
 
 _ENV_PREFIX = "SUQ2_"
+# the families of the checks that --nmax reaches uncut, as "cg/* and reps/*"
+_UNCAPPED = " and ".join(sorted({row.id.split("/")[0] + "/*" for row in CHECKS if row.cap is None}))
 
 
 def _env(name: str, cast, default, choices=None):
@@ -74,7 +77,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--nmax",
         type=int,
         default=_env("NMAX", int, 4),
-        help="largest doubled spin 2n of the tables and the uncapped reps/* checks; other checks stop at their own caps",
+        help=f"largest doubled spin 2n of the tables and the uncapped {_UNCAPPED} checks; others stop at their caps",
     )
     parser.add_argument(
         "--tol-abs",

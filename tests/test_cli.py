@@ -267,6 +267,8 @@ def test_seed_changes_random_battery_but_not_results():
     [
         ("verify", "--suite", "dual", "--nmax", "-1"),
         ("verify", "--suite", "hopf", "--nmax", "-1"),
+        ("verify", "--suite", "dqg", "--nmax", "-1"),
+        ("verify", "--suite", "all", "--nmax", "-1"),
         ("tables", "--nmax", "-3"),
         ("rep", "--n", "1", "--nmax", "-1"),
         ("cg", "--n", "1", "--m", "1", "--nmax", "-1"),
@@ -278,3 +280,16 @@ def test_negative_nmax_exits_two(args):
     assert "suq2: error:" in result.stderr and "nmax" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("suite", ["hopf", "dqg", "dual", "all"])
+def test_every_suite_refuses_a_negative_seed_by_name(suite):
+    result = run_cli("verify", "--suite", suite, "--seed", "-1")
+    assert result.returncode == 2, result.stderr
+    assert "suq2: error: seed must be an integer >= 0, got -1" in result.stderr
+    assert result.stdout == ""
+
+
+def test_nmax_help_names_the_uncapped_check_families():
+    result = run_cli("verify", "--help", check=True)
+    assert "uncapped cg/* and reps/* checks" in " ".join(result.stdout.split())

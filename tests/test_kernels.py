@@ -41,20 +41,15 @@ from suq2.reps import build_rep, evaluate, evaluate_in
 from suq2.util import kron, max_abs, weight_index, weights, worst
 from suq2.verify import (
     WORD_BATTERY,
-    _antipode_law_residuals,
-    _coassociativity_residuals,
-    _flip_residuals,
-    _invariance_residuals,
-    _scaling_compat_residuals,
     _matrix_units,
     _random_alg_element,
-    antipode_law_residual,
+    antipode_law_residuals,
     block_reconstruction_residual,
-    coassociativity_residual,
-    flip_residual,
-    invariance_residual,
+    coassociativity_residuals,
+    flip_residuals,
+    invariance_residuals,
     modular_certificate_residual,
-    scaling_compat_residual,
+    scaling_compat_residuals,
 )
 from suq2.words import AlgPoly, Gen
 
@@ -177,7 +172,7 @@ def test_coassociativity_kernel_matches_the_kronecker_lift(t):
     words, _, randoms = hopf_battery_elements(params)
     battery = [words["e"], words["ef"]] + randoms
     triples = [(n, m, l) for n in WINDOW for m in WINDOW for l in WINDOW]
-    kernel = _coassociativity_residuals(params, battery, triples)
+    kernel = coassociativity_residuals(params, battery, triples)
     reference = np.array([[reference_coassociativity(params, a, *triple) for triple in triples] for a in battery])
     np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
 
@@ -186,7 +181,7 @@ def test_coassociativity_kernel_matches_the_kronecker_lift(t):
 def test_invariance_kernel_matches_one_unit_at_a_time(t):
     params = Params(t=t)
     units = [a for _, a in _matrix_units(WINDOW)]
-    kernel = _invariance_residuals(params, units, WINDOW)
+    kernel = invariance_residuals(params, units, WINDOW)
     reference = np.array([[reference_invariance(params, a, two_n) for two_n in WINDOW] for a in units])
     np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
 
@@ -196,7 +191,7 @@ def test_antipode_law_kernel_matches_the_unit_loop(t):
     params = Params(t=t)
     words, units, randoms = hopf_battery_elements(params)
     battery = list(words.values()) + units + randoms
-    kernel = _antipode_law_residuals(params, battery, WINDOW)
+    kernel = antipode_law_residuals(params, battery, WINDOW)
     reference = np.array([[reference_antipode_law(params, a, two_n) for two_n in WINDOW] for a in battery])
     np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
 
@@ -209,16 +204,6 @@ def test_modular_certificate_matches_the_pair_sweep(t, kind):
         assert abs(
             modular_certificate_residual(params, two_n, kind) - reference_modular_certificate(params, two_n, kind)
         ) <= TOL
-
-
-def test_public_helpers_are_batches_of_one():
-    params = Params(t=0.3)
-    words, _, randoms = hopf_battery_elements(params)
-    a = randoms[0]
-    assert coassociativity_residual(params, a, 2, 3, 1) == _coassociativity_residuals(params, [a], [(2, 3, 1)])[0, 0]
-    assert antipode_law_residual(params, words["ef"], 3) == _antipode_law_residuals(params, [words["ef"]], [3])[0, 0]
-    assert invariance_residual(params, a, 2) == tuple(_invariance_residuals(params, [a], [2])[0, 0])
-    assert all(isinstance(x, float) for x in invariance_residual(params, a, 2))
 
 
 @pytest.mark.parametrize("t", (0.3, 1.0))
@@ -261,9 +246,8 @@ def test_flip_residual_matches_the_kronecker_sandwich(t):
     rng = np.random.default_rng(5)
     elements = [embed(params, x, window) for x in WORD_BATTERY.values()]
     elements += [_random_alg_element(rng, window) for _ in range(2)]
-    for a in elements:
-        for two_n, two_m in PAIRS:
-            assert flip_residual(params, a, two_n, two_m) == reference_flip(params, a, two_n, two_m)
+    reference = [[reference_flip(params, a, *pair) for pair in PAIRS] for a in elements]
+    np.testing.assert_array_equal(flip_residuals(params, elements, PAIRS), np.array(reference))
 
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
@@ -278,35 +262,34 @@ def test_block_reconstruction_matches_the_dense_summand_loop(t):
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_scaling_multiplier_matches_the_product_phases(t):
-    """scaling_compat_residual takes tau_s (x) tau_s as the Kronecker product of
+    """scaling_compat_residuals takes tau_s (x) tau_s as the Kronecker product of
     scaling_block on each leg's all-ones block; it is the phase ratio d_i / d_j
     to roundoff, and the residual it gives is the reference one to roundoff."""
     params = Params(t=t)
     rng = np.random.default_rng(7)
     elements = [_random_alg_element(rng, range(7)) for _ in range(2)]
-    for s in S_VALUES:
-        for two_n, two_m in PAIRS:
-            legs = [scaling_block(params, k, np.ones((k + 1, k + 1)), s) for k in (two_n, two_m)]
+    kernel = scaling_compat_residuals(params, elements, S_VALUES, PAIRS)
+    for j, s in enumerate(S_VALUES):
+        for k, (two_n, two_m) in enumerate(PAIRS):
+            legs = [scaling_block(params, two_k, np.ones((two_k + 1, two_k + 1)), s) for two_k in (two_n, two_m)]
             reference = reference_scaling_multiplier(params, two_n, two_m, s)
             assert max_abs(np.kron(*legs) - reference) <= 1e-15
-            for a in elements:
+            for i, a in enumerate(elements):
                 block = coproduct_component(params, a, two_n, two_m)
                 expected = max_abs(coproduct_component(params, scaling(params, a, s), two_n, two_m) - block * reference)
-                assert abs(scaling_compat_residual(params, a, two_n, two_m, s) - expected) <= 1e-15 * max_abs(block)
+                assert abs(kernel[i, j, k] - expected) <= 1e-15 * max_abs(block)
 
 
 @pytest.mark.parametrize("t", (0.3, 2.0))
-def test_scaling_and_flip_kernels_match_the_one_element_helpers(t):
+def test_scaling_and_flip_kernels_match_the_per_item_forms(t):
     """The batched kernels of dqg/scaling-coproduct and dqg/flip-coproduct
-    give, item by item, the one-element helpers' residuals."""
+    give, item by item, the residuals of the per-item forms, every map
+    evaluated anew for each item."""
     params = Params(t=t)
     words, units, randoms = hopf_battery_elements(params)
     elements = randoms + [words["ef"], units[1]]
     pairs = [(two_n, two_m) for two_n in range(4) for two_m in range(5)]
-    kernel = _scaling_compat_residuals(params, elements, S_VALUES, pairs)
-    reference = [[[scaling_compat_residual(params, a, *pair, s) for pair in pairs] for s in S_VALUES] for a in elements]
-    np.testing.assert_array_equal(kernel, np.array(reference))
-    # and the per-item form, every map evaluated anew for each item
+    kernel = scaling_compat_residuals(params, elements, S_VALUES, pairs)
     direct = [
         [
             [
@@ -322,8 +305,8 @@ def test_scaling_and_flip_kernels_match_the_one_element_helpers(t):
         for a in elements
     ]
     np.testing.assert_array_equal(kernel, np.array(direct))
-    kernel = _flip_residuals(params, elements, pairs)
-    reference = [[flip_residual(params, a, *pair) for pair in pairs] for a in elements]
+    kernel = flip_residuals(params, elements, pairs)
+    reference = [[reference_flip(params, a, *pair) for pair in pairs] for a in elements]
     np.testing.assert_array_equal(kernel, np.array(reference))
 
 

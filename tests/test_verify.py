@@ -1,119 +1,45 @@
-"""The check batteries: pinned ids per suite, results and tolerances."""
+"""The check batteries: the declared table, ids per suite, results and tolerances."""
 
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from suq2.clebsch import decompose, tensor_rep
+from suq2.clebsch import decompose, decomposition_residuals, tensor_rep
 from suq2.discrete import conjugate_unitary
+from suq2.dual import unitarity_residuals, woronowicz_residuals
 from suq2.params import Params
-from suq2.reps import build_rep
-from suq2.verify import SUITES, RunConfig, _leg_matrix, doc_csv, dump_json, report_csv, report_doc, run_suite
+from suq2.reps import build_rep, relation_residuals
+from suq2.verify import (
+    CHECKS,
+    FIXED,
+    ROWS,
+    SUITE_BATTERIES,
+    SUITES,
+    RunConfig,
+    _battery,
+    _leg_matrix,
+    doc_csv,
+    dump_json,
+    report_csv,
+    report_doc,
+    run_suite,
+)
 from suq2.words import Gen
 
-HOPF_IDS = [
-    "words/antipode-antihomomorphism",
-    "words/antipode-ef",
-    "words/antipode-star-involution",
-    "words/coassociativity",
-    "words/coproduct-ef",
-    "words/coproduct-homomorphism",
-    "words/counit-antipode",
-    "words/counit-laws",
-    "words/counit-values",
-    "words/star-examples",
-]
+ROOT = Path(__file__).resolve().parents[1]
 
-DQG_IDS = [
-    "cg/block-reconstruction",
-    "cg/completeness",
-    "cg/dimension-identity",
-    "cg/formal-route",
-    "cg/index-set",
-    "cg/intertwining",
-    "cg/orthonormality",
-    "cg/tensor-relations",
-    "cg/trivial-factor",
-    "cg/worked-half-half",
-    "coint/absorbing",
-    "coint/counit",
-    "coint/idempotent",
-    "coint/integral-values",
-    "coint/invariant-vector",
-    "coint/left-integral",
-    "coint/left-invariance",
-    "coint/modular-element",
-    "coint/modular-grouplike",
-    "coint/rank-one",
-    "coint/right-integral",
-    "coint/right-invariance",
-    "coint/self-adjoint",
-    "coint/trace-contraction",
-    "coint/two-routes",
-    "dqg/antipode-closed-form",
-    "dqg/antipode-laws",
-    "dqg/antipode-squared",
-    "dqg/coassociativity",
-    "dqg/coproduct-multiplicative",
-    "dqg/coproduct-star",
-    "dqg/counit-laws",
-    "dqg/flip-antiautomorphism",
-    "dqg/flip-closed-form",
-    "dqg/flip-coproduct",
-    "dqg/flip-unitary",
-    "dqg/scaling-coproduct",
-    "dqg/scaling-group",
-    "modular/inverse-pair",
-    "modular/left-certificate",
-    "modular/right-certificate",
-    "reps/adjointness",
-    "reps/amplitude-closure",
-    "reps/amplitude-symmetry",
-    "reps/casimir",
-    "reps/classification",
-    "reps/classification-conjugated",
-    "reps/closed-forms",
-    "reps/ladder-identity",
-    "reps/phase-twist",
-    "reps/relation-ef-fe",
-    "reps/relation-estar",
-    "reps/relation-qe",
-    "reps/relation-qf",
-    "reps/relation-qq-1",
-    "reps/relation-qstar",
-    "reps/rescaling",
-]
+# the ids the benchmark pins, independent of the table
+PINNED_IDS = sorted(json.loads((ROOT / "bench" / "check_ids.json").read_text()))
 
-DUAL_IDS = [
-    "dual/antipode-squared",
-    "dual/antipode-table",
-    "dual/associativity",
-    "dual/coproduct-battery",
-    "dual/counit-values",
-    "dual/haar-antipode",
-    "dual/haar-left-invariance",
-    "dual/haar-quadratic",
-    "dual/haar-unit",
-    "dual/modular-automorphism",
-    "dual/modular-coproduct",
-    "dual/pairing-table",
-    "dual/relation-alpha-gamma",
-    "dual/relation-alpha-gamma-star",
-    "dual/relation-coisometry",
-    "dual/relation-gamma-normal",
-    "dual/relation-isometry",
-    "dual/span-gap",
-    "dual/span-rank",
-    "dual/star-structure",
-    "dual/unit",
-    "dual/unitarity-left",
-    "dual/unitarity-right",
-]
-
-EXPECTED_IDS = {"hopf": HOPF_IDS, "dqg": DQG_IDS, "dual": DUAL_IDS}
+EXPECTED_IDS = {
+    suite: sorted(row.id for row in CHECKS if suite == "all" or row.battery in SUITE_BATTERIES[suite])
+    for suite in SUITES
+}
 
 # checks whose value is a yes/no answer: residual 0 or 1 against tolerance 0
 PASS_FAIL_IDS = {
@@ -137,16 +63,86 @@ def reports():
     return {suite: run_suite(config, suite) for suite in SUITES}
 
 
+def test_the_table_declares_each_pinned_check_once():
+    assert len(CHECKS) == len(ROWS) == 90
+    assert len({row.law for row in CHECKS}) == 90
+    assert {row.battery for row in CHECKS} == {b for batteries in SUITE_BATTERIES.values() for b in batteries}
+
+
 @pytest.mark.parametrize("suite, count", [("hopf", 10), ("dqg", 57), ("dual", 23)])
 def test_check_ids_per_suite(reports, suite, count):
     assert len(EXPECTED_IDS[suite]) == count
     assert [c.id for c in reports[suite].checks] == EXPECTED_IDS[suite]
+    assert [c.law for c in reports[suite].checks] == [ROWS[i].law for i in EXPECTED_IDS[suite]]
 
 
 def test_all_suite_is_the_union(reports):
-    union = sorted(HOPF_IDS + DQG_IDS + DUAL_IDS)
-    assert len(union) == 90
+    union = sorted(EXPECTED_IDS["hopf"] + EXPECTED_IDS["dqg"] + EXPECTED_IDS["dual"])
+    assert union == EXPECTED_IDS["all"] == PINNED_IDS
     assert [c.id for c in reports["all"].checks] == union
+
+
+def test_laws_keyed_in_other_modules_are_the_table_laws():
+    """The residual dicts of reps and dual key by law, and
+    decomposition_residuals by the cg id's name; the table must agree."""
+    params = Params()
+    rep = build_rep(params, 2, +1)
+    keyed = {
+        "reps/relation-": relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f),
+        "dual/unitarity-": unitarity_residuals(params),
+        "dual/relation-": woronowicz_residuals(params),
+    }
+    for prefix, residuals in keyed.items():
+        assert set(residuals) == {row.law for row in CHECKS if row.id.startswith(prefix)}, prefix
+    assert {f"cg/{key}" for key in decomposition_residuals(params, 1, 1)} <= set(ROWS)
+
+
+def _stub(ids):
+    """A formal battery that yields a zero residual for each of ids."""
+
+    @_battery("formal")
+    def formal_battery(params):
+        for check_id in ids:
+            yield check_id, 0.0
+
+    return formal_battery
+
+
+def test_a_battery_refuses_an_unknown_a_repeated_or_a_missing_id():
+    ids = [row.id for row in CHECKS if row.battery == "formal"]
+    checks = _stub(ids)(Params())
+    assert [(c.id, c.law, c.passed) for c in checks] == [(i, ROWS[i].law, True) for i in ids]
+    with pytest.raises(ValueError, match="'words/no-such-law' is not one of its rows"):
+        _stub(ids + ["words/no-such-law"])(Params())
+    with pytest.raises(ValueError, match="'dual/unit' is not one of its rows"):
+        _stub(ids + ["dual/unit"])(Params())
+    with pytest.raises(ValueError, match=f"'{ids[0]}' yielded twice"):
+        _stub(ids + ids[:1])(Params())
+    with pytest.raises(ValueError, match=re.escape(f"no check yielded for rows {[ids[-1]]}")):
+        _stub(ids[:-1])(Params())
+
+
+def test_readme_lists_each_check_under_its_cap():
+    section = (ROOT / "README.md").read_text().split("| cap | checks |\n| --- | --- |\n")[1].split("\n\n")[0]
+    listed = {}
+    for line in section.splitlines():
+        cap, cell = (part.strip() for part in line.strip("|").split("|"))
+        listed.update((check_id, cap) for check_id in re.findall(r"`([^`]+)`", cell))
+    assert listed == {row.id: {None: "none", FIXED: "fixed spins"}.get(row.cap, str(row.cap)) for row in CHECKS}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nmax2", -1), ("nmax2", 2.5), ("nmax2", True), ("nmax2", "4"), ("seed", -1), ("seed", 1.0), ("seed", False)],
+)
+def test_run_config_refuses_a_count_that_is_not_a_non_negative_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got {re.escape(repr(value))}$"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_takes_numpy_integers():
+    report = run_suite(RunConfig(nmax2=np.int64(2), seed=np.uint8(3)), "dual")
+    assert dump_json(report_doc(report)) == dump_json(report_doc(run_suite(RunConfig(nmax2=2, seed=3), "dual")))
 
 
 def clear_caches():
