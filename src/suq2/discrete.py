@@ -10,7 +10,8 @@ The comultiplication of an element is specified by its components
 living on the tensor product of the spin-n and spin-m blocks, where the
 V_k are the summand isometries of the tensor product decomposition.  The
 components are applied one weight at a time from the decomposition's
-orthogonal per-weight blocks, so no dense V_k is built for them.  On
+orthogonal per-weight blocks, to a whole stack of elements in one call
+(`coproduct_blocks`), so no dense V_k is built for them.  On
 top of this sit a counit (the spin-0 entry), a polar-decomposed antipode
 S = R o tau_(-i/2) built from a conjugate-linear flip unitary and the
 analytic continuation of the scaling group, a cointegral h (the unit of
@@ -36,9 +37,9 @@ from .reps import build_rep, evaluate
 from .util import max_abs, read_only, weight_index, weights, worst
 from .words import AlgPoly
 
-# bytes of the padded (weights, spins, product vectors) intermediate up to
-# which `coproduct_component` takes every weight in one batched product;
-# past it each weight runs on its live block
+# bytes of the padded (items, weights, spins, product vectors) intermediate,
+# the whole stack counted, up to which `coproduct_blocks` takes every weight
+# in one batched product; past it each weight runs on its live block
 _SLAB_BYTES = 1 << 19
 
 
@@ -170,66 +171,72 @@ def counit(a: AlgElement) -> complex:
 
 
 def coproduct_component(params: Params, a: AlgElement, two_n: int, two_m: int) -> np.ndarray:
-    """The (n, m) block of D(a) on the product basis, as a dense matrix.
+    """The (n, m) block of D(a) on the product basis, as a dense matrix."""
+    return coproduct_blocks(params, a.blocks, two_n, two_m)
 
-    Applied weight by weight through the orthogonal blocks X_w of the
-    decomposition: the (w, w') block of sum_k V_k a_k V_k* is
-    X_w A_(w,w') X_w'^T, with A_(w,w') diagonal over the spins k and entries
-    a_k[(k - w)/2, (k - w')/2].  Only weights |w| <= the largest spin of a
-    in the index set meet a.  Where the padded intermediate of all those
-    weights fits a fixed byte budget (small spins), they go through one
-    batched real-times-complex product.  Past it, each weight multiplies
-    only its live block, its product vectors by the spins that have the
-    weight, and writes the product straight into its rows of the result,
-    which form one strided run.  The dense V_k are never formed.
+
+def coproduct_blocks(params: Params, blocks: dict, two_n: int, two_m: int) -> np.ndarray:
+    """The (n, m) block of D on a stack of elements: ``blocks`` maps doubled
+    spins k to stacks of one leading shape, (..., k + 1, k + 1), and the
+    result is (..., dim, dim), each item with the arithmetic it has alone.
+
+    The (w, w') block of sum_k V_k a_k V_k* is X_w A_(w,w') X_w'^T, with X_w
+    the orthogonal weight blocks of the decomposition and A_(w,w') diagonal
+    over the spins k, entries a_k[(k - w)/2, (k - w')/2]; only weights
+    |w| <= the largest spin of a in the index set meet a.  Where the padded
+    intermediate of those weights, for the whole stack, fits a fixed byte
+    budget, they go through one batched real-times-complex product.  Past
+    it, each weight multiplies only its live block, its product vectors by
+    the spins that have the weight, and writes into its rows of the result,
+    one strided run.  The dense V_k are never formed.
     """
     dim = (two_n + 1) * (two_m + 1)
-    two_ks = [k for k in index_set(two_n, two_m) if k in a.blocks]
+    lead = next(iter(blocks.values())).shape[:-2] if blocks else ()
+    two_ks = [k for k in index_set(two_n, two_m) if k in blocks]
     if not two_ks:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros(lead + (dim, dim), dtype=complex)
     dec = decompose(params, two_n, two_m)
     base, top = abs(two_n - two_m), two_ks[-1]
     size = (top - base) // 2 + 1
     lo = (two_n + two_m - top) // 2
-    # amat[s - lo, i, s'] = a_k[j, j'] for the spin k = base + 2i, whose
-    # weight indices s and s' sit at its rows j and j'
-    amat = np.zeros((top + 1, size, two_n + two_m + 1), dtype=complex)
+    items = int(np.prod(lead))
+    # amat[item, s - lo, i, s'] = a_k[j, j'] for the spin k = base + 2i,
+    # whose weight indices s and s' sit at its rows j and j'
+    amat = np.zeros((items, top + 1, size, two_n + two_m + 1), dtype=complex)
     for two_k in two_ks:
-        s0 = (two_n + two_m - two_k) // 2
-        amat[s0 - lo : s0 - lo + two_k + 1, (two_k - base) // 2, s0 : s0 + two_k + 1] = a.blocks[two_k]
+        s0, i = (two_n + two_m - two_k) // 2, (two_k - base) // 2
+        amat[:, s0 - lo : s0 - lo + two_k + 1, i, s0 : s0 + two_k + 1] = blocks[two_k].reshape(items, two_k + 1, -1)
     coefficients = dec.coefficients[:size]
     weights_met = slice(lo, lo + top + 1)
-    if 16 * size * dim * (top + 1) <= _SLAB_BYTES:
+    if 16 * items * size * dim * (top + 1) <= _SLAB_BYTES:
         # the rows of A V*, gathered by weight: columns of amat spread over
         # the product vectors of each weight, times their CG coefficients
-        rows_av = np.take(amat, dec.weight_of, axis=2)
+        rows_av = np.take(amat, dec.weight_of, axis=3)
         rows_av *= coefficients
         out = (dec.blocks[weights_met, :, :size] @ rows_av.view(float)).view(complex)
-        full = np.zeros((dim + 1, dim), dtype=complex)
-        full[dec.rows[weights_met]] = out
-        return full[:dim]
+        full = np.zeros((items, dim + 1, dim), dtype=complex)
+        full[:, dec.rows[weights_met]] = out
+        return full[:, :dim].reshape(lead + (dim, dim))
     # weight s holds count[s] product vectors and the count[s] largest
     # spins, from column first[s] on: its live block takes just the rows of
     # A V* of those spins, and its product vectors (p, s - p) are the rows
     # s + 2m p of the result, a strided run the product is written into
     count = np.count_nonzero(dec.rows[weights_met] < dim, axis=1)
     first = dec.blocks.shape[2] - count
-    full = np.zeros((dim, dim), dtype=complex)
+    full = np.zeros((items, dim, dim), dtype=complex)
     step = max(two_m, 1)
     starts = dec.rows[weights_met, 0].tolist()
     for s, row, rows, col in zip(range(lo, lo + top + 1), starts, count.tolist(), first.tolist()):
-        live = np.take(amat[s - lo, col:], dec.weight_of, axis=1)
+        live = np.take(amat[:, s - lo, col:], dec.weight_of, axis=2)
         live *= coefficients[col:]
-        run = full[row : row + step * (rows - 1) + 1 : step]
+        run = full[:, row : row + step * (rows - 1) + 1 : step]
         np.matmul(dec.blocks[s, :rows, col:size], live.view(float), out=run.view(float))
-    return full
+    return full.reshape(lead + (dim, dim))
 
 
 def coproduct_window(params: Params, a: AlgElement, pairs) -> BiElement:
     """D(a) restricted to a finite family of (n, m) block pairs."""
-    return BiElement(
-        {(n, m): coproduct_component(params, a, n, m) for (n, m) in pairs}
-    )
+    return BiElement({(n, m): coproduct_component(params, a, n, m) for (n, m) in pairs})
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ value is a bool, a residual, or an iterable of residuals that `_check`
 folds with `util.worst`, so a NaN anywhere in it fails the check.
 
 The certificates that run over a whole battery of elements share one
-kernel rule: evaluate the certified map once per basis element (or per
-element and block pair), extend it to the rest by linearity, and contract
-the whole battery in stacked matrix products (`antipode_law_residuals`,
-`coassociativity_residuals`, `flip_residuals`, `scaling_compat_residuals`,
-`invariance_residuals`).
+kernel rule: evaluate the certified map once per basis element, or per
+block pair for the whole battery with `discrete.coproduct_blocks`, extend
+it by linearity, and contract the battery in stacked products
+(`antipode_law_residuals`, `coassociativity_residuals`, whose leg lifts
+are that call too, `flip_residuals`, `scaling_compat_residuals`, and
+`invariance_residuals`, which contracts a leg with the dense V_k).
 
 Intermediates that several checks share are built once per process: the
 tensor product images (`clebsch.tensor_rep`), each word's coproduct
@@ -39,6 +40,7 @@ same configuration produce byte-identical serializations.
 """
 
 import functools
+import inspect
 import itertools
 import json
 import numbers
@@ -55,6 +57,7 @@ from .discrete import (
     antipode_inv,
     antipode_block,
     block_integrals,
+    coproduct_blocks,
     coproduct_component,
     cointegral,
     cointegral_coproduct,
@@ -548,20 +551,26 @@ def counit_law_residual(params: Params, a: AlgElement, two_m: int) -> float:
     return worst((max_abs(left - block), max_abs(right - block)))
 
 
+def _stacked(elements) -> dict:
+    """One stack per spin of a battery's joint support, zeros where an element lacks the block."""
+    support = sorted(set().union(*(a.blocks for a in elements)))
+    return {two_k: np.array([a.block(two_k) for a in elements]) for two_k in support}
+
+
 def antipode_law_residuals(params: Params, elements, two_ns) -> np.ndarray:
     """Convolution laws  m(S (x) id) D(a) = eps(a) 1 = m(id (x) S) D(a)
     read off on the (n, n) block, for every element on every block n, shape
     (len(elements), len(two_ns)).  S is evaluated once per matrix unit
-    e_(p,p') of block n; both convolutions of the whole battery are then one
-    stacked product with the slices of D(a)_(n,n), summed over (p, p')."""
+    e_(p,p') of block n, D(a)_(n,n) once for the battery; both convolutions
+    are one stacked product with its slices, summed over (p, p')."""
     counits = np.array([counit(a) for a in elements])
+    blocks = _stacked(elements)
     out = np.empty((len(elements), len(two_ns)))
     for j, two_n in enumerate(two_ns):
         dim = two_n + 1
         units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
         s_units = np.array([antipode_block(params, two_n, unit) for unit in units])
-        m = np.array([coproduct_component(params, a, two_n, two_n) for a in elements])
-        m = m.reshape(-1, dim, dim, dim, dim)
+        m = coproduct_blocks(params, blocks, two_n, two_n).reshape(-1, dim, dim, dim, dim)
         # S(e_(p,p')) D(a)[p, :, p', :]  and  D(a)[:, p, :, p'] S(e_(p,p')), (p, p') flattened
         lhs = np.sum(s_units @ m.transpose(0, 1, 3, 2, 4).reshape(-1, dim * dim, dim, dim), axis=1)
         rhs = np.sum(m.transpose(0, 2, 4, 1, 3).reshape(-1, dim * dim, dim, dim) @ s_units, axis=1)
@@ -574,53 +583,36 @@ def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
     """(D (x) id) D(a) versus (id (x) D) D(a) for every element on every
     block triple (n, m, l), shape (len(elements), len(triples)).
 
-    D(a) is evaluated once per element and block pair; on (n, m, l) each
-    component D(a)_(k,l), k in the index set of (n, m), is lifted by V_k on
-    the first leg for the whole battery at once, and D(a)_(n,k) by the V_k
-    of (m, l) on the second.
+    D(a) is evaluated once per block pair for the whole battery; on
+    (n, m, l), `_lift` takes D(a)_(k,l), k in the index set of (n, m), onto
+    (n, m) on the first leg, and D(a)_(n,k) onto (m, l) on the second.
     """
-    @functools.cache
-    def components(two_n, two_m):
-        return np.array([coproduct_component(params, a, two_n, two_m) for a in elements])
-
+    blocks = _stacked(elements)
+    components = functools.cache(lambda two_n, two_m: coproduct_blocks(params, blocks, two_n, two_m))
     out = np.empty((len(elements), len(triples)))
     for j, (two_n, two_m, two_l) in enumerate(triples):
-        lhs = _lift(
-            [(piece.v, components(piece.two_k, two_l)) for piece in decompose(params, two_n, two_m).pieces],
-            two_l + 1,
-            leg=0,
-        )
-        rhs = _lift(
-            [(piece.v, components(two_n, piece.two_k)) for piece in decompose(params, two_m, two_l).pieces],
-            two_n + 1,
-            leg=1,
-        )
-        lhs -= rhs
-        out[:, j] = _max_abs_each(lhs)
+        lhs = _lift(params, {k: components(k, two_l) for k in index_set(two_n, two_m)}, (two_n, two_m), two_l, leg=0)
+        rhs = _lift(params, {k: components(two_n, k) for k in index_set(two_m, two_l)}, (two_m, two_l), two_n, leg=1)
+        out[:, j] = _max_abs_each(lhs - rhs)
     return out
 
 
-def _lift(terms, other: int, leg: int) -> np.ndarray:
-    """sum_k L_k M_k L_k* over (V_k, M_k) terms, M_k a stack of operators on
-    summand (x) other (leg 0) or other (x) summand (leg 1) and L_k the real
-    isometry V_k on that leg: V_k (x) 1, resp. 1 (x) V_k.  Reshaped real
-    leg products, no Kronecker matrix."""
-
-    def on_rows(v, m, dims):
-        rows = m.reshape(len(m) * (dims[0] if leg else 1), dims[leg], -1)
-        return (v @ rows.view(float)).view(complex).reshape(len(m), -1, m.shape[2])
-
-    total = None
-    for v, stack in terms:
-        dims = (v.shape[1], other) if leg == 0 else (other, v.shape[1])
-        v = np.ascontiguousarray(v.real)
-        # L (L M)^T = (L M L*)^T: the sum is transposed back once
-        term = on_rows(v, np.ascontiguousarray(on_rows(v, stack, dims).transpose(0, 2, 1)), dims)
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total.transpose(0, 2, 1)
+def _lift(params: Params, components: dict, pair, two_o: int, leg: int) -> np.ndarray:
+    """sum_k L_k M_k L_k*, with L_k = V_k (x) 1 (leg 0) or 1 (x) V_k (leg 1)
+    for the summands V_k of ``pair`` = (n, m), and ``components`` mapping k
+    to a stack of operators M_k on spin-k (x) spin-o, resp. spin-o (x)
+    spin-k.  That is D on one leg: the (k, k) slices of M_k over each index
+    pair of the spin-o leg form one stack for `coproduct_blocks`."""
+    other = two_o + 1
+    # the spin-o index pair leads and the spin-k one trails
+    order = (0, 2, 4, 1, 3) if leg == 0 else (0, 1, 3, 2, 4)
+    slices = {}
+    for two_k, stack in components.items():
+        legs = (two_k + 1, other) if leg == 0 else (other, two_k + 1)
+        slices[two_k] = stack.reshape((len(stack),) + legs + legs).transpose(order)
+    lifted = coproduct_blocks(params, slices, *pair)
+    dim = lifted.shape[-1] * other
+    return lifted.transpose(np.argsort(order)).reshape(-1, dim, dim)
 
 
 def _max_abs_each(stack: np.ndarray) -> np.ndarray:
@@ -631,41 +623,38 @@ def _max_abs_each(stack: np.ndarray) -> np.ndarray:
 def flip_residuals(params: Params, elements, pairs) -> np.ndarray:
     """R reverses the comultiplication, D(R(a))_(m,n) = flip (R (x) R) D(a)_(n,m),
     for every element on every block pair (n, m), shape (len(elements),
-    len(pairs)).  R(a) is evaluated once per element."""
-    # R (x) R is the signed index flip of `unitary_antipode_block` on the
-    # product basis; the leg swap is a transpose of the four-index form
-    signs = [np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs) for two_n, two_m in pairs]
+    len(pairs)).  R(a) is evaluated once per element, D once per pair for
+    the battery."""
+    blocks = _stacked(elements)
+    flip_blocks = _stacked([unitary_antipode(a) for a in elements])
     out = np.empty((len(elements), len(pairs)))
-    for i, a in enumerate(elements):
-        flip_a = unitary_antipode(a)
-        for j, (two_n, two_m) in enumerate(pairs):
-            block = coproduct_component(params, a, two_n, two_m)
-            dims = (two_n + 1, two_m + 1)
-            r_tensor = np.outer(signs[j], signs[j]) * block[::-1, ::-1].T
-            flipped = r_tensor.reshape(dims + dims).transpose(1, 0, 3, 2).reshape(block.shape)
-            out[i, j] = max_abs(coproduct_component(params, flip_a, two_m, two_n) - flipped)
+    for j, (two_n, two_m) in enumerate(pairs):
+        stack = coproduct_blocks(params, blocks, two_n, two_m)
+        # R (x) R is the signed index flip of `unitary_antipode_block` on the
+        # product basis; the leg swap is a transpose of the four-index form
+        signs = np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs)
+        dims = (two_n + 1, two_m + 1)
+        r_tensor = np.outer(signs, signs) * stack[:, ::-1, ::-1].transpose(0, 2, 1)
+        flipped = r_tensor.reshape((-1,) + dims + dims).transpose(0, 2, 1, 4, 3).reshape(stack.shape)
+        out[:, j] = _max_abs_each(coproduct_blocks(params, flip_blocks, two_m, two_n) - flipped)
     return out
 
 
 def scaling_compat_residuals(params: Params, elements, s_values, pairs) -> np.ndarray:
     """The scaling group is a coproduct symmetry, D(tau_s(a))_(n,m) =
     (tau_s (x) tau_s) D(a)_(n,m), for every element, s and block pair, shape
-    (len(elements), len(s_values), len(pairs)).  tau_s(a) is evaluated once
-    per (a, s), D(a)_(n,m) once per (a, n, m) and the tau_s (x) tau_s
-    multiplier, the product of scaling_block on each leg's all-ones block,
-    once per (s, n, m)."""
-    multipliers = [
-        [kron(*(scaling_block(params, two_k, np.ones((two_k + 1, two_k + 1)), s) for two_k in pair)) for pair in pairs]
-        for s in s_values
-    ]
+    (len(elements), len(s_values), len(pairs)).  tau_s is applied once per
+    block and s, D(a) and D(tau_s(a)) once per pair for the battery, and the
+    tau_s (x) tau_s multiplier, the product of scaling_block on each leg's
+    all-ones block, once per (s, n, m)."""
+    blocks = _stacked(elements)
+    tau_blocks = {k: np.stack([scaling_block(params, k, b, s) for s in s_values], axis=1) for k, b in blocks.items()}
     out = np.empty((len(elements), len(s_values), len(pairs)))
-    for i, a in enumerate(elements):
-        blocks = [coproduct_component(params, a, *pair) for pair in pairs]
-        for j, s in enumerate(s_values):
-            tau_a = scaling(params, a, s)
-            for k, pair in enumerate(pairs):
-                both_legs = blocks[k] * multipliers[j][k]
-                out[i, j, k] = max_abs(coproduct_component(params, tau_a, *pair) - both_legs)
+    for j, pair in enumerate(pairs):
+        legs = [[scaling_block(params, k, np.ones((k + 1, k + 1)), s) for k in pair] for s in s_values]
+        both_legs = coproduct_blocks(params, blocks, *pair)[:, None] * np.array([kron(*leg) for leg in legs])
+        diff = coproduct_blocks(params, tau_blocks, *pair) - both_legs
+        out[..., j] = np.max(np.abs(diff), axis=(2, 3))
     return out
 
 
@@ -680,7 +669,10 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
     On (n, m, k) one contraction gives (id (x) phi) D(e_(r,s))_(n,m) for
     every matrix unit of block k at once, and (psi (x) id) D(e_(r,s))_(m,n)
     likewise; each element's terms are their combination with its
-    coefficients.
+    coefficients.  The contraction collapses a whole leg, so it reads the
+    dense V_k (`_unit_contractions`): through `coproduct_blocks` it took the
+    same time at the default window and 3.6 times as long at window 8
+    (0.34 against 1.23 s).
     """
     support = sorted(set().union(*(a.blocks for a in elements)))
     coefficients = {two_k: np.array([a.block(two_k).ravel() for a in elements]) for two_k in support}
@@ -1021,20 +1013,23 @@ def _random_alg_element(rng, two_ns) -> AlgElement:
     )
 
 
+# the hopf rows that build their own elements; every other one reads the
+# battery's shared word and random elements
+OWN_ELEMENT_ROWS = ("dqg/flip-closed-form", "dqg/flip-unitary", "dqg/antipode-closed-form")
+
+
 @_battery("hopf")
 def hopf_battery(params: Params, nmax2: int, rng):
-    # the word and random elements every check below reads live on the
-    # window of dqg/counit-laws; each check's matrix units and loops follow
-    # its own row
-    window = _window("dqg/counit-laws", nmax2)
+    # the shared elements cover the widest window of the rows that read
+    # them; each check's matrix units and loops follow its own row
+    window = _spins(nmax2, max(r.cap for r in ROWS.values() if r.battery == "hopf" and r.id not in OWN_ELEMENT_ROWS))
     word_elements = {name: embed(params, x, window) for name, x in WORD_BATTERY.items()}
     units = lambda check_id: [a for _, a in _matrix_units(_inner(check_id, nmax2))]
     random_elements = [_random_alg_element(rng, window) for _ in range(2)]
     battery = lambda check_id: list(word_elements.values()) + units(check_id) + random_elements
 
-    yield "dqg/counit-laws", (
-        counit_law_residual(params, a, two_m) for a in battery("dqg/counit-laws") for two_m in window
-    )
+    spins = _window("dqg/counit-laws", nmax2)
+    yield "dqg/counit-laws", (counit_law_residual(params, a, m) for a in battery("dqg/counit-laws") for m in spins)
     yield "dqg/antipode-laws", antipode_law_residuals(
         params, battery("dqg/antipode-laws"), _window("dqg/antipode-laws", nmax2)
     ).ravel()
@@ -1373,24 +1368,21 @@ SUITE_BATTERIES = {
     "dual": ("dual",),
 }
 SUITES = (*SUITE_BATTERIES, "all")
+# the seed offset of a suite's rng stream, 0 where not listed
+_SEED_OFFSETS = {"dual": 1}
 
 
 def run_suite(config: RunConfig, suite: str) -> Report:
-    """Run one named battery and return its report."""
+    """Run one named suite, or all, and return its report.  Each battery is
+    looked up by name as it runs, so a wrapped one runs, and gets the run
+    inputs its signature names; a suite's batteries share one rng stream."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     params = config.params()
     checks = []
-    if suite in ("hopf", "all"):
-        checks.extend(formal_battery(params))
-    if suite in ("dqg", "all"):
-        rng = np.random.default_rng(config.seed)
-        checks.extend(rep_battery(params, config.nmax2, rng))
-        checks.extend(clebsch_battery(params, config.nmax2))
-        checks.extend(hopf_battery(params, config.nmax2, rng))
-        checks.extend(cointegral_battery(params, config.nmax2))
-        checks.extend(modular_battery(params, config.nmax2))
-    if suite in ("dual", "all"):
-        rng = np.random.default_rng(config.seed + 1)
-        checks.extend(dual_battery(params, config.nmax2, rng))
+    for name in SUITE_BATTERIES if suite == "all" else (suite,):
+        inputs = {"nmax2": config.nmax2, "rng": np.random.default_rng(config.seed + _SEED_OFFSETS.get(name, 0))}
+        for battery in (globals()[f"{b}_battery"] for b in SUITE_BATTERIES[name]):
+            wanted = inspect.signature(battery).parameters
+            checks.extend(battery(params, **{k: v for k, v in inputs.items() if k in wanted}))
     return Report(suite=suite, config=config, checks=tuple(sorted(checks, key=lambda c: c.id)))

@@ -1,7 +1,8 @@
 """Acceptance gate: ten criteria, each printed as one pass/fail line.
 
 Every criterion runs at three deformation values and asserts pinned
-tolerances and, where stated, a per-deformation time budget.
+tolerances and, where stated, a per-deformation time budget.  Each
+criterion's residuals are folded with `util.worst`, so a NaN fails it.
 """
 
 import os
@@ -51,7 +52,7 @@ from suq2.reps import (
     ladder_poly_matrix,
     relation_residuals,
 )
-from suq2.util import max_abs, weights
+from suq2.util import max_abs, weights, worst
 from suq2.verify import (
     RunConfig,
     antipode_law_residuals,
@@ -96,26 +97,26 @@ def test_acceptance_01_representations(acceptance_report):
     for t in T_VALUES:
         params = Params(t=t)
         start = perf_counter()
-        worst = 0.0
+        values = []
         adjoint_exact = True
         for two_n in range(0, 9):
             for sign in (+1, -1):
                 rep = build_rep(params, two_n, sign)
-                worst = max(worst, max(relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f).values()))
+                values.extend(relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f).values())
                 adjoint_exact = adjoint_exact and np.array_equal(rep.e.conj().T, rep.f)
                 expected = casimir_scalar(params, two_n)
                 cas = casimir_matrix(params, rep)
-                worst = max(worst, max_abs(cas - expected * np.eye(rep.dim)) / abs(expected))
+                values.append(max_abs(cas - expected * np.eye(rep.dim)) / abs(expected))
             rep = build_rep(params, two_n)
             if rep.r.size:
-                worst = max(worst, float(np.max(np.abs(rep.r - rep.r[::-1]))))
+                values.append(float(np.max(np.abs(rep.r - rep.r[::-1]))))
         elapsed = perf_counter() - start
-        results[t] = (worst, adjoint_exact, elapsed)
+        results[t] = (worst(values), adjoint_exact, elapsed)
     passed = all(w <= tol and adj and el < budget for w, adj, el in results.values())
     detail = "; ".join(f"t={t}: {w:.2e} in {el:.2f}s" for t, (w, adj, el) in results.items())
     _record(acceptance_report, 1, "representations", passed, detail)
-    for t, (worst, adjoint_exact, elapsed) in results.items():
-        assert worst <= tol, f"t={t}: residual {worst}"
+    for t, (residual, adjoint_exact, elapsed) in results.items():
+        assert residual <= tol, f"t={t}: residual {residual}"
         assert adjoint_exact, f"t={t}: e* != f exactly"
         assert elapsed < budget, f"t={t}: took {elapsed:.2f}s"
 
@@ -127,7 +128,7 @@ def test_acceptance_02_ladder_identity(acceptance_report):
     for t in T_VALUES:
         params = Params(t=t)
         start = perf_counter()
-        worst = 0.0
+        values = []
         for two_n in range(0, 7):
             rep = build_rep(params, two_n)
             f_pow = np.eye(rep.dim, dtype=complex)
@@ -136,14 +137,14 @@ def test_acceptance_02_ladder_identity(acceptance_report):
                 f_pow = f_pow @ rep.f
                 lhs = rep.e @ f_pow - f_pow @ rep.e
                 rhs = f_prev @ ladder_poly_matrix(params, rep, k)
-                worst = max(worst, max_abs(lhs - rhs))
+                values.append(max_abs(lhs - rhs))
         elapsed = perf_counter() - start
-        results[t] = (worst, elapsed)
+        results[t] = (worst(values), elapsed)
     passed = all(w <= tol and el < budget for w, el in results.values())
     detail = "; ".join(f"t={t}: {w:.2e} in {el:.2f}s" for t, (w, el) in results.items())
     _record(acceptance_report, 2, "ladder identity", passed, detail)
-    for t, (worst, elapsed) in results.items():
-        assert worst <= tol, f"t={t}: residual {worst}"
+    for t, (residual, elapsed) in results.items():
+        assert residual <= tol, f"t={t}: residual {residual}"
         assert elapsed < budget, f"t={t}: took {elapsed:.2f}s"
 
 
@@ -156,7 +157,7 @@ def test_acceptance_03_clebsch_gordan(acceptance_report):
         params = Params(t=t)
         start = perf_counter()
         structure_ok = True
-        worst = 0.0
+        values = []
         for two_n in range(0, 7):
             for two_m in range(0, 7):
                 ks = index_set(two_n, two_m)
@@ -164,12 +165,11 @@ def test_acceptance_03_clebsch_gordan(acceptance_report):
                 structure_ok = structure_ok and ks[-1] == two_n + two_m
                 structure_ok = structure_ok and sum(k + 1 for k in ks) == (two_n + 1) * (two_m + 1)
                 res = decomposition_residuals(params, two_n, two_m)
-                worst = max(worst, max(res.values()))
-                for x in WORD_BATTERY.values():
-                    worst = max(worst, block_reconstruction_residual(params, two_n, two_m, x))
+                values.extend(res.values())
+                values.extend(block_reconstruction_residual(params, two_n, two_m, x) for x in WORD_BATTERY.values())
         worked = worked_half_half_residual(params)
         elapsed = perf_counter() - start
-        results[t] = (structure_ok, worst, worked, elapsed)
+        results[t] = (structure_ok, worst(values), worked, elapsed)
     passed = all(
         ok and w <= tol and wk <= worked_tol and el < budget
         for ok, w, wk, el in results.values()
@@ -178,9 +178,9 @@ def test_acceptance_03_clebsch_gordan(acceptance_report):
         f"t={t}: {w:.2e}/worked {wk:.1e} in {el:.2f}s" for t, (ok, w, wk, el) in results.items()
     )
     _record(acceptance_report, 3, "tensor decompositions", passed, detail)
-    for t, (structure_ok, worst, worked, elapsed) in results.items():
+    for t, (structure_ok, residual, worked, elapsed) in results.items():
         assert structure_ok, f"t={t}: index set or dimension identity broken"
-        assert worst <= tol, f"t={t}: residual {worst}"
+        assert residual <= tol, f"t={t}: residual {residual}"
         assert worked <= worked_tol, f"t={t}: worked example residual {worked}"
         assert elapsed < budget, f"t={t}: took {elapsed:.2f}s"
 
@@ -200,13 +200,10 @@ def test_acceptance_04_hopf_structure(acceptance_report):
             matrix_unit(1, 1, -1),
             _random_element(rng, window),
         ]
-        worst = 0.0
-        for a in battery:
-            for two_m in window:
-                worst = max(worst, counit_law_residual(params, a, two_m))
-        worst = max(worst, antipode_law_residuals(params, battery, window).max())
+        values = [counit_law_residual(params, a, two_m) for a in battery for two_m in window]
+        values.extend(antipode_law_residuals(params, battery, window).ravel())
         triples = [(two_n, two_m, two_l) for two_n in window for two_m in window for two_l in window]
-        worst = max(worst, coassociativity_residuals(params, battery, triples).max())
+        values.extend(coassociativity_residuals(params, battery, triples).ravel())
         b = battery[3]
         c = _random_element(rng, window)
         for two_n in window[:3]:
@@ -214,21 +211,19 @@ def test_acceptance_04_hopf_structure(acceptance_report):
                 prod = coproduct_component(params, b, two_n, two_m) @ coproduct_component(
                     params, c, two_n, two_m
                 )
-                worst = max(worst, max_abs(coproduct_component(params, b * c, two_n, two_m) - prod))
+                values.append(max_abs(coproduct_component(params, b * c, two_n, two_m) - prod))
                 star = coproduct_component(params, b.star(), two_n, two_m)
-                worst = max(
-                    worst, max_abs(star - coproduct_component(params, b, two_n, two_m).conj().T)
-                )
+                values.append(max_abs(star - coproduct_component(params, b, two_n, two_m).conj().T))
         pairs = [(two_n, two_m) for two_n in window[:3] for two_m in window[:3]]
-        worst = max(worst, flip_residuals(params, [b], pairs).max())
-        worst = max(worst, scaling_compat_residuals(params, [b], [0.7], pairs).max())
+        values.extend(flip_residuals(params, [b], pairs).ravel())
+        values.extend(scaling_compat_residuals(params, [b], [0.7], pairs).ravel())
         elapsed = perf_counter() - start
-        results[t] = (worst, elapsed)
+        results[t] = (worst(values), elapsed)
     passed = all(w <= tol and el < budget for w, el in results.values())
     detail = "; ".join(f"t={t}: {w:.2e} in {el:.2f}s" for t, (w, el) in results.items())
     _record(acceptance_report, 4, "Hopf structure", passed, detail)
-    for t, (worst, elapsed) in results.items():
-        assert worst <= tol, f"t={t}: residual {worst}"
+    for t, (residual, elapsed) in results.items():
+        assert residual <= tol, f"t={t}: residual {residual}"
         assert elapsed < budget, f"t={t}: took {elapsed:.2f}s"
 
 
@@ -239,47 +234,40 @@ def test_acceptance_05_cointegral_and_integrals(acceptance_report):
     for t in T_VALUES:
         params = Params(t=t)
         start = perf_counter()
-        worst = 0.0
+        values = []
         h = cointegral()
         for two_n in range(0, 7):
             dim = two_n + 1
             closed = cointegral_coproduct(params, two_n)
-            worst = max(worst, max_abs(closed - coproduct_component(params, h, two_n, two_n)))
-            worst = max(worst, max_abs(closed @ closed - closed))
-            worst = max(worst, max_abs(closed - closed.conj().T))
+            values.append(max_abs(closed - coproduct_component(params, h, two_n, two_n)))
+            values.append(max_abs(closed @ closed - closed))
+            values.append(max_abs(closed - closed.conj().T))
             sing = np.linalg.svd(closed, compute_uv=False)
-            worst = max(worst, abs(float(sing[0]) - 1.0))
+            values.append(abs(float(sing[0]) - 1.0))
             if sing.size > 1:
-                worst = max(worst, float(sing[1]))
+                values.append(float(sing[1]))
             vec = invariant_vector(params, two_n)
-            worst = max(worst, max_abs(closed - np.outer(vec, vec.conj())))
+            values.append(max_abs(closed - np.outer(vec, vec.conj())))
             eye = np.eye(dim, dtype=complex)
             w_left = integral_weight_matrix(params, two_n, "left")
             w_right = integral_weight_matrix(params, two_n, "right")
-            worst = max(worst, max_abs(contract_second(closed, dim, dim, w_left) - eye))
-            worst = max(worst, max_abs(contract_first(closed, dim, dim, w_right) - eye))
-            worst = max(
-                worst,
-                max_abs(
-                    contract_first(closed, dim, dim, w_left)
-                    - modular_element_block(params, two_n)
-                ),
-            )
-            worst = max(
-                worst,
+            values.append(max_abs(contract_second(closed, dim, dim, w_left) - eye))
+            values.append(max_abs(contract_first(closed, dim, dim, w_right) - eye))
+            values.append(max_abs(contract_first(closed, dim, dim, w_left) - modular_element_block(params, two_n)))
+            values.append(
                 max_abs(
                     contract_first(closed, dim, dim, eye)
                     - np.diag(np.exp(params.t * weights(two_n)))
                     / quantum_dimension(params, two_n)
-                ),
+                )
             )
         elapsed = perf_counter() - start
-        results[t] = (worst, elapsed)
+        results[t] = (worst(values), elapsed)
     passed = all(w <= tol and el < budget for w, el in results.values())
     detail = "; ".join(f"t={t}: {w:.2e} in {el:.2f}s" for t, (w, el) in results.items())
     _record(acceptance_report, 5, "cointegral and integrals", passed, detail)
-    for t, (worst, elapsed) in results.items():
-        assert worst <= tol, f"t={t}: residual {worst}"
+    for t, (residual, elapsed) in results.items():
+        assert residual <= tol, f"t={t}: residual {residual}"
         assert elapsed < budget, f"t={t}: took {elapsed:.2f}s"
 
 
@@ -290,7 +278,7 @@ def test_acceptance_06_modular_certificates(acceptance_report):
 
     for t in T_VALUES:
         params = Params(t=t)
-        worst = 0.0
+        values = []
         for two_n in range(0, 5):
             units = [
                 matrix_unit(two_n, two_r, two_s)
@@ -301,20 +289,14 @@ def test_acceptance_06_modular_certificates(acceptance_report):
                 sig_left = modular_automorphism(params, a, "left")
                 sig_right = modular_automorphism(params, a, "right")
                 for b in units:
-                    worst = max(
-                        worst,
-                        abs(left_integral(params, a * b) - left_integral(params, b * sig_left)),
-                    )
-                    worst = max(
-                        worst,
-                        abs(right_integral(params, a * b) - right_integral(params, b * sig_right)),
-                    )
-        results[t] = worst
+                    values.append(abs(left_integral(params, a * b) - left_integral(params, b * sig_left)))
+                    values.append(abs(right_integral(params, a * b) - right_integral(params, b * sig_right)))
+        results[t] = worst(values)
     passed = all(w <= tol for w in results.values())
     detail = "; ".join(f"t={t}: {w:.2e}" for t, w in results.items())
     _record(acceptance_report, 6, "modular certificates", passed, detail)
-    for t, worst in results.items():
-        assert worst <= tol, f"t={t}: residual {worst}"
+    for t, residual in results.items():
+        assert residual <= tol, f"t={t}: residual {residual}"
 
 
 def test_acceptance_07_dual_group(acceptance_report):
@@ -333,23 +315,17 @@ def test_acceptance_07_dual_group(acceptance_report):
 
         w_coproduct = dual_coproduct_residual(params)
 
-        w_antipode = 0.0
+        values = []
         for i in U_LABELS:
             for j in U_LABELS:
                 factor, (ti, tj) = dual_antipode_expected(params, i, j)
-                w_antipode = max(
-                    w_antipode,
-                    (dual_antipode(params, u_entry(i, j)) - factor * u_entry(ti, tj)).norm(),
-                )
-                w_antipode = max(
-                    w_antipode,
-                    (dual_star(params, u_entry(i, j)) - dual_antipode(params, u_entry(j, i))).norm(),
-                )
+                values.append((dual_antipode(params, u_entry(i, j)) - factor * u_entry(ti, tj)).norm())
+                values.append((dual_star(params, u_entry(i, j)) - dual_antipode(params, u_entry(j, i))).norm())
+        w_antipode = worst(values)
 
-        w_relations = max(unitarity_residuals(params).values())
-        w_relations = max(w_relations, max(woronowicz_residuals(params).values()))
+        w_relations = worst([*unitarity_residuals(params).values(), *woronowicz_residuals(params).values()])
 
-        w_haar = abs(dual_haar(one) - 1.0)
+        values = [abs(dual_haar(one) - 1.0)]
         quadratics = {}
         for k in U_LABELS:
             for l in U_LABELS:
@@ -358,9 +334,10 @@ def test_acceptance_07_dual_group(acceptance_report):
                         prod = dual_mul(params, u_entry(k, l), u_entry(i, j))
                         quadratics[(k, l, i, j)] = prod
                         expected = dual_haar_quadratic_expected(params, k, l, i, j)
-                        w_haar = max(w_haar, abs(dual_haar(prod) - expected))
+                        values.append(abs(dual_haar(prod) - expected))
+        w_haar = worst(values)
 
-        w_invariance = 0.0
+        values = []
         for i in U_LABELS:
             for j in U_LABELS:
                 for k in U_LABELS:
@@ -373,23 +350,18 @@ def test_acceptance_07_dual_group(acceptance_report):
                                 if w != 0:
                                     term = w * dual_mul(params, u_entry(i, r), u_entry(k, s))
                                     acc = term if acc is None else acc + term
-                        residual = (acc - target).norm() if acc is not None else target.norm()
-                        w_invariance = max(w_invariance, residual)
+                        values.append((acc - target).norm() if acc is not None else target.norm())
+        w_invariance = worst(values)
 
-        w_modular = 0.0
+        values = []
         for i in U_LABELS:
             for j in U_LABELS:
                 u = u_entry(i, j)
-                w_modular = max(
-                    w_modular,
-                    (dual_modular(params, u) - params.lam_pow(2 * (i + j)) * u).norm(),
-                )
-                w_modular = max(
-                    w_modular,
-                    (dual_modular_inv(params, dual_modular(params, u)) - u).norm(),
-                )
+                values.append((dual_modular(params, u) - params.lam_pow(2 * (i + j)) * u).norm())
+                values.append((dual_modular_inv(params, dual_modular(params, u)) - u).norm())
                 twice = dual_antipode(params, dual_antipode(params, u))
-                w_modular = max(w_modular, (twice - params.lam_pow(2 * (i - j)) * u).norm())
+                values.append((twice - params.lam_pow(2 * (i - j)) * u).norm())
+        w_modular = worst(values)
 
         elapsed = perf_counter() - start
         ok = (
@@ -404,7 +376,7 @@ def test_acceptance_07_dual_group(acceptance_report):
         results[t] = (ok, w_coproduct, w_antipode, w_relations, w_haar, w_invariance, w_modular, elapsed)
     passed = all(entry[0] for entry in results.values())
     detail = "; ".join(
-        f"t={t}: max {max(entry[1:7]):.2e} in {entry[7]:.2f}s" for t, entry in results.items()
+        f"t={t}: max {worst(entry[1:7]):.2e} in {entry[7]:.2f}s" for t, entry in results.items()
     )
     _record(acceptance_report, 7, "dual group", passed, detail)
     for t, entry in results.items():

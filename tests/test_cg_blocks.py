@@ -17,7 +17,7 @@ import pytest
 
 from suq2 import clebsch, discrete
 from suq2.clebsch import decompose, decomposition_residuals, index_set, tensor_rep
-from suq2.discrete import AlgElement, coproduct_component
+from suq2.discrete import AlgElement, coproduct_blocks, coproduct_component
 from suq2.params import Params
 from suq2.reps import build_rep
 from suq2.util import max_abs, weights, worst
@@ -209,6 +209,41 @@ def test_coproduct_component_does_not_depend_on_the_slab_size(monkeypatch, budge
             np.testing.assert_array_equal(
                 coproduct_component(params, a, two_n, two_m), reference_coproduct_component(params, a, two_n, two_m)
             )
+
+
+STACK_PAIRS = [(two_n, two_m) for two_n in range(9) for two_m in range(9)] + [(12, 12), (14, 9), (20, 20)]
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+def test_coproduct_blocks_on_a_stack_is_coproduct_component_item_by_item(t):
+    """Stacks of 1, 3 and 40 elements, the supports of `_supports` taken in
+    turn, match `coproduct_component` on each item bit for bit.  A short
+    stack on a small pair fits `_SLAB_BYTES` (one element on (4, 4) takes
+    18 kB of it) and a long one does not (40 on (8, 8) take 7.9 MB), so
+    both routes run; the leading shape of a stack is kept."""
+    params = Params(t=t)
+    rng = np.random.default_rng(int(10 * t))
+    for two_n, two_m in STACK_PAIRS:
+        try:
+            with np.errstate(over="ignore"):
+                decompose(params, two_n, two_m)
+        except ValueError:
+            # the spins are past what t allows: (20, 20) at t = 50
+            continue
+        supports = list(_supports(two_n, two_m).values())
+        for count in (1, 3, 40):
+            elements = [
+                AlgElement({k: rng.standard_normal((k + 1, k + 1, 2)) @ [1, 1j] for k in supports[i % len(supports)]})
+                for i in range(count)
+            ]
+            support = set().union(*(a.blocks for a in elements))
+            blocks = {k: np.array([a.block(k) for a in elements]) for k in support}
+            stack = coproduct_blocks(params, blocks, two_n, two_m)
+            for a, item in zip(elements, stack, strict=True):
+                assert np.array_equal(item, coproduct_component(params, a, two_n, two_m)), (two_n, two_m, count)
+        shaped = {k: b.reshape(8, 5, k + 1, k + 1) for k, b in blocks.items()}
+        assert np.array_equal(coproduct_blocks(params, shaped, two_n, two_m), stack.reshape(8, 5, *stack.shape[1:]))
+    decompose.cache_clear()
 
 
 def test_decomposition_residuals_match_the_dense_route():

@@ -41,6 +41,7 @@ from suq2.reps import build_rep, evaluate, evaluate_in
 from suq2.util import kron, max_abs, weight_index, weights, worst
 from suq2.verify import (
     WORD_BATTERY,
+    _lift,
     _matrix_units,
     _random_alg_element,
     antipode_law_residuals,
@@ -58,7 +59,9 @@ WINDOW = range(5)
 TOL = 1e-15
 
 
-def reference_coassociativity(params, a, two_n, two_m, two_l):
+def reference_lifts(params, a, two_n, two_m, two_l):
+    """(D (x) id) D(a) and (id (x) D) D(a) on (n, m, l), each lifted by the
+    dense Kronecker products V_k (x) 1 and 1 (x) V_k."""
     dims = (two_n + 1, two_m + 1, two_l + 1)
     total = dims[0] * dims[1] * dims[2]
     lhs = np.zeros((total, total), dtype=complex)
@@ -71,7 +74,7 @@ def reference_coassociativity(params, a, two_n, two_m, two_l):
     for two_k in index_set(two_m, two_l):
         lift = np.kron(np.eye(dims[0]), dec_ml.piece(two_k).v)
         rhs += lift @ coproduct_component(params, a, two_n, two_k) @ lift.conj().T
-    return max_abs(lhs - rhs)
+    return lhs, rhs
 
 
 def reference_invariance(params, a, two_n):
@@ -168,13 +171,26 @@ def hopf_battery_elements(params):
 
 @pytest.mark.parametrize("t", T_VALUES)
 def test_coassociativity_kernel_matches_the_kronecker_lift(t):
+    """`_lift` takes D on one leg through the CG blocks, the reference
+    through dense Kronecker lifts; the two round differently on entries
+    larger than 1, so each lift is held entrywise to a few eps at the
+    scale of the reference, and each residual to 1e-15 at that scale."""
     params = Params(t=t)
     words, _, randoms = hopf_battery_elements(params)
     battery = [words["e"], words["ef"]] + randoms
     triples = [(n, m, l) for n in WINDOW for m in WINDOW for l in WINDOW]
     kernel = coassociativity_residuals(params, battery, triples)
-    reference = np.array([[reference_coassociativity(params, a, *triple) for triple in triples] for a in battery])
-    np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
+    components = lambda two_n, two_m: np.array([coproduct_component(params, a, two_n, two_m) for a in battery])
+    eps = np.finfo(float).eps
+    for j, (n, m, l) in enumerate(triples):
+        lhs = _lift(params, {k: components(k, l) for k in index_set(n, m)}, (n, m), l, leg=0)
+        rhs = _lift(params, {k: components(n, k) for k in index_set(m, l)}, (m, l), n, leg=1)
+        for i, a in enumerate(battery):
+            ref_lhs, ref_rhs = reference_lifts(params, a, n, m, l)
+            for got, ref in ((lhs[i], ref_lhs), (rhs[i], ref_rhs)):
+                assert max_abs(got - ref) <= 4 * eps * max(1.0, max_abs(ref)), (t, n, m, l, i)
+            scale = max(1.0, max_abs(ref_lhs), max_abs(ref_rhs))
+            assert abs(kernel[i, j] - max_abs(ref_lhs - ref_rhs)) <= 1e-15 * scale, (t, n, m, l, i)
 
 
 @pytest.mark.parametrize("t", T_VALUES)

@@ -1,5 +1,7 @@
 """The check batteries: the declared table, ids per suite, results and tolerances."""
 
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from suq2 import verify
 from suq2.clebsch import decompose, decomposition_residuals, tensor_rep
 from suq2.discrete import conjugate_unitary
 from suq2.dual import unitarity_residuals, woronowicz_residuals
@@ -17,6 +20,7 @@ from suq2.reps import build_rep, relation_residuals
 from suq2.verify import (
     CHECKS,
     FIXED,
+    OWN_ELEMENT_ROWS,
     ROWS,
     SUITE_BATTERIES,
     SUITES,
@@ -25,6 +29,7 @@ from suq2.verify import (
     _leg_matrix,
     doc_csv,
     dump_json,
+    hopf_battery,
     report_csv,
     report_doc,
     run_suite,
@@ -173,6 +178,61 @@ def test_each_suite_matches_its_all_rows_in_either_order():
         assert list(before[suite]) == EXPECTED_IDS[suite]
         for checks in (before[suite], after[suite]):
             assert checks == {check_id: all_before[check_id] for check_id in checks}, suite
+
+
+def test_run_suite_runs_each_battery_looked_up_by_name(monkeypatch):
+    """run_suite calls the battery a module attribute holds when it runs, so
+    a wrapped one (the benchmark's tracer wraps them) is the one that runs,
+    in the order of SUITE_BATTERIES and with the same report."""
+    config = RunConfig(seed=7)
+    expected = dump_json(report_doc(run_suite(config, "all")))
+    calls = []
+
+    def wrapped(name, plain):
+        @functools.wraps(plain)
+        def battery(*args, **kwargs):
+            calls.append(name)
+            return plain(*args, **kwargs)
+
+        return battery
+
+    for name in (b for batteries in SUITE_BATTERIES.values() for b in batteries):
+        monkeypatch.setattr(verify, f"{name}_battery", wrapped(name, getattr(verify, f"{name}_battery")))
+    assert dump_json(report_doc(run_suite(config, "all"))) == expected
+    assert calls == [b for batteries in SUITE_BATTERIES.values() for b in batteries]
+
+
+def test_hopf_battery_reads_no_dense_isometry():
+    params = Params(t=0.3)
+    decompose.cache_clear()
+    try:
+        hopf_battery(params, 4, np.random.default_rng(0))
+        for two_n in range(9):
+            for two_m in range(9):
+                assert "pieces" not in vars(decompose(params, two_n, two_m)), (two_n, two_m)
+    finally:
+        decompose.cache_clear()
+
+
+def test_hopf_elements_cover_the_widest_row_that_reads_them(monkeypatch):
+    """The shared elements of the hopf battery (the random ones are watched;
+    the words are embedded on the same window) span the widest window of
+    the hopf rows outside OWN_ELEMENT_ROWS, computed here from the table;
+    raising the cap of one such row widens them."""
+    hopf_ids = {row.id for row in CHECKS if row.battery == "hopf"}
+    assert set(OWN_ELEMENT_ROWS) < hopf_ids
+    drawn = []
+    plain = verify._random_alg_element
+    spy = lambda rng, two_ns: drawn.append(list(two_ns)) or plain(rng, two_ns)
+    monkeypatch.setattr(verify, "_random_alg_element", spy)
+    for raised in (None, "dqg/scaling-coproduct"):
+        if raised:
+            monkeypatch.setitem(verify.ROWS, raised, dataclasses.replace(ROWS[raised], cap=6))
+        cap = max(verify.ROWS[check_id].cap for check_id in hopf_ids - set(OWN_ELEMENT_ROWS))
+        assert cap == (6 if raised else 4)
+        drawn.clear()
+        hopf_battery(Params(), 8, np.random.default_rng(0))
+        assert drawn == [list(range(cap + 1))] * 2
 
 
 def test_every_check_passes_at_the_default_config(reports):
