@@ -27,11 +27,11 @@ from suq2 import (
     right_integral,
     weights,
 )
+from suq2.util import max_abs, worst
 from suq2.verify import (
     WORD_BATTERY,
     antipode_law_residuals,
     coassociativity_residuals,
-    counit_law_residual,
     flip_residuals,
     invariance_residuals,
 )
@@ -57,7 +57,13 @@ print(coproduct_component(params, a, 1, 1).real)
 # coassociativity compared block by block.
 # ---------------------------------------------------------------------------
 battery = [a, matrix_unit(2, 2, 0), matrix_unit(1, -1, -1)]
-worst_counit = max(counit_law_residual(params, x, two_m) for x in battery for two_m in window)
+# D(x)_(0,m) and D(x)_(m,0) are the block x_m itself
+worst_counit = worst(
+    max_abs(coproduct_component(params, x, *pair) - x.block(two_m))
+    for x in battery
+    for two_m in window
+    for pair in ((0, two_m), (two_m, 0))
+)
 worst_antipode = antipode_law_residuals(params, battery, window).max()
 triples = [(n, m, l) for n in window[:3] for m in window[:3] for l in window[:3]]
 worst_coassoc = coassociativity_residuals(params, battery, triples).max()

@@ -21,6 +21,7 @@ from suq2 import (
     ladder_poly_matrix,
     relation_residuals,
 )
+from suq2.util import worst
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -45,11 +46,9 @@ print("f =\n", rep.f.real)
 # ---------------------------------------------------------------------------
 print("\nworst relation residual per spin (both signs):")
 for two_n in range(0, 7):
-    worst = 0.0
-    for sign in (+1, -1):
-        r = build_rep(params, two_n, sign)
-        worst = max(worst, max(relation_residuals(params, r.q, r.q_inv, r.e, r.f).values()))
-    print(f"  2n = {two_n}:  {worst:.3e}")
+    reps_n = [build_rep(params, two_n, sign) for sign in (+1, -1)]
+    residual = worst(v for r in reps_n for v in relation_residuals(params, r.q, r.q_inv, r.e, r.f).values())
+    print(f"  2n = {two_n}:  {residual:.3e}")
 
 # ---------------------------------------------------------------------------
 # The Casimir element acts as the scalar 2 (lam^(2n+1) + lam^(-2n-1)), which

@@ -10,7 +10,7 @@ Subcommands:
 Common options resolve in the order: command line flag, then SUQ2_*
 environment variable, then built-in default.  JSON goes to stdout unless
 --out is given; csv output requires --out.  Exit codes: 0 success,
-1 failed checks, 2 invalid configuration.
+1 failed checks, 2 invalid configuration or an unwritable --out.
 """
 
 import argparse
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         parser.exit(2, f"suq2: error: {exc}\n")
         return 2
 

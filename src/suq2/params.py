@@ -8,6 +8,7 @@ n = 3/2 is the integer ``two_n = 3``, the weight j = -1 is ``two_j = -2``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -18,7 +19,7 @@ class Params:
     Attributes
     ----------
     t : float
-        Deformation parameter, must be positive.  lam = exp(t).
+        Deformation parameter, a positive real, not a bool.  lam = exp(t).
     tol_abs : float
         Absolute tolerance for residual checks, finite and nonnegative.
     tol_rel : float
@@ -32,6 +33,10 @@ class Params:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
+        for name in ("t", "tol_abs", "tol_rel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (self.t > 0.0 and math.isfinite(self.t)):
             raise ValueError(f"deformation parameter t must be positive, got {self.t!r}")
         for name in ("tol_abs", "tol_rel"):

@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from suq2.clebsch import decomposition_residuals, index_set
+from suq2.clebsch import decomposition_residuals, index_set, tensor_rep
 from suq2.discrete import (
     AlgElement,
     cointegral,
@@ -49,6 +49,7 @@ from suq2.reps import (
     casimir_matrix,
     casimir_scalar,
     classify_by_highest_weight,
+    evaluate_in,
     ladder_poly_matrix,
     relation_residuals,
 )
@@ -56,9 +57,7 @@ from suq2.util import max_abs, weights, worst
 from suq2.verify import (
     RunConfig,
     antipode_law_residuals,
-    block_reconstruction_residual,
     coassociativity_residuals,
-    counit_law_residual,
     dual_antipode_expected,
     dual_coproduct_residual,
     dual_haar_quadratic_expected,
@@ -88,6 +87,19 @@ def _random_element(rng, two_ns):
             for two_n in two_ns
         }
     )
+
+
+def _block_reconstruction(params, two_n, two_m, x):
+    """| sum_k V_k pi_k(x) V_k* - D(x) |: the shipped coproduct of x, embedded
+    over the summands, against the tensor product generators."""
+    trep = tensor_rep(build_rep(params, two_n, +1), build_rep(params, two_m, +1))
+    assembled = coproduct_component(params, embed(params, x, index_set(two_n, two_m)), two_n, two_m)
+    return max_abs(assembled - evaluate_in(trep.gen_matrices, x, trep.dim))
+
+
+def _counit_law(params, a, two_m):
+    """D(a)_(0,m) and D(a)_(m,0) against the block a_m."""
+    return worst(max_abs(coproduct_component(params, a, *pair) - a.block(two_m)) for pair in ((0, two_m), (two_m, 0)))
 
 
 def test_acceptance_01_representations(acceptance_report):
@@ -166,7 +178,7 @@ def test_acceptance_03_clebsch_gordan(acceptance_report):
                 structure_ok = structure_ok and sum(k + 1 for k in ks) == (two_n + 1) * (two_m + 1)
                 res = decomposition_residuals(params, two_n, two_m)
                 values.extend(res.values())
-                values.extend(block_reconstruction_residual(params, two_n, two_m, x) for x in WORD_BATTERY.values())
+                values.extend(_block_reconstruction(params, two_n, two_m, x) for x in WORD_BATTERY.values())
         worked = worked_half_half_residual(params)
         elapsed = perf_counter() - start
         results[t] = (structure_ok, worst(values), worked, elapsed)
@@ -200,7 +212,7 @@ def test_acceptance_04_hopf_structure(acceptance_report):
             matrix_unit(1, 1, -1),
             _random_element(rng, window),
         ]
-        values = [counit_law_residual(params, a, two_m) for a in battery for two_m in window]
+        values = [_counit_law(params, a, two_m) for a in battery for two_m in window]
         values.extend(antipode_law_residuals(params, battery, window).ravel())
         triples = [(two_n, two_m, two_l) for two_n in window for two_m in window for two_l in window]
         values.extend(coassociativity_residuals(params, battery, triples).ravel())

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from suq2.cli import main
 from suq2.verify import RunConfig, dump_json, report_doc, run_suite
 
 CLI = [sys.executable, "-m", "suq2.cli"]
@@ -179,6 +180,16 @@ def test_csv_refuses_non_finite_numbers_like_json(tmp_path):
     assert result.returncode == 2
     assert "non-finite number in report" in result.stderr
     assert not out.exists()
+
+
+def test_an_unwritable_out_exits_two_naming_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--suite", "hopf", "--out", str(out)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "suq2: error:" in err and str(out) in err and "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_invalid_subcommand_and_flags_exit_two():

@@ -45,14 +45,13 @@ from suq2.verify import (
     _matrix_units,
     _random_alg_element,
     antipode_law_residuals,
-    block_reconstruction_residual,
+    clebsch_battery,
     coassociativity_residuals,
     flip_residuals,
     invariance_residuals,
     modular_certificate_residual,
     scaling_compat_residuals,
 )
-from suq2.words import AlgPoly, Gen
 
 T_VALUES = (0.1, 0.3, 1.0)
 WINDOW = range(5)
@@ -246,15 +245,6 @@ PAIRS = [(two_n, two_m) for two_n in range(7) for two_m in range(7)]
 S_VALUES = (0.7, -1.3, 1.9, -0.35)
 
 
-def random_polys(rng, count):
-    """Random complex combinations of the words of length at most 2."""
-    letters = [()] + [(g,) for g in Gen] + [(g, h) for g in Gen for h in Gen]
-    return [
-        AlgPoly({w: complex(*rng.standard_normal(2)) for w in letters})
-        for _ in range(count)
-    ]
-
-
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_flip_residual_matches_the_kronecker_sandwich(t):
     params = Params(t=t)
@@ -268,12 +258,16 @@ def test_flip_residual_matches_the_kronecker_sandwich(t):
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_block_reconstruction_matches_the_dense_summand_loop(t):
+    """Each value cg/block-reconstruction yields, pair major and word minor
+    over the pairs of its window, is the dense summand loop's residual."""
     params = Params(t=t)
-    battery = list(WORD_BATTERY.values()) + random_polys(np.random.default_rng(6), 2)
-    for x in battery:
-        for two_n, two_m in PAIRS:
-            reference, scale = reference_block_reconstruction(params, two_n, two_m, x)
-            assert abs(block_reconstruction_residual(params, two_n, two_m, x) - reference) <= 1e-13 * scale
+    values = dict(clebsch_battery.__wrapped__(params, 4))["cg/block-reconstruction"]
+    window = range(5)
+    cases = [((two_n, two_m), x) for two_n in window for two_m in window for x in WORD_BATTERY.values()]
+    assert len(values) == len(cases)
+    for value, (pair, x) in zip(values, cases):
+        reference, scale = reference_block_reconstruction(params, *pair, x)
+        assert abs(value - reference) <= 1e-13 * scale, (pair, x)
 
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from suq2.params import Params
@@ -24,3 +25,22 @@ def test_infinite_tolerance_cannot_pass_a_suite():
     # an infinite tolerance would pass every check, whatever its residual
     with pytest.raises(ValueError, match="tol_abs must be finite"):
         run_suite(RunConfig(tol_abs=math.inf), "dqg")
+
+
+@pytest.mark.parametrize("name", ["t", "tol_abs", "tol_rel"])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.3", None, 1j])
+def test_a_field_that_is_not_a_real_number_is_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        Params(**{name: value})
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.25)])
+def test_ints_and_numpy_floats_are_accepted(value):
+    params = Params(t=value, tol_abs=value, tol_rel=value)
+    assert (params.t, params.tol_abs, params.tol_rel) == (value, value, value)
+
+
+def test_a_bool_deformation_never_reaches_a_report():
+    # True == 1 would run the suite at t = 1 and write "t":true into the report
+    with pytest.raises(ValueError, match="^t must be a real number, got True"):
+        run_suite(RunConfig(t=True, tol_abs=True), "hopf")

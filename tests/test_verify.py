@@ -13,10 +13,11 @@ import pytest
 
 from suq2 import verify
 from suq2.clebsch import decompose, decomposition_residuals, tensor_rep
-from suq2.discrete import conjugate_unitary
+from suq2.discrete import conjugate_unitary, coproduct_component, embed
 from suq2.dual import unitarity_residuals, woronowicz_residuals
 from suq2.params import Params
 from suq2.reps import build_rep, relation_residuals
+from suq2.util import max_abs
 from suq2.verify import (
     CHECKS,
     FIXED,
@@ -24,9 +25,13 @@ from suq2.verify import (
     ROWS,
     SUITE_BATTERIES,
     SUITES,
+    WORD_BATTERY,
     RunConfig,
     _battery,
     _leg_matrix,
+    _matrix_units,
+    _random_alg_element,
+    clebsch_battery,
     doc_csv,
     dump_json,
     hopf_battery,
@@ -212,6 +217,59 @@ def test_hopf_battery_reads_no_dense_isometry():
                 assert "pieces" not in vars(decompose(params, two_n, two_m)), (two_n, two_m)
     finally:
         decompose.cache_clear()
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+def test_stacked_hopf_laws_yield_the_per_element_values(t):
+    """The counit, multiplicative and star laws take D of their stacked
+    elements once per block pair; each value they yield, block pair major,
+    is the per-element coproduct_component residual exactly."""
+    params = Params(t=t)
+    window = range(5)
+    pairs = [(two_n, two_m) for two_n in window for two_m in window]
+    d = lambda a, pair: coproduct_component(params, a, *pair)
+    with np.errstate(all="ignore"):
+        got = {check_id: value for check_id, value, *_ in hopf_battery.__wrapped__(params, 4, np.random.default_rng(0))}
+        # the battery's elements: its words, the matrix units to spin 1, and
+        # the two random elements it draws first
+        rng = np.random.default_rng(0)
+        words = {name: embed(params, x, window) for name, x in WORD_BATTERY.items()}
+        units = [a for _, a in _matrix_units(range(3))]
+        randoms = [_random_alg_element(rng, window) for _ in range(2)]
+        counit = [
+            max_abs(d(a, pair) - a.block(two_m))
+            for two_m in window
+            for pair in ((0, two_m), (two_m, 0))
+            for a in [*words.values(), *units, *randoms]
+        ]
+        hom = [(words["q"], words["e"]), (words["e"], words["f"]), tuple(randoms), (units[1], units[2])]
+        multiplicative = [max_abs(d(a * b, p) - d(a, p) @ d(b, p)) for p in pairs for a, b in hom]
+        star = [max_abs(d(a.star(), p) - d(a, p).conj().T) for p in pairs for a in [*randoms, words["qef"]]]
+    np.testing.assert_array_equal(got["dqg/counit-laws"], counit)
+    np.testing.assert_array_equal(got["dqg/coproduct-multiplicative"], multiplicative)
+    np.testing.assert_array_equal(got["dqg/coproduct-star"], star)
+
+
+def test_hopf_and_clebsch_batteries_take_d_on_stacks(monkeypatch):
+    """Neither battery takes D one element at a time: no coproduct_component
+    call, and cg/block-reconstruction takes D of its word stack once per
+    pair of its window."""
+    calls = dict.fromkeys(("coproduct_component", "coproduct_blocks"), 0)
+
+    def counted(name, plain):
+        def call(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    hopf_battery(Params(), 4, np.random.default_rng(0))
+    assert calls["coproduct_component"] == 0 and calls["coproduct_blocks"] > 0
+    calls["coproduct_blocks"] = 0
+    clebsch_battery(Params(), 4)
+    assert calls == {"coproduct_component": 0, "coproduct_blocks": 25}
 
 
 def test_hopf_elements_cover_the_widest_row_that_reads_them(monkeypatch):
