@@ -201,8 +201,8 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
     right = build_rep(params, two_m, +1)
     size = len(index_set(two_n, two_m))
     dim = left.dim * right.dim
-    q_left = np.exp(0.5 * params.t * weights(two_n))
-    q_inv_right = np.exp(-0.5 * params.t * weights(two_m))
+    q_left = params.q_diag(two_n)
+    q_inv_right = params.q_diag(two_m, -1.0)
 
     # product vector c = (p, u), left and right index, has weight index
     # s = p + u and sits at row p - lo[s] of that weight's block, which

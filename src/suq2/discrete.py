@@ -294,7 +294,7 @@ def scaling_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.n
 
 def scaling_imag_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:
     """Analytic continuation tau_(is)(a) = q^(2s) a q^(-2s) on one block."""
-    d = np.exp(params.t * s * weights(two_n))
+    d = params.q_diag(two_n, 2 * s)
     return mat * np.outer(d, 1.0 / d)
 
 
@@ -353,7 +353,7 @@ def _kind_sign(kind: str) -> float:
 
 def quantum_dimension(params: Params, two_n: int) -> float:
     """sum_j lam^(2j) over the weights of the spin-(two_n/2) block."""
-    return float(np.sum(np.exp(params.t * weights(two_n))))
+    return float(np.sum(params.q_diag(two_n, 2.0)))
 
 
 def cointegral_coproduct(params: Params, two_n: int) -> np.ndarray:
@@ -398,7 +398,7 @@ def integral_weight_matrix(params: Params, two_n: int, kind: str) -> np.ndarray:
     kind "right" the right invariant one       psi(e_(r,s)) = c d(r,s) lam^(2r).
     """
     sign = _kind_sign(kind)
-    return np.diag(quantum_dimension(params, two_n) * np.exp(sign * params.t * weights(two_n))).astype(complex)
+    return np.diag(quantum_dimension(params, two_n) * params.q_diag(two_n, 2 * sign)).astype(complex)
 
 
 def block_integrals(params: Params, two_n: int, mats: np.ndarray, kind: str) -> np.ndarray:
@@ -409,7 +409,7 @@ def block_integrals(params: Params, two_n: int, mats: np.ndarray, kind: str) -> 
     c = quantum_dimension(params, two_n)
     # c multiplies the sum, not the weights: folding it into exp(+-t w) rounds
     # the t = 2 modular certificates past their tolerance
-    return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * np.exp(sign * params.t * weights(two_n)), axis=-1)
+    return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * params.q_diag(two_n, 2 * sign), axis=-1)
 
 
 def left_integral(params: Params, a: AlgElement) -> complex:
@@ -424,7 +424,7 @@ def right_integral(params: Params, a: AlgElement) -> complex:
 
 def modular_element_block(params: Params, two_n: int) -> np.ndarray:
     """Block of the modular element relating phi and psi; equals q^4."""
-    return np.diag(np.exp(2.0 * params.t * weights(two_n))).astype(complex)
+    return np.diag(params.q_diag(two_n, 4.0)).astype(complex)
 
 
 def modular_automorphism(params: Params, a: AlgElement, kind: str) -> AlgElement:

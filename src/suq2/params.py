@@ -2,14 +2,21 @@
 
 Everything in this package is computed for a fixed deformation parameter
 t > 0, entering through lam = exp(t) (the classical theory is the t -> 0
-limit).  Half-integer labels (spins ``n`` and weights ``j``) are passed
-around as *doubled integers* so that all bookkeeping stays exact: a spin
-n = 3/2 is the integer ``two_n = 3``, the weight j = -1 is ``two_j = -2``.
+limit).  ``Params`` is the one home of the exponentials of t: ``lam_pow``
+gives closed-form powers of lam, ``q_diag`` powers of q on a weight basis,
+and ``qnum`` the q-numbers [x] = sinh(x t) / sinh(t).  Half-integer labels
+(spins ``n`` and weights ``j``) are passed around as *doubled integers* so
+that all bookkeeping stays exact: a spin n = 3/2 is the integer
+``two_n = 3``, the weight j = -1 is ``two_j = -2``.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
+
+from .util import weights
 
 
 @dataclass(frozen=True)
@@ -67,3 +74,11 @@ class Params:
         integers used throughout, but any real ``two_exp`` is accepted.
         """
         return math.exp(0.5 * self.t * two_exp)
+
+    def q_diag(self, two_n: int, power: complex = 1.0) -> np.ndarray:
+        """Diagonal of q^power on the spin-(two_n/2) weights j, highest first: exp(power t j)."""
+        return np.exp(0.5 * power * self.t * weights(two_n))
+
+    def qnum(self, x) -> np.ndarray:
+        """The q-numbers [x] = sinh(x t) / sinh(t), elementwise."""
+        return np.sinh(self.t * np.asarray(x)) / np.sinh(self.t)

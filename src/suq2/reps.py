@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import Params
-from .util import max_abs, read_only, weights
+from .util import max_abs, read_only
 from .words import AlgPoly, Gen
 
 
@@ -71,11 +71,10 @@ def build_rep(params: Params, two_n: int, sign: int = 1) -> Rep:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
-    two_js = weights(two_n)
     dim = two_n + 1
 
     # r[i] joins basis vectors i + 1 and i: r[i]^2 = [two_n - i] [i + 1]
-    qnum = np.sinh(params.t * np.arange(1, dim)) / np.sinh(params.t)
+    qnum = params.qnum(np.arange(1, dim))
     r = np.sqrt(qnum[::-1] * qnum)
 
     e = np.zeros((dim, dim), dtype=complex)
@@ -83,7 +82,7 @@ def build_rep(params: Params, two_n: int, sign: int = 1) -> Rep:
         e[np.arange(dim - 1), np.arange(1, dim)] = r
     f = e.T.copy()
 
-    q_diag = sign * np.exp(0.5 * params.t * two_js)
+    q_diag = sign * params.q_diag(two_n)
     q = np.diag(q_diag.astype(complex))
     q_inv = np.diag((1.0 / q_diag).astype(complex))
 

@@ -538,8 +538,9 @@ def worked_half_half_residual(params: Params) -> float:
 
 
 def _stacked(elements) -> dict:
-    """One stack per spin of a battery's joint support, zeros where an element lacks the block."""
-    support = sorted(set().union(*(a.blocks for a in elements)))
+    """One stack per spin of a battery's joint support, zeros where an element lacks the
+    block; an all-zero battery keeps a spin-0 zero stack, and so its leading axis."""
+    support = sorted(set().union(*(a.blocks for a in elements))) or [0]
     return {two_k: np.array([a.block(two_k) for a in elements]) for two_k in support}
 
 
@@ -869,8 +870,8 @@ def rep_battery(params: Params, nmax2: int, rng):
     yield "reps/adjointness", (max_abs(rep.e.conj().T - rep.f) for rep in reps)
     yield "reps/amplitude-symmetry", (max_abs(rep.r - rep.r[::-1]) for rep in reps if rep.sign == +1)
     yield "reps/amplitude-closure", (
-        abs(float(params.c * np.sum(np.exp(params.t * w) - np.exp(-params.t * w))))
-        for w in map(weights, _window("reps/amplitude-closure", nmax2))
+        abs(float(params.c * np.sum(params.q_diag(two_n, 2.0) - params.q_diag(two_n, -2.0))))
+        for two_n in _window("reps/amplitude-closure", nmax2)
     )
     yield "reps/casimir", (
         max_abs(casimir_matrix(params, rep) - casimir_scalar(params, rep.two_n) * np.eye(rep.dim))
@@ -1150,7 +1151,7 @@ def cointegral_battery(params: Params, nmax2: int):
                 ),
                 "trace-contraction": max_abs(
                     contract_first(closed, dim, dim, eye)
-                    - np.diag(np.exp(params.t * weights(two_n))) / quantum_dimension(params, two_n)
+                    - np.diag(params.q_diag(two_n, 2.0)) / quantum_dimension(params, two_n)
                 ),
             }
         )

@@ -156,15 +156,19 @@ def _supports(two_n, two_m):
     return {"full": ks, "partial": ks[:-1], "single": ks[len(ks) // 2 : len(ks) // 2 + 1], "empty": [two_n + two_m + 2]}
 
 
-@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+@pytest.mark.parametrize("t", (1e-8, 1e-5, 0.3, 1.0, 2.0, 50.0))
 def test_decompose_matches_the_per_weight_loop(t):
+    """The loop also holds the q factors as written before they moved to
+    ``Params.q_diag``; where B_w overflows (t = 50) both refuse it alike."""
     params = Params(t=t)
+    pairs = SMALL_PAIRS + [(two_n, two_n) for two_n in range(17, 33)] + [(24, 16), (32, 20), (48, 48)]
     try:
-        for two_n, two_m in SMALL_PAIRS + [(24, 24), (24, 16), (32, 20), (48, 48)]:
+        for two_n, two_m in pairs:
             try:
-                expected = reference_decompose(params, two_n, two_m)
+                with np.errstate(all="ignore"):
+                    expected = reference_decompose(params, two_n, two_m)
             except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                with pytest.raises(ValueError, match=re.escape(str(exc))), np.errstate(all="ignore"):
                     decompose(params, two_n, two_m)
                 continue
             dec = decompose(params, two_n, two_m)

@@ -20,10 +20,12 @@ import pytest
 
 from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
+    AlgElement,
     antipode_block,
     conjugate_unitary,
     contract_first,
     contract_second,
+    coproduct_blocks,
     coproduct_component,
     counit,
     embed,
@@ -43,7 +45,9 @@ from suq2.verify import (
     WORD_BATTERY,
     _lift,
     _matrix_units,
+    _max_abs_each,
     _random_alg_element,
+    _stacked,
     antipode_law_residuals,
     clebsch_battery,
     coassociativity_residuals,
@@ -318,6 +322,24 @@ def test_scaling_and_flip_kernels_match_the_per_item_forms(t):
     kernel = flip_residuals(params, elements, pairs)
     reference = [[reference_flip(params, a, *pair) for pair in pairs] for a in elements]
     np.testing.assert_array_equal(kernel, np.array(reference))
+
+
+def test_an_all_zero_battery_keeps_its_leading_axis():
+    """Zero elements have no blocks, so the battery's joint support is
+    empty; every stacked kernel still gives one row of zero residuals per
+    element."""
+    params = Params(t=0.3)
+    zeros = [AlgElement()] * 3
+    kernels = [
+        (antipode_law_residuals(params, zeros, [1, 2]), (3, 2)),
+        (coassociativity_residuals(params, zeros, [(1, 1, 2)]), (3, 1)),
+        (flip_residuals(params, zeros, [(1, 2), (2, 0)]), (3, 2)),
+        (scaling_compat_residuals(params, zeros, S_VALUES, [(1, 2), (0, 3)]), (3, len(S_VALUES), 2)),
+        (invariance_residuals(params, zeros, [1, 2]), (3, 2, 2)),
+    ]
+    for residuals, shape in kernels:
+        np.testing.assert_array_equal(residuals, np.zeros(shape), strict=True)
+    assert _max_abs_each(coproduct_blocks(params, _stacked(zeros), 1, 2)).shape == (3,)
 
 
 def test_kron_is_numpy_kron_bit_for_bit():
