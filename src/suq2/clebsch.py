@@ -34,14 +34,14 @@ vectors are orthonormal, so no normalization guard either.  The loop over
 weights only calls LAPACK; the signs follow in one pass, since a column's
 sign is its own overlap sign times that of the column above it.  The
 orthogonal per-weight blocks are what `Decomposition` stores, with the
-singular values beside them as a record of conditioning; the dense V_k
-are scattered from them the first time they are read, and neither
-`coproduct_component` nor the certificates below form them.
+singular values beside them as a record of conditioning; the dense V_k,
+which are real, are scattered from them once, side by side, when first
+read, and neither `coproduct_component` nor the certificates form them.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -124,12 +124,12 @@ class Decomposition:
 
     The blocks are the construction.  ``coefficients[i, c]``, the entry of
     product vector c in spin column i, and ``weight_of[c]``, the weight
-    index of product vector c, are read off them once.  The dense V_k are
-    scattered from them only when ``pieces`` or ``piece(k)`` is first read,
-    and then kept; `decomposition_residuals` reads the blocks and the row
-    map instead.  ``basis``, the V_k side by side as one real matrix, is
-    likewise scattered on first read.  Every array is read-only: the
-    object is shared by the cache of `decompose`.
+    index of product vector c, are read off them once.  ``basis``, the real
+    dense V_k side by side, is scattered from them once when first read;
+    ``columns[k]`` is its slice of columns that is V_k, and ``pieces`` and
+    ``piece(k)`` are complex copies of those slices for the public API.
+    `decomposition_residuals` reads the blocks and the row map instead.
+    Every array is read-only: the object is shared by the cache of `decompose`.
     """
 
     two_n: int
@@ -141,28 +141,30 @@ class Decomposition:
     singular_values: np.ndarray = field(repr=False)
 
     @cached_property
-    def pieces(self) -> tuple:
-        """The dense V_k as `CGIsometry`, spins ascending."""
-        return self._scatter()
+    def basis(self) -> np.ndarray:
+        """The V_k side by side, spins ascending, scattered from the blocks:
+        the real orthogonal change of basis of the whole tensor product."""
+        dim = (self.two_n + 1) * (self.two_m + 1)
+        basis = np.zeros((dim + 1, dim))
+        for i, (two_k, cols) in enumerate(self.columns.items()):
+            s = (self.two_n + self.two_m - two_k) // 2 + np.arange(two_k + 1)
+            basis[self.rows[s], np.arange(cols.start, cols.stop)[:, None]] = self.blocks[s, :, i]
+        return read_only(basis[:dim])
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """The V_k side by side, spins ascending: the real orthogonal change
-        of basis of the whole tensor product, which `dual_mul` compresses
-        with."""
-        return read_only(np.hstack([p.v.real for p in self._scatter()]))
+    def columns(self) -> dict:
+        """Each spin k, ascending, to the slice of `basis` that is V_k."""
+        two_ks = index_set(self.two_n, self.two_m)
+        return {two_k: slice(stop - two_k - 1, stop) for two_k, stop in zip(two_ks, accumulate(k + 1 for k in two_ks))}
 
-    def _scatter(self) -> tuple:
-        """The dense V_k scattered from the blocks, anew on every call."""
-        dim = (self.two_n + 1) * (self.two_m + 1)
-        pieces = []
-        for i, two_k in enumerate(index_set(self.two_n, self.two_m)):
-            col = np.arange(two_k + 1)
-            s = (self.two_n + self.two_m - two_k) // 2 + col
-            v = np.zeros((dim + 1, two_k + 1), dtype=complex)
-            v[self.rows[s], col[:, None]] = self.blocks[s, :, i]
-            pieces.append(CGIsometry(two_n=self.two_n, two_m=self.two_m, two_k=two_k, v=read_only(v[:dim])))
-        return tuple(pieces)
+    @cached_property
+    def pieces(self) -> tuple:
+        """The V_k as `CGIsometry`, spins ascending: complex copies of their
+        columns of `basis`, for the public API."""
+        return tuple(
+            CGIsometry(self.two_n, self.two_m, two_k, read_only(self.basis[:, cols].astype(complex)))
+            for two_k, cols in self.columns.items()
+        )
 
     def piece(self, two_k: int) -> CGIsometry:
         for p in self.pieces:

@@ -219,7 +219,7 @@ def cmd_cg(args, parser) -> int:
         "two_n": args.n,
         "two_m": args.m,
         "index_set": index_set(args.n, args.m),
-        "isometries": {str(piece.two_k): _matrix_doc(piece.v) for piece in dec.pieces},
+        "isometries": {str(two_k): _matrix_doc(dec.basis[:, cols]) for two_k, cols in dec.columns.items()},
         "residuals": {law: float(v) for law, v in residuals.items()},
         "singular_gap": dec.singular_gap,
     }

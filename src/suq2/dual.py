@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clebsch import decompose, index_set
+from .clebsch import decompose
 from .discrete import (
     AlgElement,
     BlockSum,
@@ -100,18 +100,15 @@ def dual_mul(params: Params, x: DualElement, y: DualElement) -> DualElement:
     out = {}
     for two_n in y.support:
         for two_m in x.support:
-            basis = decompose(params, two_n, two_m).basis
+            dec = decompose(params, two_n, two_m)
             # kron(y_n, x_m), C-ordered for the float view
             y_n, x_m = y.blocks[two_n], x.blocks[two_m]
-            kron = np.multiply(y_n[:, None, :, None], x_m[None, :, None, :], order="C").reshape(basis.shape)
+            kron = np.multiply(y_n[:, None, :, None], x_m[None, :, None, :], order="C").reshape(dec.basis.shape)
             # K^T V = (V^T K)^T, C-ordered for the float view of its columns
-            kv = np.ascontiguousarray((basis.T @ kron.view(float)).view(complex).T)
-            start = 0
-            for two_k in index_set(two_n, two_m):
-                cols = slice(start, start + two_k + 1)
-                contrib = (basis[:, cols].T @ kv[:, cols].view(float)).view(complex).T
+            kv = np.ascontiguousarray((dec.basis.T @ kron.view(float)).view(complex).T)
+            for two_k, cols in dec.columns.items():
+                contrib = (dec.basis[:, cols].T @ kv[:, cols].view(float)).view(complex).T
                 out[two_k] = out[two_k] + contrib if two_k in out else contrib
-                start += two_k + 1
     return DualElement(out)
 
 

@@ -25,11 +25,11 @@ block pair for the whole battery with `discrete.coproduct_blocks`, extend
 it by linearity, and contract the battery in stacked products
 (`antipode_law_residuals`, `coassociativity_residuals`, whose leg lifts
 are that call too, `flip_residuals`, `scaling_compat_residuals`, and
-`invariance_residuals`, which contracts a leg with the dense V_k).  No
-check takes D inside a loop over elements: the counit, multiplicative,
-star and block-reconstruction laws stack their batteries the same way,
-and only the cointegral's two routes and its modular element, one fixed
-element each, call `coproduct_component`.
+`invariance_residuals`, which contracts a leg with real `basis`
+columns).  No check takes D inside a loop over elements: the counit,
+multiplicative, star and block-reconstruction laws stack their batteries
+the same way, and only the cointegral's two routes and its modular
+element, one fixed element each, call `coproduct_component`.
 
 Intermediates that several checks share are built once per process: the
 tensor product images (`clebsch.tensor_rep`), each word's coproduct
@@ -366,13 +366,11 @@ CHECKS = (
     Row("dqg/flip-unitary", "G^2 = (-1)^(2n), conjugate linear", "hopf", 3),
     Row("dqg/flip-antiautomorphism", "R is an involutive *-antiautomorphism with R(q) = q^-1, R(e) = -e", "hopf", 4),
     Row("dqg/flip-coproduct", "D(R(a)) = flip (R(x)R) D(a)", "hopf", 4),
-    # matrix units to the cap, embedded words one spin above it
     Row(
         "dqg/antipode-closed-form",
         "S matches the symbolic antipode and S(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r)",
         "hopf",
         3,
-        inner=lambda nmax2, cap: _spins(nmax2, cap + 1),
     ),
     Row("dqg/antipode-squared", "S^-1 S = id and S^2 = tau_(-i)", "hopf", 4),
     Row("dqg/scaling-coproduct", "D tau_s = (tau_s (x) tau_s) D", "hopf", 3),
@@ -534,7 +532,7 @@ def worked_half_half_residual(params: Params) -> float:
     v1[:, 1] = np.array([0.0, lam ** 0.5, lam ** -0.5, 0.0]) / root
     v1[:, 2] = [0.0, 0.0, 0.0, 1.0]
 
-    return worst((max_abs(dec.piece(0).v[:, 0] - v0), max_abs(dec.piece(2).v - v1)))
+    return worst((max_abs(dec.basis[:, 0] - v0), max_abs(dec.basis[:, 1:] - v1)))
 
 
 def _stacked(elements) -> dict:
@@ -657,9 +655,9 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
     every matrix unit of block k at once, and (psi (x) id) D(e_(r,s))_(m,n)
     likewise; each element's terms are their combination with its
     coefficients.  The contraction collapses a whole leg, so it reads the
-    dense V_k (`_unit_contractions`): through `coproduct_blocks` it took the
-    same time at the default window and 3.6 times as long at window 8
-    (0.34 against 1.23 s).
+    real `basis` columns of each V_k (`_unit_contractions`): through
+    `coproduct_blocks` it took the same time at the default window and 3.6
+    times as long at window 8 (0.34 against 1.23 s).
     """
     coefficients = {two_k: stack.reshape(len(elements), -1) for two_k, stack in _stacked(elements).items()}
     support = list(coefficients)
@@ -688,17 +686,17 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
 def _unit_contractions(params: Params, two_n: int, two_m: int, two_k: int, kind: str) -> np.ndarray:
     """(id (x) phi) D(e_(r,s))_(n,m) for kind "left", (psi (x) id) D(e_(r,s))_(m,n)
     for kind "right", one row per matrix unit e_(r,s) of block k (r major),
-    flattened blocks n.  D(e_(r,s)) = V_k e_(r,s) V_k* is column r of V_k
-    times the conjugate of column s, so the integral's leg is contracted
-    with V_k once for all units."""
+    flattened blocks n.  D(e_(r,s)) = V_k e_(r,s) V_k^T is column r of the
+    real V_k times column s, so the integral's leg is contracted with the
+    real `basis` columns of V_k once for all units."""
+    dec = decompose(params, *((two_n, two_m) if kind == "left" else (two_m, two_n)))
+    v = dec.basis[:, dec.columns[two_k]].reshape(dec.two_n + 1, dec.two_m + 1, two_k + 1)
     if kind == "left":
-        v = decompose(params, two_n, two_m).piece(two_k).v.reshape(two_n + 1, two_m + 1, two_k + 1)
         v = v.transpose(1, 0, 2)
-    else:
-        v = decompose(params, two_m, two_n).piece(two_k).v.reshape(two_m + 1, two_n + 1, two_k + 1)
-    # v[u, p, r]: leg u meets the integral, leg p stays, r is the unit's row
+    # v[u, p, r]: leg u meets the integral, leg p stays, r is the unit's row;
+    # V_k is real, and the complex weights carry the products to complex
     w = integral_weight_matrix(params, two_m, kind)
-    terms = np.tensordot(v, np.tensordot(w, v.conj(), axes=(1, 0)), axes=(0, 0))
+    terms = np.tensordot(v, np.tensordot(w, v, axes=(1, 0)), axes=(0, 0))
     return terms.transpose(1, 3, 0, 2).reshape((two_k + 1) ** 2, (two_n + 1) ** 2)
 
 
@@ -955,7 +953,7 @@ def clebsch_battery(params: Params, nmax2: int):
     yield "cg/worked-half-half", worked_half_half_residual(params)
 
     yield "cg/trivial-factor", (
-        max_abs(decompose(params, two_n, two_m).piece(two_k).v - np.eye(two_k + 1))
+        max_abs(decompose(params, two_n, two_m).basis - np.eye(two_k + 1))
         for two_k in _window("cg/trivial-factor", nmax2)
         for two_n, two_m in ((0, two_k), (two_k, 0))
     )
@@ -1003,7 +1001,7 @@ def _random_alg_element(rng, two_ns) -> AlgElement:
 
 # the hopf rows that build their own elements; every other one reads the
 # battery's shared word and random elements
-OWN_ELEMENT_ROWS = ("dqg/flip-closed-form", "dqg/flip-unitary", "dqg/antipode-closed-form")
+OWN_ELEMENT_ROWS = ("dqg/flip-closed-form", "dqg/flip-unitary")
 
 
 @_battery("hopf")
@@ -1085,10 +1083,9 @@ def hopf_battery(params: Params, nmax2: int, rng):
     yield "dqg/flip-coproduct", flip_residuals(params, random_elements, pairs).ravel()
 
     # antipode against the symbolic layer and closed forms
-    spins = _inner("dqg/antipode-closed-form", nmax2)
     diffs = [
-        antipode(params, embed(params, x, spins)) - embed(params, formal_antipode(x, params.lam), spins)
-        for x in WORD_BATTERY.values()
+        antipode(params, word_elements[name]) - embed(params, formal_antipode(x, params.lam), window)
+        for name, x in WORD_BATTERY.items()
     ]
     diffs += [
         antipode(params, unit)

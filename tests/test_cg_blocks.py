@@ -344,7 +344,7 @@ def test_pieces_are_built_on_first_read_only():
             decomposition_residuals(params, two_n, two_m)
             assert "pieces" not in vars(dec)
             pieces = dec.pieces
-            assert "basis" not in vars(dec)
+            assert "basis" in vars(dec)
             assert "pieces" in vars(dec)
             assert dec.pieces is pieces
             assert dec.piece(two_n + two_m) is pieces[-1]
@@ -355,6 +355,22 @@ def test_pieces_are_built_on_first_read_only():
                 np.testing.assert_array_equal(piece.v, v)
     finally:
         decompose.cache_clear()
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (1, 1), (3, 2), (16, 10), (24, 24)])
+def test_columns_slice_the_basis_into_the_pieces(pair):
+    """``columns`` tiles 0..dim with one slice per spin, ascending, and each
+    slice of the real ``basis`` is its piece, whose imaginary part is zero."""
+    dec = decompose(PARAMS_03, *pair)
+    assert list(dec.columns) == index_set(*pair)
+    bounds = [(cols.start, cols.stop) for cols in dec.columns.values()]
+    assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+    assert bounds[-1][1] == dec.basis.shape[1] == dec.basis.shape[0]
+    assert all(cols.step is None for cols in dec.columns.values())
+    for two_k, cols in dec.columns.items():
+        piece = dec.piece(two_k)
+        assert np.array_equal(dec.basis[:, cols], piece.v.real)
+        assert not piece.v.imag.any()
 
 
 def _qnum(t, x):

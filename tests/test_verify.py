@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from suq2 import verify
-from suq2.clebsch import decompose, decomposition_residuals, tensor_rep
+from suq2.clebsch import Decomposition, decompose, decomposition_residuals, tensor_rep
 from suq2.discrete import conjugate_unitary, coproduct_component, embed
 from suq2.dual import unitarity_residuals, woronowicz_residuals
 from suq2.params import Params
@@ -387,6 +387,19 @@ def test_non_finite_residuals_are_named_failures_at_large_t(report_t50):
 
     rows = {line.split(",")[0]: line for line in report_csv(report).splitlines()[1:]}
     assert all(rows[i].endswith(",nan,1.0000000000000001e-09,false") for i in NAN_AT_T50)
+
+
+@pytest.mark.parametrize("nmax2", [4, 8])
+def test_no_check_reads_the_complex_pieces(monkeypatch, nmax2):
+    """Every check reads the dense V_k as real columns of ``basis``; the
+    complex ``pieces`` are for the public API only."""
+
+    def refuse(dec):
+        raise AssertionError(f"Decomposition.pieces read for {(dec.two_n, dec.two_m)}")
+
+    monkeypatch.setattr(Decomposition, "pieces", property(refuse))
+    report = run_suite(RunConfig(nmax2=nmax2), "all")
+    assert len(report.checks) == len(CHECKS)
 
 
 def test_cached_arrays_are_read_only():
