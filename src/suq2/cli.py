@@ -16,6 +16,7 @@ environment variable, then built-in default.  JSON goes to stdout unless
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .verify import (
     CHECKS,
     RunConfig,
     SUITES,
-    config_doc,
     doc_csv,
     dual_antipode_expected,
     dual_haar_quadratic_expected,
@@ -162,10 +162,10 @@ def _emit(parser, args, text: str) -> None:
     sys.stdout.write(text)
 
 
-def _render(doc, fmt: str) -> str:
-    if fmt == "json":
-        return dump_json(doc) + "\n"
-    return doc_csv(doc)
+def _write_doc(parser, args, kind: str, config: RunConfig, fields: dict) -> None:
+    """Write a schema-1 document: its kind and run config, then ``fields``."""
+    doc = {"schema": 1, "kind": kind, "config": asdict(config), **fields}
+    _emit(parser, args, dump_json(doc) + "\n" if args.fmt == "json" else doc_csv(doc))
 
 
 def _matrix_doc(mat: np.ndarray):
@@ -182,10 +182,7 @@ def cmd_rep(args, parser) -> int:
     expected = casimir_scalar(params, args.n)
     cas = max_abs(casimir_matrix(params, rep) - expected * np.eye(rep.dim))
     two_n, sign = classify_by_highest_weight(params, rep.q, rep.e, rep.f)
-    doc = {
-        "schema": 1,
-        "kind": "rep",
-        "config": config_doc(config),
+    fields = {
         "two_n": args.n,
         "sign": args.sign,
         "dim": rep.dim,
@@ -201,7 +198,7 @@ def cmd_rep(args, parser) -> int:
         "casimir": {"value": float(expected), "residual": float(cas)},
         "classified": {"two_n": two_n, "sign": sign},
     }
-    _emit(parser, args, _render(doc, args.fmt))
+    _write_doc(parser, args, "rep", config, fields)
     return 0
 
 
@@ -212,10 +209,7 @@ def cmd_cg(args, parser) -> int:
         parser.error("--n and --m must be doubled spins >= 0")
     dec = decompose(params, args.n, args.m)
     residuals = decomposition_residuals(params, args.n, args.m)
-    doc = {
-        "schema": 1,
-        "kind": "cg",
-        "config": config_doc(config),
+    fields = {
         "two_n": args.n,
         "two_m": args.m,
         "index_set": index_set(args.n, args.m),
@@ -223,19 +217,13 @@ def cmd_cg(args, parser) -> int:
         "residuals": {law: float(v) for law, v in residuals.items()},
         "singular_gap": dec.singular_gap,
     }
-    _emit(parser, args, _render(doc, args.fmt))
+    _write_doc(parser, args, "cg", config, fields)
     return 0
 
 
 def cmd_verify(args, parser) -> int:
-    config = _config(args)
-    config.params()  # validate early so bad configs exit 2
-    report = run_suite(config, args.suite)
-    if args.fmt == "json":
-        text = dump_json(report_doc(report)) + "\n"
-    else:
-        text = report_csv(report)
-    _emit(parser, args, text)
+    report = run_suite(_config(args), args.suite)
+    _emit(parser, args, dump_json(report_doc(report)) + "\n" if args.fmt == "json" else report_csv(report))
     summary = f"suite {report.suite}: {len(report.checks)} checks, {len(report.failures)} failed\n"
     sys.stderr.write(summary)
     for check in report.failures:
@@ -246,15 +234,8 @@ def cmd_verify(args, parser) -> int:
 def cmd_tables(args, parser) -> int:
     config = _config(args)
     params = config.params()
-    lam = params.lam
-
-    pairing = {}
-    for name, mat in (
-        ("q", build_rep(params, 1, +1).q),
-        ("e", build_rep(params, 1, +1).e),
-        ("f", build_rep(params, 1, +1).f),
-    ):
-        pairing[name] = _matrix_doc(mat)
+    spin_half = build_rep(params, 1, +1)
+    pairing = {name: _matrix_doc(getattr(spin_half, name)) for name in ("q", "e", "f")}
 
     antipode_table = {}
     for i in U_LABELS:
@@ -288,18 +269,15 @@ def cmd_tables(args, parser) -> int:
             ],
         }
 
-    doc = {
-        "schema": 1,
-        "kind": "tables",
-        "config": config_doc(config),
-        "lam": float(lam),
+    fields = {
+        "lam": float(params.lam),
         "c": float(params.c),
         "pairing_spin_half": pairing,
         "dual_antipode": antipode_table,
         "dual_haar_quadratic": haar_table,
         "blocks": blocks,
     }
-    _emit(parser, args, _render(doc, args.fmt))
+    _write_doc(parser, args, "tables", config, fields)
     return 0
 
 

@@ -205,7 +205,7 @@ def coproduct_blocks(params: Params, blocks: dict, two_n: int, two_m: int) -> np
     amat = np.zeros((items, top + 1, size, two_n + two_m + 1), dtype=complex)
     for two_k in two_ks:
         s0, i = (two_n + two_m - two_k) // 2, (two_k - base) // 2
-        amat[:, s0 - lo : s0 - lo + two_k + 1, i, s0 : s0 + two_k + 1] = blocks[two_k].reshape(items, two_k + 1, -1)
+        amat[:, s0 - lo : s0 - lo + two_k + 1, i, s0 : s0 + two_k + 1] = blocks[two_k].reshape(items, two_k + 1, two_k + 1)
     coefficients = dec.coefficients[:size]
     weights_met = slice(lo, lo + top + 1)
     if 16 * items * size * dim * (top + 1) <= _SLAB_BYTES:
@@ -280,11 +280,13 @@ def conjugate_unitary(two_n: int) -> ConjugateUnitary:
 
 
 def unitary_antipode_block(two_n: int, mat: np.ndarray) -> np.ndarray:
-    """R(a) = G^-1 a* G on one block; the conjugations cancel, leaving the
-    linear sandwich P^T a^T P with P the signed flip, applied here as an
-    index flip and a sign outer product."""
+    """R(a) = G^-1 a* G on one block, or on a stack of blocks in the last
+    two axes; the conjugations cancel, leaving the linear sandwich
+    P^T a^T P with P the signed flip, applied here as an index flip and a
+    sign outer product.  The scaling maps and S, S^-1 built on it broadcast
+    over stacks the same way."""
     g = conjugate_unitary(two_n)
-    return np.outer(g.signs, g.signs) * mat[np.ix_(g.perm, g.perm)].T
+    return np.outer(g.signs, g.signs) * mat[..., g.perm[:, None], g.perm].swapaxes(-1, -2)
 
 
 def scaling_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:

@@ -20,16 +20,17 @@ value is a bool, a residual, or an iterable of residuals that `_check`
 folds with `util.worst`, so a NaN anywhere in it fails the check.
 
 The certificates that run over a whole battery of elements share one
-kernel rule: evaluate the certified map once per basis element, or per
-block pair for the whole battery with `discrete.coproduct_blocks`, extend
-it by linearity, and contract the battery in stacked products
+kernel rule: apply each shipped map once per stack and contract the
+battery in stacked products.  D goes once per block pair through
+`discrete.coproduct_blocks`, and the block maps of `discrete` (R, S, tau)
+once per block, on the battery's stack or a block's stack of matrix units
 (`antipode_law_residuals`, `coassociativity_residuals`, whose leg lifts
-are that call too, `flip_residuals`, `scaling_compat_residuals`, and
-`invariance_residuals`, which contracts a leg with real `basis`
-columns).  No check takes D inside a loop over elements: the counit,
-multiplicative, star and block-reconstruction laws stack their batteries
-the same way, and only the cointegral's two routes and its modular
-element, one fixed element each, call `coproduct_component`.
+are D calls too, `flip_residuals`, with R (x) R as R on each leg,
+`scaling_compat_residuals`, and `invariance_residuals`, which contracts a
+leg with real `basis` columns).  No check takes D inside a loop over
+elements: the counit, multiplicative, star and block-reconstruction laws
+stack their batteries the same way, and only the cointegral's two routes
+and its modular element, one fixed element each, call `coproduct_component`.
 
 Intermediates that several checks share are built once per process: the
 tensor product images (`clebsch.tensor_rep`), each word's coproduct
@@ -83,6 +84,7 @@ from .discrete import (
     scaling_block,
     scaling_imag,
     unitary_antipode,
+    unitary_antipode_block,
 )
 from .dual import (
     DualElement,
@@ -241,16 +243,12 @@ def doc_csv(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_doc(config: RunConfig) -> dict:
-    return asdict(config)
-
-
 def report_doc(report: Report) -> dict:
     return {
         "schema": 2,
         "kind": "verify",
         "suite": report.suite,
-        "config": config_doc(report.config),
+        "config": asdict(report.config),
         "checks": [
             {
                 "id": c.id,
@@ -536,25 +534,24 @@ def worked_half_half_residual(params: Params) -> float:
 
 
 def _stacked(elements) -> dict:
-    """One stack per spin of a battery's joint support, zeros where an element lacks the
-    block; an all-zero battery keeps a spin-0 zero stack, and so its leading axis."""
+    """One zero-padded stack (len(elements), k + 1, k + 1) per spin k of a battery's joint
+    support; with no support, a spin-0 zero stack keeps the leading axis."""
     support = sorted(set().union(*(a.blocks for a in elements))) or [0]
-    return {two_k: np.array([a.block(two_k) for a in elements]) for two_k in support}
+    return {two_k: np.array([a.block(two_k) for a in elements]).reshape(-1, two_k + 1, two_k + 1) for two_k in support}
 
 
 def antipode_law_residuals(params: Params, elements, two_ns) -> np.ndarray:
     """Convolution laws  m(S (x) id) D(a) = eps(a) 1 = m(id (x) S) D(a)
     read off on the (n, n) block, for every element on every block n, shape
-    (len(elements), len(two_ns)).  S is evaluated once per matrix unit
-    e_(p,p') of block n, D(a)_(n,n) once for the battery; both convolutions
-    are one stacked product with its slices, summed over (p, p')."""
+    (len(elements), len(two_ns)).  S is applied once to the stack of the
+    matrix units e_(p,p') of block n, D(a)_(n,n) once for the battery; both
+    convolutions are one stacked product with its slices, summed over (p, p')."""
     counits = np.array([counit(a) for a in elements])
     blocks = _stacked(elements)
     out = np.empty((len(elements), len(two_ns)))
     for j, two_n in enumerate(two_ns):
         dim = two_n + 1
-        units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-        s_units = np.array([antipode_block(params, two_n, unit) for unit in units])
+        s_units = antipode_block(params, two_n, np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim))
         m = coproduct_blocks(params, blocks, two_n, two_n).reshape(-1, dim, dim, dim, dim)
         # S(e_(p,p')) D(a)[p, :, p', :]  and  D(a)[:, p, :, p'] S(e_(p,p')), (p, p') flattened
         lhs = np.sum(s_units @ m.transpose(0, 1, 3, 2, 4).reshape(-1, dim * dim, dim, dim), axis=1)
@@ -608,19 +605,20 @@ def _max_abs_each(stack: np.ndarray) -> np.ndarray:
 def flip_residuals(params: Params, elements, pairs) -> np.ndarray:
     """R reverses the comultiplication, D(R(a))_(m,n) = flip (R (x) R) D(a)_(n,m),
     for every element on every block pair (n, m), shape (len(elements),
-    len(pairs)).  R(a) is evaluated once per element, D once per pair for
-    the battery."""
+    len(pairs)).  R is applied once per block to the battery's stack, D
+    once per pair for the battery, and R (x) R is R on each leg of the
+    four-index form of D(a)_(n,m)."""
     blocks = _stacked(elements)
-    flip_blocks = _stacked([unitary_antipode(a) for a in elements])
+    flip_blocks = {two_k: unitary_antipode_block(two_k, stack) for two_k, stack in blocks.items()}
     out = np.empty((len(elements), len(pairs)))
     for j, (two_n, two_m) in enumerate(pairs):
         stack = coproduct_blocks(params, blocks, two_n, two_m)
-        # R (x) R is the signed index flip of `unitary_antipode_block` on the
-        # product basis; the leg swap is a transpose of the four-index form
-        signs = np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs)
-        dims = (two_n + 1, two_m + 1)
-        r_tensor = np.outer(signs, signs) * stack[:, ::-1, ::-1].transpose(0, 2, 1)
-        flipped = r_tensor.reshape((-1,) + dims + dims).transpose(0, 2, 1, 4, 3).reshape(stack.shape)
+        # [item, p, u, q, v]: R on leg n reads (p, q), on leg m (u, v), each
+        # moved to the last two axes; the leg swap leaves [item, u, p, v, q]
+        four = stack.reshape(-1, two_n + 1, two_m + 1, two_n + 1, two_m + 1)
+        r_n = unitary_antipode_block(two_n, four.transpose(0, 2, 4, 1, 3))
+        r_both = unitary_antipode_block(two_m, r_n.transpose(0, 3, 4, 1, 2))
+        flipped = r_both.transpose(0, 3, 1, 4, 2).reshape(stack.shape)
         out[:, j] = _max_abs_each(coproduct_blocks(params, flip_blocks, two_m, two_n) - flipped)
     return out
 
@@ -659,9 +657,9 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
     `coproduct_blocks` it took the same time at the default window and 3.6
     times as long at window 8 (0.34 against 1.23 s).
     """
-    coefficients = {two_k: stack.reshape(len(elements), -1) for two_k, stack in _stacked(elements).items()}
+    coefficients = {two_k: stack.reshape(len(elements), (two_k + 1) ** 2) for two_k, stack in _stacked(elements).items()}
     support = list(coefficients)
-    targets = np.array([[left_integral(params, a), right_integral(params, a)] for a in elements])
+    targets = np.array([[left_integral(params, a), right_integral(params, a)] for a in elements]).reshape(-1, 2)
     out = np.empty((len(elements), len(two_ns), 2))
     for j, two_n in enumerate(two_ns):
         eye = np.eye(two_n + 1).ravel()

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -118,6 +119,13 @@ def test_tables_round_trip(tmp_path):
     assert "dual_antipode" in doc and "dual_haar_quadratic" in doc
 
 
+@pytest.mark.parametrize("args", [("rep", "--n", "1"), ("cg", "--n", "1", "--m", "2"), ("tables",)])
+def test_documents_open_with_schema_kind_and_config(args):
+    doc = json.loads(run_cli(*args, "--nmax", "1", check=True).stdout)
+    assert list(doc)[:3] == ["schema", "kind", "config"]
+    assert (doc["schema"], doc["kind"], doc["config"]) == (1, args[0], asdict(RunConfig(nmax2=1)))
+
+
 def test_json_output_is_deterministic():
     first = run_cli("verify", "--suite", "dual", check=True)
     second = run_cli("verify", "--suite", "dual", check=True)
@@ -163,6 +171,10 @@ def test_csv_rep_is_flat_key_value(tmp_path):
 def test_invalid_deformation_exits_two():
     result = run_cli("verify", "--t", "-0.5")
     assert result.returncode == 2
+
+    result = run_cli("verify", "--t", "-1")
+    assert result.returncode == 2
+    assert "deformation parameter t must be positive" in result.stderr and result.stdout == ""
 
     result = run_cli("rep", "--n", "2", "--t", "0")
     assert result.returncode == 2

@@ -7,7 +7,9 @@ from suq2.discrete import (
     AlgElement,
     BiElement,
     antipode,
+    antipode_block,
     antipode_inv,
+    antipode_inv_block,
     block_integrals,
     cointegral,
     cointegral_coproduct,
@@ -189,6 +191,26 @@ def test_unitary_antipode_block_is_the_signed_flip_sandwich():
         mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         p = conjugate_unitary(two_n).matrix
         assert np.array_equal(unitary_antipode_block(two_n, mat), p.T @ mat.T @ p)
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_block_maps_act_on_stacks_as_on_each_block(t, lead):
+    """R, S and S^-1 on a stack of blocks in the last two axes give each
+    block's own result bit for bit."""
+    params = Params(t=t)
+    rng = np.random.default_rng(23)
+    maps = {
+        "R": unitary_antipode_block,
+        "S": lambda two_n, mat: antipode_block(params, two_n, mat),
+        "S^-1": lambda two_n, mat: antipode_inv_block(params, two_n, mat),
+    }
+    for two_n in range(9):
+        shape = lead + (two_n + 1, two_n + 1)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for name, block_map in maps.items():
+            each = np.array([block_map(two_n, mat) for mat in stack.reshape((-1,) + shape[-2:])]).reshape(shape)
+            assert np.array_equal(block_map(two_n, stack), each), (name, two_n)
 
 
 @pytest.mark.parametrize("bad", ["3", None, 2.0, -1])

@@ -13,7 +13,7 @@ import pytest
 
 from suq2 import verify
 from suq2.clebsch import Decomposition, decompose, decomposition_residuals, tensor_rep
-from suq2.discrete import conjugate_unitary, coproduct_component, embed
+from suq2.discrete import conjugate_unitary, coproduct_blocks, coproduct_component, embed, unitary_antipode
 from suq2.dual import unitarity_residuals, woronowicz_residuals
 from suq2.params import Params
 from suq2.reps import build_rep, relation_residuals
@@ -30,7 +30,9 @@ from suq2.verify import (
     _battery,
     _leg_matrix,
     _matrix_units,
+    _max_abs_each,
     _random_alg_element,
+    _stacked,
     clebsch_battery,
     doc_csv,
     dump_json,
@@ -270,6 +272,60 @@ def test_hopf_and_clebsch_batteries_take_d_on_stacks(monkeypatch):
     calls["coproduct_blocks"] = 0
     clebsch_battery(Params(), 4)
     assert calls == {"coproduct_component": 0, "coproduct_blocks": 25}
+
+
+def reference_flip_residuals(params, elements, two_n, two_m):
+    """flip (R (x) R) D(a)_(n,m) against D(R(a))_(m,n) with R (x) R written
+    out on the product basis: the Kronecker product of the legs' signs, an
+    index reversal and a transpose, then the leg swap of the four-index
+    form; R(a) taken one element at a time."""
+    stack = coproduct_blocks(params, _stacked(elements), two_n, two_m)
+    signs = np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs)
+    dims = (two_n + 1, two_m + 1)
+    r_tensor = np.outer(signs, signs) * stack[:, ::-1, ::-1].transpose(0, 2, 1)
+    flipped = r_tensor.reshape((-1,) + dims + dims).transpose(0, 2, 1, 4, 3).reshape(stack.shape)
+    flip_blocks = _stacked([unitary_antipode(a) for a in elements])
+    return _max_abs_each(coproduct_blocks(params, flip_blocks, two_m, two_n) - flipped)
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+def test_flip_residuals_apply_r_on_each_leg_like_the_written_out_form(t):
+    params = Params(t=t)
+    rng = np.random.default_rng(31)
+    elements = [_random_alg_element(rng, range(5)) for _ in range(3)] + [embed(params, WORD_BATTERY["ef"], range(5))]
+    pairs = [(two_n, two_m) for two_n in range(5) for two_m in range(5)]
+    reference = np.stack([reference_flip_residuals(params, elements, *pair) for pair in pairs], axis=1)
+    assert np.array_equal(verify.flip_residuals(params, elements, pairs), reference)
+
+
+def test_antipode_law_applies_s_once_per_block(monkeypatch):
+    """S acts on the whole stack of a block's matrix units in one call."""
+    spins = []
+    plain = verify.antipode_block
+
+    def spy(params, two_n, mat):
+        spins.append(two_n)
+        return plain(params, two_n, mat)
+
+    monkeypatch.setattr(verify, "antipode_block", spy)
+    rng = np.random.default_rng(0)
+    battery = [_random_alg_element(rng, range(3)) for _ in range(2)]
+    verify.antipode_law_residuals(Params(), battery, range(3))
+    assert spins == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "kernel, window, shape",
+    [
+        ("flip_residuals", [(1, 2), (2, 0)], (0, 2)),
+        ("antipode_law_residuals", [0, 1, 2], (0, 3)),
+        ("coassociativity_residuals", [(1, 1, 2)], (0, 1)),
+        ("invariance_residuals", [1, 2], (0, 2, 2)),
+    ],
+)
+def test_stacked_kernels_take_an_empty_battery(kernel, window, shape):
+    """No element: every kernel returns an empty array of its documented shape."""
+    np.testing.assert_array_equal(getattr(verify, kernel)(Params(), [], window), np.zeros(shape), strict=True)
 
 
 def test_hopf_elements_cover_the_widest_row_that_reads_them(monkeypatch):
