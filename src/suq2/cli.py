@@ -22,7 +22,6 @@ import numpy as np
 
 from .clebsch import decompose, decomposition_residuals, index_set
 from .discrete import integral_weight_matrix, quantum_dimension
-from .params import Params
 from .reps import (
     build_rep,
     casimir_matrix,

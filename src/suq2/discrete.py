@@ -39,7 +39,8 @@ from .words import AlgPoly
 
 # bytes of the padded (items, weights, spins, product vectors) intermediate,
 # the whole stack counted, up to which `coproduct_blocks` takes every weight
-# in one batched product; past it each weight runs on its live block
+# in one batched product; past it each weight runs on its live block.  The
+# routes can differ in the last bits, so moving it is a declared roundoff move
 _SLAB_BYTES = 1 << 19
 
 

@@ -217,20 +217,14 @@ def u_entries() -> dict:
 def unitarity_residuals(params: Params) -> dict:
     """Unitarity of u via the antipode: S(u) is the inverse of u on both
     sides, entry by entry in the 2x2 matrix algebra over the dual."""
-    su = {(i, j): dual_antipode(params, u_entry(i, j)) for i in U_LABELS for j in U_LABELS}
-    one = dual_unit()
+    u = u_entries()
+    su = {key: dual_antipode(params, entry) for key, entry in u.items()}
     left = []
     right = []
-    for i in U_LABELS:
-        for j in U_LABELS:
-            target = one if i == j else DualElement()
-            acc_l = DualElement()
-            acc_r = DualElement()
-            for k in U_LABELS:
-                acc_l = acc_l + dual_mul(params, su[(i, k)], u_entry(k, j))
-                acc_r = acc_r + dual_mul(params, u_entry(i, k), su[(k, j)])
-            left.append((acc_l - target).norm())
-            right.append((acc_r - target).norm())
+    for i, j in u:
+        target = dual_unit() if i == j else DualElement()
+        left.append((sum((dual_mul(params, su[i, k], u[k, j]) for k in U_LABELS), DualElement()) - target).norm())
+        right.append((sum((dual_mul(params, u[i, k], su[k, j]) for k in U_LABELS), DualElement()) - target).norm())
     return {"S(u) u = 1": worst(left), "u S(u) = 1": worst(right)}
 
 
@@ -261,29 +255,34 @@ def woronowicz_residuals(params: Params) -> dict:
 def span_check(params: Params, two_k_max: int) -> dict:
     """Numerical evidence that products of u-entries fill every block.
 
-    Forms all products of at most ``two_k_max`` entries of u (the empty
-    product is the unit), collects their coefficient matrices on each block
-    k <= two_k_max, and reports the singular values of the stacked family.
-    Full spanning means numerical rank (two_k + 1)^2 on block k.
-
-    Returns a dict keyed by two_k with entries
-    ``{"rank": int, "expected": int, "gap": float}`` where ``gap`` is the
-    smallest retained singular value.
+    Stacks the coefficient matrices of all products of at most
+    ``two_k_max`` entries of u (the empty product is the unit) and reports,
+    per block two_k <= two_k_max, ``{"rank": int, "expected": int, "gap":
+    float}``: the numerical rank, the full rank (two_k + 1)^2 and the
+    smallest retained singular value.  The 4^L products of length L are
+    never listed: right multiplication by u is linear, so the rows s_i v_i
+    of their SVD, cut at ``tol_rel``, times the four entries have the Gram
+    matrix, hence the singular values, of the products of length L + 1.
     """
     entries = list(u_entries().values())
     products = [dual_unit()]
     layer = [dual_unit()]
     for _ in range(two_k_max):
-        layer = [dual_mul(params, p, u) for p in layer for u in entries]
+        step = [dual_mul(params, p, u) for p in layer for u in entries]
+        spins = sorted(set().union(*(p.blocks for p in step)))
+        stack = [np.concatenate([p.block(k).ravel() for k in spins]) for p in step]
+        _, sing, vh = np.linalg.svd(stack, full_matrices=False)
+        cuts = np.cumsum([(k + 1) ** 2 for k in spins])[:-1]
+        layer = [
+            DualElement({k: b.reshape(k + 1, k + 1) for k, b in zip(spins, np.split(row, cuts))})
+            for row in (sing[:, None] * vh)[sing > params.tol_rel * sing[0]]
+        ]
         products.extend(layer)
 
     report = {}
     for two_k in range(0, two_k_max + 1):
         rows = [p.blocks[two_k].reshape(-1) for p in products if two_k in p.blocks]
         expected = (two_k + 1) ** 2
-        if not rows:
-            report[two_k] = {"rank": 0, "expected": expected, "gap": 0.0}
-            continue
         stack = np.array(rows)
         sing = np.linalg.svd(stack, compute_uv=False)
         cutoff = params.tol_rel * float(sing[0])

@@ -654,8 +654,8 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
     likewise; each element's terms are their combination with its
     coefficients.  The contraction collapses a whole leg, so it reads the
     real `basis` columns of each V_k (`_unit_contractions`): through
-    `coproduct_blocks` it took the same time at the default window and 3.6
-    times as long at window 8 (0.34 against 1.23 s).
+    `coproduct_blocks` it took twice as long warm at window 0..4 and ten
+    times as long at window 0..8 (0.2 against 1.9-2.5 s).
     """
     coefficients = {two_k: stack.reshape(len(elements), (two_k + 1) ** 2) for two_k, stack in _stacked(elements).items()}
     support = list(coefficients)

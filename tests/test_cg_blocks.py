@@ -215,6 +215,22 @@ def test_coproduct_component_does_not_depend_on_the_slab_size(monkeypatch, budge
             )
 
 
+@pytest.mark.parametrize("two_n, two_m", ((18, 17), (21, 20)))
+def test_coproduct_component_moves_only_by_roundoff_with_the_slab_size(monkeypatch, two_n, two_m):
+    # at t = 0.3 these pairs change in the last bits once the one padded
+    # slab takes them (budgets 1 << 24 and 1 << 30), so a new budget is a
+    # roundoff move, held here to 1e-15 of the largest entry
+    params = Params(t=0.3)
+    rng = np.random.default_rng(two_n)
+    support = index_set(two_n, two_m)
+    a = AlgElement({k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1)) for k in support})
+    default = coproduct_component(params, a, two_n, two_m)
+    for budget in (1, 1 << 12, 1 << 24, 1 << 30):
+        monkeypatch.setattr(discrete, "_SLAB_BYTES", budget)
+        got = coproduct_component(params, a, two_n, two_m)
+        assert max_abs(got - default) <= 1e-15 * max_abs(default), budget
+
+
 STACK_PAIRS = [(two_n, two_m) for two_n in range(9) for two_m in range(9)] + [(12, 12), (14, 9), (20, 20)]
 
 

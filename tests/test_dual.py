@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from suq2 import dual
 from suq2.discrete import (
     AlgElement,
     antipode,
@@ -242,6 +243,66 @@ def test_span_ranks_are_complete():
     for two_k, entry in report.items():
         assert entry["rank"] == entry["expected"] == (two_k + 1) ** 2
         assert entry["gap"] >= 1e-6
+
+
+def reference_span_check(params: Params, two_k_max: int) -> dict:
+    """The span check by enumeration: all 4^L products of L u-entries, for
+    every L <= two_k_max, stacked per block."""
+    entries = list(u_entries().values())
+    products = [dual_unit()]
+    layer = [dual_unit()]
+    for _ in range(two_k_max):
+        layer = [dual_mul(params, p, u) for p in layer for u in entries]
+        products.extend(layer)
+    report = {}
+    for two_k in range(two_k_max + 1):
+        stack = np.array([p.blocks[two_k].reshape(-1) for p in products if two_k in p.blocks])
+        sing = np.linalg.svd(stack, compute_uv=False)
+        rank = int(np.sum(sing > params.tol_rel * float(sing[0])))
+        report[two_k] = {"rank": rank, "expected": (two_k + 1) ** 2, "gap": float(sing[rank - 1])}
+    return report
+
+
+SPAN_CASES = [(t, cap) for t in (1e-8, 1e-5, 0.3, 2.0, 10.0, 50.0) for cap in range(5)]
+SPAN_CASES += [(t, cap) for t in (0.3, 2.0) for cap in (5, 6)]
+
+
+@pytest.mark.parametrize("t, two_k_max", SPAN_CASES)
+def test_layered_span_matches_the_enumerated_products(t, two_k_max):
+    # the layers keep the Gram matrix of the enumerated products, so the
+    # ranks agree and so do the singular values, up to roundoff
+    params = Params(t=t)
+    got = span_check(params, two_k_max)
+    expected = reference_span_check(params, two_k_max)
+    assert list(got) == list(expected) == list(range(two_k_max + 1))
+    for two_k in expected:
+        assert got[two_k]["rank"] == expected[two_k]["rank"] == (two_k + 1) ** 2
+        assert got[two_k]["expected"] == expected[two_k]["expected"]
+        assert min(got[two_k]["gap"], expected[two_k]["gap"]) >= 1e-6
+        assert got[two_k]["gap"] == pytest.approx(expected[two_k]["gap"], rel=1e-12)
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 5.0))
+def test_span_has_full_rank_at_cap_eight(t):
+    report = span_check(Params(t=t), 8)
+    assert [entry["rank"] for entry in report.values()] == [(k + 1) ** 2 for k in range(9)]
+    assert all(entry["gap"] >= 1e-6 for entry in report.values())
+
+
+def test_span_multiplies_only_the_layer_bases(monkeypatch):
+    # 4^1 + ... + 4^6 = 5460 products by enumeration; the layer of length L
+    # keeps (L + 1)(L + 2)(L + 3)/6 rows, the dimension of blocks L, L - 2,
+    # ..., and each is multiplied by the four entries: 504 <= 784, the bound
+    # of one basis of every block up to L
+    calls = []
+
+    def counting(params, x, y):
+        calls.append(1)
+        return dual_mul(params, x, y)
+
+    monkeypatch.setattr(dual, "dual_mul", counting)
+    span_check(PARAMS, 6)
+    assert len(calls) == 4 * sum((n + 1) * (n + 2) * (n + 3) // 6 for n in range(6)) == 504
 
 
 def test_dual_element_arithmetic():
