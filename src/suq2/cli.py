@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .clebsch import decompose, decomposition_residuals, index_set
-from .discrete import integral_weight_matrix, quantum_dimension
+from .discrete import integral_weights, quantum_dimension
 from .reps import (
     build_rep,
     casimir_matrix,
@@ -256,16 +256,13 @@ def cmd_tables(args, parser) -> int:
 
     blocks = {}
     for two_n in range(0, config.nmax2 + 1):
+        c_n = quantum_dimension(params, two_n)
         blocks[str(two_n)] = {
             "dim": two_n + 1,
-            "quantum_dimension": float(quantum_dimension(params, two_n)),
+            "quantum_dimension": float(c_n),
             "casimir": float(casimir_scalar(params, two_n)),
-            "left_integral_weights": [
-                float(v) for v in np.diag(integral_weight_matrix(params, two_n, "left")).real
-            ],
-            "right_integral_weights": [
-                float(v) for v in np.diag(integral_weight_matrix(params, two_n, "right")).real
-            ],
+            "left_integral_weights": [float(v) for v in c_n * integral_weights(params, two_n, "left")],
+            "right_integral_weights": [float(v) for v in c_n * integral_weights(params, two_n, "right")],
         }
 
     fields = {

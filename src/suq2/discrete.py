@@ -393,26 +393,21 @@ def invariant_vector(params: Params, two_n: int) -> np.ndarray:
     return v / np.sqrt(c)
 
 
-def integral_weight_matrix(params: Params, two_n: int, kind: str) -> np.ndarray:
-    """Values of the invariant integral on the matrix units of one block,
-    as the matrix W with W[p, p'] = integral(e_(p, p')).
-
-    kind "left" is the left invariant integral  phi(e_(r,s)) = c d(r,s) lam^(-2r);
-    kind "right" the right invariant one       psi(e_(r,s)) = c d(r,s) lam^(2r).
-    """
-    sign = _kind_sign(kind)
-    return np.diag(quantum_dimension(params, two_n) * params.q_diag(two_n, 2 * sign)).astype(complex)
+def integral_weights(params: Params, two_n: int, kind: str) -> np.ndarray:
+    """An invariant integral on the matrix units of one block, over its quantum
+    dimension c, highest weight first: phi(e_(r,s)) = c d(r,s) lam^(-2r) for
+    kind "left", psi(e_(r,s)) = c d(r,s) lam^(2r) for kind "right"."""
+    return params.q_diag(two_n, 2 * _kind_sign(kind))
 
 
 def block_integrals(params: Params, two_n: int, mats: np.ndarray, kind: str) -> np.ndarray:
     """An invariant integral of elements supported on block n, for a stack
     of blocks (the last two axes): c_n trace(a_n q^-2) for kind "left",
     c_n trace(a_n q^2) for kind "right"."""
-    sign = _kind_sign(kind)
     c = quantum_dimension(params, two_n)
     # c multiplies the sum, not the weights: folding it into exp(+-t w) rounds
     # the t = 2 modular certificates past their tolerance
-    return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * params.q_diag(two_n, 2 * sign), axis=-1)
+    return c * np.sum(np.diagonal(mats, axis1=-2, axis2=-1) * integral_weights(params, two_n, kind), axis=-1)
 
 
 def left_integral(params: Params, a: AlgElement) -> complex:
@@ -441,20 +436,3 @@ def modular_automorphism(params: Params, a: AlgElement, kind: str) -> AlgElement
     s = _kind_sign(kind)
     return a.map(lambda n, m: scaling_imag_block(params, n, m, s))
 
-
-# ---------------------------------------------------------------------------
-# leg contractions
-# ---------------------------------------------------------------------------
-
-
-def contract_first(mat: np.ndarray, dim_left: int, dim_right: int, w: np.ndarray) -> np.ndarray:
-    """Apply a functional (given by its matrix-unit values W[p, p']) to the
-    first leg of an operator on a product of two blocks."""
-    m4 = mat.reshape(dim_left, dim_right, dim_left, dim_right)
-    return np.einsum("pq,puqv->uv", w, m4)
-
-
-def contract_second(mat: np.ndarray, dim_left: int, dim_right: int, w: np.ndarray) -> np.ndarray:
-    """Same, on the second leg."""
-    m4 = mat.reshape(dim_left, dim_right, dim_left, dim_right)
-    return np.einsum("uv,puqv->pq", w, m4)

@@ -67,11 +67,9 @@ from .discrete import (
     cointegral,
     cointegral_coproduct,
     conjugate_unitary,
-    contract_first,
-    contract_second,
     counit,
     embed,
-    integral_weight_matrix,
+    integral_weights,
     invariant_vector,
     left_integral,
     matrix_unit,
@@ -653,9 +651,11 @@ def invariance_residuals(params: Params, elements, two_ns) -> np.ndarray:
     every matrix unit of block k at once, and (psi (x) id) D(e_(r,s))_(m,n)
     likewise; each element's terms are their combination with its
     coefficients.  The contraction collapses a whole leg, so it reads the
-    real `basis` columns of each V_k (`_unit_contractions`): through
-    `coproduct_blocks` it took twice as long warm at window 0..4 and ten
-    times as long at window 0..8 (0.2 against 1.9-2.5 s).
+    real `basis` columns of each V_k, that leg scaled by the integral's
+    values c_m `integral_weights` on its diagonal matrix units
+    (`_unit_contractions`): through `coproduct_blocks` it took twice as long
+    warm at window 0..4 and ten times as long at window 0..8 (0.2 against
+    1.9-2.5 s).
     """
     coefficients = {two_k: stack.reshape(len(elements), (two_k + 1) ** 2) for two_k, stack in _stacked(elements).items()}
     support = list(coefficients)
@@ -692,9 +692,9 @@ def _unit_contractions(params: Params, two_n: int, two_m: int, two_k: int, kind:
     if kind == "left":
         v = v.transpose(1, 0, 2)
     # v[u, p, r]: leg u meets the integral, leg p stays, r is the unit's row;
-    # V_k is real, and the complex weights carry the products to complex
-    w = integral_weight_matrix(params, two_m, kind)
-    terms = np.tensordot(v, np.tensordot(w, v, axes=(1, 0)), axes=(0, 0))
+    # the integral scales leg u by its values on e_(u,u), and the terms stay real
+    weighted = v * (quantum_dimension(params, two_m) * integral_weights(params, two_m, kind))[:, None, None]
+    terms = np.tensordot(v, weighted, axes=(0, 0))
     return terms.transpose(1, 3, 0, 2).reshape((two_k + 1) ** 2, (two_n + 1) ** 2)
 
 
@@ -711,21 +711,24 @@ def modular_certificate_residual(params: Params, two_n: int, kind: str) -> float
     return max_abs(block_integrals(params, two_n, ab, kind) - block_integrals(params, two_n, b_sigma_a, kind))
 
 
+def _pairing_law_residuals(x: dict, y: dict, z: dict) -> list:
+    """|<a a', x[i,j]> - sum_k <a, y[i,k]> <a', z[k,j]>| for the u-keyed
+    tables x, y, z: every key (i, j) of x, every pair (a, a') of matrix
+    units of the spin-1/2 block."""
+    units = [a for _, a in _matrix_units([1])]
+    return [
+        abs(pair(a * a2, x[i, j]) - sum(pair(a, y[i, k]) * pair(a2, z[k, j]) for k in U_LABELS))
+        for i, j in x
+        for a in units
+        for a2 in units
+    ]
+
+
 def dual_coproduct_residual(params: Params) -> float:
     """Matrix coefficient law of u through the pairing:
-    <a a', u[i,j]> = sum_k <a, u[i,k]> <a', u[k,j]> over the full
-    matrix-unit battery of the spin-1/2 block."""
-    battery = [a for _, a in _matrix_units([1])]
-    return worst(
-        abs(
-            pair(a * a2, u_entry(i, j))
-            - sum(pair(a, u_entry(i, k)) * pair(a2, u_entry(k, j)) for k in U_LABELS)
-        )
-        for a in battery
-        for a2 in battery
-        for i in U_LABELS
-        for j in U_LABELS
-    )
+    <a a', u[i,j]> = sum_k <a, u[i,k]> <a', u[k,j]>."""
+    u = u_entries()
+    return worst(_pairing_law_residuals(u, u, u))
 
 
 def dual_haar_quadratic_expected(params: Params, two_k: int, two_l: int, two_i: int, two_j: int) -> complex:
@@ -1118,38 +1121,38 @@ def hopf_battery(params: Params, nmax2: int, rng):
     )
 
 
+def _cointegral_block(params: Params, two_n: int) -> dict:
+    """The nine residuals of the (n, n) block of D(h), keyed by the names of
+    their `coint/*` checks; they share its closed form."""
+    dim = two_n + 1
+    closed = cointegral_coproduct(params, two_n)
+    sing = np.linalg.svd(closed, compute_uv=False)
+    vec = invariant_vector(params, two_n)
+    eye = np.eye(dim, dtype=complex)
+    # D(h) as [p, u, q, v]: an integral on one leg reads that leg's diagonal,
+    # which np.diagonal puts on the last axis
+    four = closed.reshape(dim, dim, dim, dim)
+    first, second = np.diagonal(four, axis1=0, axis2=2), np.diagonal(four, axis1=1, axis2=3)
+    c_n = quantum_dimension(params, two_n)
+    phi, psi = (c_n * integral_weights(params, two_n, kind) for kind in ("left", "right"))
+    return {
+        "two-routes": max_abs(closed - coproduct_component(params, cointegral(), two_n, two_n)),
+        "idempotent": max_abs(closed @ closed - closed),
+        "self-adjoint": max_abs(closed - closed.conj().T),
+        "rank-one": worst([abs(float(sing[0]) - 1.0), *sing[1:2]]),
+        "invariant-vector": max_abs(closed - np.outer(vec, vec.conj())),
+        "left-integral": max_abs(np.sum(second * phi, axis=-1) - eye),
+        "right-integral": max_abs(np.sum(first * psi, axis=-1) - eye),
+        "modular-element": max_abs(np.sum(first * phi, axis=-1) - modular_element_block(params, two_n)),
+        "trace-contraction": max_abs(np.sum(first, axis=-1) - np.diag(params.q_diag(two_n, 2.0)) / c_n),
+    }
+
+
 @_battery("cointegral")
 def cointegral_battery(params: Params, nmax2: int):
     h = cointegral()
 
-    blocks = []
-    # the nine checks of D(h) block by block share these
-    for two_n in _window("coint/two-routes", nmax2):
-        dim = two_n + 1
-        closed = cointegral_coproduct(params, two_n)
-        sing = np.linalg.svd(closed, compute_uv=False)
-        vec = invariant_vector(params, two_n)
-        eye = np.eye(dim, dtype=complex)
-        w_left = integral_weight_matrix(params, two_n, "left")
-        w_right = integral_weight_matrix(params, two_n, "right")
-        blocks.append(
-            {
-                "two-routes": max_abs(closed - coproduct_component(params, h, two_n, two_n)),
-                "idempotent": max_abs(closed @ closed - closed),
-                "self-adjoint": max_abs(closed - closed.conj().T),
-                "rank-one": worst([abs(float(sing[0]) - 1.0), *sing[1:2]]),
-                "invariant-vector": max_abs(closed - np.outer(vec, vec.conj())),
-                "left-integral": max_abs(contract_second(closed, dim, dim, w_left) - eye),
-                "right-integral": max_abs(contract_first(closed, dim, dim, w_right) - eye),
-                "modular-element": max_abs(
-                    contract_first(closed, dim, dim, w_left) - modular_element_block(params, two_n)
-                ),
-                "trace-contraction": max_abs(
-                    contract_first(closed, dim, dim, eye)
-                    - np.diag(params.q_diag(two_n, 2.0)) / quantum_dimension(params, two_n)
-                ),
-            }
-        )
+    blocks = [_cointegral_block(params, two_n) for two_n in _window("coint/two-routes", nmax2)]
     for name in blocks[0]:
         yield f"coint/{name}", [block[name] for block in blocks]
 
@@ -1317,15 +1320,9 @@ def dual_battery(params: Params, nmax2: int, rng):
         *(abs(dual_haar(dual_modular(params, b)) - dual_haar(b)) for b in list(quadratics.values())[:6]),
     ]
 
-    units_half = [a for _, a in _matrix_units([1])]
     twice = {key: dual_antipode(params, dual_antipode(params, u)) for key, u in u_table.items()}
     sigma = {key: dual_modular(params, u) for key, u in u_table.items()}
-    yield "dual/modular-coproduct", (
-        abs(pair(a * a2, sigma[i, j]) - sum(pair(a, twice[i, k]) * pair(a2, sigma[k, j]) for k in U_LABELS))
-        for i, j in u_table
-        for a in units_half
-        for a2 in units_half
-    )
+    yield "dual/modular-coproduct", _pairing_law_residuals(sigma, twice, sigma)
 
     # the span rank and gap share one span check
     span = span_check(params, _window("dual/span-rank", nmax2)[-1])

@@ -17,11 +17,8 @@ from suq2.discrete import (
     AlgElement,
     cointegral,
     cointegral_coproduct,
-    contract_first,
-    contract_second,
     coproduct_component,
     embed,
-    integral_weight_matrix,
     invariant_vector,
     matrix_unit,
     modular_element_block,
@@ -69,6 +66,8 @@ from suq2.verify import (
     worked_half_half_residual,
     WORD_BATTERY,
 )
+
+from test_kernels import contract_first, contract_second, dense_integral_weights
 
 T_VALUES = (0.3, 0.1, 0.5)
 
@@ -261,8 +260,8 @@ def test_acceptance_05_cointegral_and_integrals(acceptance_report):
             vec = invariant_vector(params, two_n)
             values.append(max_abs(closed - np.outer(vec, vec.conj())))
             eye = np.eye(dim, dtype=complex)
-            w_left = integral_weight_matrix(params, two_n, "left")
-            w_right = integral_weight_matrix(params, two_n, "right")
+            w_left = dense_integral_weights(params, two_n, "left")
+            w_right = dense_integral_weights(params, two_n, "right")
             values.append(max_abs(contract_second(closed, dim, dim, w_left) - eye))
             values.append(max_abs(contract_first(closed, dim, dim, w_right) - eye))
             values.append(max_abs(contract_first(closed, dim, dim, w_left) - modular_element_block(params, two_n)))

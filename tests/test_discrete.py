@@ -18,7 +18,7 @@ from suq2.discrete import (
     coproduct_window,
     counit,
     embed,
-    integral_weight_matrix,
+    integral_weights,
     invariant_vector,
     left_integral,
     matrix_unit,
@@ -372,13 +372,13 @@ def test_modular_certificates(two_n, kind):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda kind: integral_weight_matrix(PARAMS, 2, kind),
+        lambda kind: integral_weights(PARAMS, 2, kind),
         lambda kind: block_integrals(PARAMS, 2, np.eye(3), kind),
         lambda kind: modular_automorphism(PARAMS, matrix_unit(2, 2, 0), kind),
         lambda kind: modular_automorphism(PARAMS, AlgElement(), kind),
         lambda kind: modular_certificate_residual(PARAMS, 2, kind),
     ],
-    ids=["integral_weight_matrix", "block_integrals", "modular_automorphism", "modular_automorphism-empty",
+    ids=["integral_weights", "block_integrals", "modular_automorphism", "modular_automorphism-empty",
          "modular_certificate_residual"],
 )
 def test_an_integral_kind_other_than_left_or_right_is_refused(call):

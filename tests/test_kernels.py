@@ -10,10 +10,14 @@ the references item by item over the default batteries.
 
 The dense forms the checks of `suq2.verify` no longer carry are kept here
 too: R (x) R as a Kronecker sandwich of the signed flip with a swap
-permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k, and the
-tau_s (x) tau_s multiplier from its product-basis phases.  The checks now
-call the maps the library ships, and must agree with these.
+permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k, the
+tau_s (x) tau_s multiplier from its product-basis phases, and an integral
+on one leg as an einsum with the dense diagonal matrix W of its values on
+the matrix units.  The checks now call the maps the library ships, and
+must agree with these.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,17 +26,18 @@ from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
     AlgElement,
     antipode_block,
+    cointegral_coproduct,
     conjugate_unitary,
-    contract_first,
-    contract_second,
     coproduct_blocks,
     coproduct_component,
     counit,
     embed,
-    integral_weight_matrix,
+    integral_weights,
     left_integral,
     matrix_unit,
     modular_automorphism,
+    modular_element_block,
+    quantum_dimension,
     right_integral,
     scaling,
     scaling_block,
@@ -43,11 +48,13 @@ from suq2.reps import build_rep, evaluate, evaluate_in
 from suq2.util import kron, max_abs, weight_index, weights, worst
 from suq2.verify import (
     WORD_BATTERY,
+    _cointegral_block,
     _lift,
     _matrix_units,
     _max_abs_each,
     _random_alg_element,
     _stacked,
+    _unit_contractions,
     antipode_law_residuals,
     clebsch_battery,
     coassociativity_residuals,
@@ -60,6 +67,25 @@ from suq2.verify import (
 T_VALUES = (0.1, 0.3, 1.0)
 WINDOW = range(5)
 TOL = 1e-15
+
+
+def dense_integral_weights(params, two_n, kind):
+    """The integral's values on the matrix units of block n as the dense
+    complex matrix W[p, p'] = integral(e_(p, p'))."""
+    return np.diag(quantum_dimension(params, two_n) * integral_weights(params, two_n, kind)).astype(complex)
+
+
+def contract_first(mat, dim_left, dim_right, w):
+    """The functional with matrix-unit values W[p, p'] on the first leg of
+    an operator on a product of two blocks, or of each in a stack."""
+    m4 = mat.reshape(mat.shape[:-2] + (dim_left, dim_right, dim_left, dim_right))
+    return np.einsum("pq,...puqv->...uv", w, m4)
+
+
+def contract_second(mat, dim_left, dim_right, w):
+    """Same, on the second leg."""
+    m4 = mat.reshape(mat.shape[:-2] + (dim_left, dim_right, dim_left, dim_right))
+    return np.einsum("uv,...puqv->...pq", w, m4)
 
 
 def reference_lifts(params, a, two_n, two_m, two_l):
@@ -89,13 +115,13 @@ def reference_invariance(params, a, two_n):
     for two_m in m_window:
         term = contract_second(
             coproduct_component(params, a, two_n, two_m), dim, two_m + 1,
-            integral_weight_matrix(params, two_m, "left"),
+            dense_integral_weights(params, two_m, "left"),
         )
         left_sum += term
         left_scales.append(max_abs(term))
         term = contract_first(
             coproduct_component(params, a, two_m, two_n), two_m + 1, dim,
-            integral_weight_matrix(params, two_m, "right"),
+            dense_integral_weights(params, two_m, "right"),
         )
         right_sum += term
         right_scales.append(max_abs(term))
@@ -104,6 +130,49 @@ def reference_invariance(params, a, two_n):
         max_abs(left_sum - left_integral(params, a) * eye) / worst(left_scales),
         max_abs(right_sum - right_integral(params, a) * eye) / worst(right_scales),
     )
+
+
+def reference_cointegral_contractions(params, two_n):
+    """The four contraction rows of `_cointegral_block`, each functional a
+    dense W contracted with D(h)_(n,n) in full."""
+    dim = two_n + 1
+    closed = cointegral_coproduct(params, two_n)
+    w_left, w_right = (dense_integral_weights(params, two_n, kind) for kind in ("left", "right"))
+    eye = np.eye(dim, dtype=complex)
+    trace = np.diag(params.q_diag(two_n, 2.0)) / quantum_dimension(params, two_n)
+    return {
+        "left-integral": max_abs(contract_second(closed, dim, dim, w_left) - eye),
+        "right-integral": max_abs(contract_first(closed, dim, dim, w_right) - eye),
+        "modular-element": max_abs(contract_first(closed, dim, dim, w_left) - modular_element_block(params, two_n)),
+        "trace-contraction": max_abs(contract_first(closed, dim, dim, eye) - trace),
+    }
+
+
+def reference_unit_contractions(params, two_n, two_m, two_k, kind):
+    """`_unit_contractions` from D of the stack of matrix units e_(r,s) of
+    block k (r major): the dense W of block m contracted with each
+    D(e_(r,s))_(n,m) for kind "left", with each D(e_(r,s))_(m,n) for kind
+    "right"."""
+    dim_k = two_k + 1
+    units = {two_k: np.eye(dim_k * dim_k).reshape(-1, dim_k, dim_k)}
+    w = dense_integral_weights(params, two_m, kind)
+    if kind == "left":
+        rows = contract_second(coproduct_blocks(params, units, two_n, two_m), two_n + 1, two_m + 1, w)
+    else:
+        rows = contract_first(coproduct_blocks(params, units, two_m, two_n), two_m + 1, two_n + 1, w)
+    return rows.reshape(dim_k * dim_k, (two_n + 1) ** 2)
+
+
+def dense_unit_contractions(params, two_n, two_m, two_k, kind):
+    """`_unit_contractions` with the dense W multiplied in full into the
+    real basis columns of V_k, the integral's leg first."""
+    dec = decompose(params, *((two_n, two_m) if kind == "left" else (two_m, two_n)))
+    v = dec.basis[:, dec.columns[two_k]].reshape(dec.two_n + 1, dec.two_m + 1, two_k + 1)
+    if kind == "left":
+        v = v.transpose(1, 0, 2)
+    w = dense_integral_weights(params, two_m, kind)
+    terms = np.tensordot(v, np.tensordot(w, v, axes=(1, 0)), axes=(0, 0))
+    return terms.transpose(1, 3, 0, 2).reshape((two_k + 1) ** 2, (two_n + 1) ** 2)
 
 
 def reference_antipode_law(params, a, two_n):
@@ -203,6 +272,42 @@ def test_invariance_kernel_matches_one_unit_at_a_time(t):
     kernel = invariance_residuals(params, units, WINDOW)
     reference = np.array([[reference_invariance(params, a, two_n) for two_n in WINDOW] for a in units])
     np.testing.assert_allclose(kernel, reference, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("t", (1e-8, 1e-5, 0.3, 2.0, 10.0, 50.0))
+def test_integral_contractions_match_the_dense_weight_matrix(t):
+    """The cointegral rows and `_unit_contractions` read the integrals as
+    weight vectors.  The rows give the bits of the dense W's einsum on every
+    block up to doubled spin 8, and the unit contractions give the bits of
+    the dense W multiplied into V_k, and the einsum's values to a few eps,
+    on every pair up to 8.  At t = 50 the weights of doubled spin 8
+    overflow: every entry of the dense route is NaN there, since the inf
+    meets W's off-diagonal zeros, while the vector meets only the zeros of
+    V_k, and some of its entries are inf instead."""
+    params = Params(t=t)
+    eps = np.finfo(float).eps
+    overflowed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for two_n in range(9):
+            rows = _cointegral_block(params, two_n)
+            for name, expected in reference_cointegral_contractions(params, two_n).items():
+                assert np.array_equal(rows[name], expected, equal_nan=True), (name, two_n)
+            for two_m in range(9):
+                for two_k, kind in itertools.product(index_set(two_n, two_m), ("left", "right")):
+                    got = _unit_contractions(params, two_n, two_m, two_k, kind)
+                    dense = dense_unit_contractions(params, two_n, two_m, two_k, kind)
+                    reference = reference_unit_contractions(params, two_n, two_m, two_k, kind)
+                    case = (two_n, two_m, two_k, kind)
+                    if t == 50.0 and two_m == 8:
+                        assert np.isnan(dense).all() and np.isnan(reference).all(), case
+                        assert not np.isfinite(got).any(), case
+                        overflowed.append(got)
+                        continue
+                    assert np.isfinite(reference).all(), case
+                    np.testing.assert_array_equal(got, dense, err_msg=str(case))
+                    assert max_abs(got - reference) <= 4 * eps * max(1.0, max_abs(reference)), case
+    if t == 50.0:
+        assert any(np.isinf(got).any() for got in overflowed)
 
 
 @pytest.mark.parametrize("t", T_VALUES)
