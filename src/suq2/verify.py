@@ -25,10 +25,11 @@ battery in stacked products.  D goes once per block pair through
 `discrete.coproduct_blocks`, and the block maps of `discrete` (R, S, tau)
 once per block, on the battery's stack or a block's stack of matrix units
 (`antipode_law_residuals`, `coassociativity_residuals`, whose leg lifts
-are D calls too, `flip_residuals`, with R (x) R as R on each leg,
+are D calls too, on chunks of the battery under a byte budget,
+`flip_residuals`, with R (x) R as R on each leg,
 `scaling_compat_residuals`, and `invariance_residuals`, which contracts a
-leg with real `basis` columns).  No check takes D inside a loop over
-elements: the counit, multiplicative, star and block-reconstruction laws
+leg with real `basis` columns).  No check takes D of its elements inside a
+loop over them: the counit, multiplicative, star and block-reconstruction laws
 stack their batteries the same way, and only the cointegral's two routes
 and its modular element, one fixed element each, call `coproduct_component`.
 
@@ -235,9 +236,13 @@ def _flatten(doc, prefix=""):
 
 
 def doc_csv(doc) -> str:
-    """Any report document as flat ``key,value`` csv rows."""
+    """Any report document as flat ``key,value`` csv rows; a key that holds
+    a comma or a double quote is quoted, and every other is written bare."""
     lines = ["key,value"]
-    lines.extend(f"{key},{value}" for key, value in _flatten(doc))
+    for key, value in _flatten(doc):
+        if "," in key or '"' in key:
+            key = _csv_str(key)
+        lines.append(f"{key},{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -559,6 +564,13 @@ def antipode_law_residuals(params: Params, elements, two_ns) -> np.ndarray:
     return out
 
 
+# bytes of one side's lift of a chunk of elements on a triple (n, m, l),
+# 16 * chunk * ((n + 1)(m + 1)(l + 1))^2, a chunk being at least one element.
+# It moves no residual up to cap 8: on every pair with 2n, 2m <= 8 the
+# per-weight and slab routes of `coproduct_blocks` agree bit for bit
+_LIFT_BYTES = 1 << 18
+
+
 def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
     """(D (x) id) D(a) versus (id (x) D) D(a) for every element on every
     block triple (n, m, l), shape (len(elements), len(triples)).
@@ -566,14 +578,24 @@ def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
     D(a) is evaluated once per block pair for the whole battery; on
     (n, m, l), `_lift` takes D(a)_(k,l), k in the index set of (n, m), onto
     (n, m) on the first leg, and D(a)_(n,k) onto (m, l) on the second.
+    Each triple lifts the battery in chunks under `_LIFT_BYTES`, slices of
+    the shared D(a) stacks, so its working set stays bounded.
     """
     blocks = _stacked(elements)
     components = functools.cache(lambda two_n, two_m: coproduct_blocks(params, blocks, two_n, two_m))
     out = np.empty((len(elements), len(triples)))
     for j, (two_n, two_m, two_l) in enumerate(triples):
-        lhs = _lift(params, {k: components(k, two_l) for k in index_set(two_n, two_m)}, (two_n, two_m), two_l, leg=0)
-        rhs = _lift(params, {k: components(two_n, k) for k in index_set(two_m, two_l)}, (two_m, two_l), two_n, leg=1)
-        out[:, j] = _max_abs_each(lhs - rhs)
+        size = (two_n + 1) * (two_m + 1) * (two_l + 1)
+        chunk = max(1, _LIFT_BYTES // (16 * size * size))
+        for start in range(0, len(elements), chunk):
+            part = slice(start, start + chunk)
+            first = {k: components(k, two_l)[part] for k in index_set(two_n, two_m)}
+            second = {k: components(two_n, k)[part] for k in index_set(two_m, two_l)}
+            lhs = _lift(params, first, (two_n, two_m), two_l, leg=0)
+            rhs = _lift(params, second, (two_m, two_l), two_n, leg=1)
+            # lhs read in the layout of rhs, D's own output, which the difference overwrites
+            np.subtract(lhs.transpose(0, 3, 5, 4, 1, 6, 2), rhs, out=rhs)
+            out[part, j] = _max_abs_each(rhs)
     return out
 
 
@@ -582,7 +604,10 @@ def _lift(params: Params, components: dict, pair, two_o: int, leg: int) -> np.nd
     for the summands V_k of ``pair`` = (n, m), and ``components`` mapping k
     to a stack of operators M_k on spin-k (x) spin-o, resp. spin-o (x)
     spin-k.  That is D on one leg: the (k, k) slices of M_k over each index
-    pair of the spin-o leg form one stack for `coproduct_blocks`."""
+    pair of the spin-o leg form one stack for `coproduct_blocks`.  Returns
+    its fresh stack, axes (len, o, o', n, m, n', m'): row (n, m, o), column
+    (n', m', o') of an item on leg 0, row (o, n, m), column (o', n', m') on
+    leg 1."""
     other = two_o + 1
     # the spin-o index pair leads and the spin-k one trails
     order = (0, 2, 4, 1, 3) if leg == 0 else (0, 1, 3, 2, 4)
@@ -590,9 +615,8 @@ def _lift(params: Params, components: dict, pair, two_o: int, leg: int) -> np.nd
     for two_k, stack in components.items():
         legs = (two_k + 1, other) if leg == 0 else (other, two_k + 1)
         slices[two_k] = stack.reshape((len(stack),) + legs + legs).transpose(order)
-    lifted = coproduct_blocks(params, slices, *pair)
-    dim = lifted.shape[-1] * other
-    return lifted.transpose(np.argsort(order)).reshape(-1, dim, dim)
+    dims = (pair[0] + 1, pair[1] + 1)
+    return coproduct_blocks(params, slices, *pair).reshape((-1, other, other) + dims + dims)
 
 
 def _max_abs_each(stack: np.ndarray) -> np.ndarray:
@@ -1351,14 +1375,19 @@ _SEED_OFFSETS = {"dual": 1}
 def run_suite(config: RunConfig, suite: str) -> Report:
     """Run one named suite, or all, and return its report.  Each battery is
     looked up by name as it runs, so a wrapped one runs, and gets the run
-    inputs its signature names; a suite's batteries share one rng stream."""
+    inputs its signature names; a suite's batteries share one rng stream.
+    An `OverflowError` out of a battery is raised again naming it and t."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     params = config.params()
     checks = []
     for name in SUITE_BATTERIES if suite == "all" else (suite,):
         inputs = {"nmax2": config.nmax2, "rng": np.random.default_rng(config.seed + _SEED_OFFSETS.get(name, 0))}
-        for battery in (globals()[f"{b}_battery"] for b in SUITE_BATTERIES[name]):
+        for b in SUITE_BATTERIES[name]:
+            battery = globals()[f"{b}_battery"]
             wanted = inspect.signature(battery).parameters
-            checks.extend(battery(params, **{k: v for k, v in inputs.items() if k in wanted}))
+            try:
+                checks.extend(battery(params, **{k: v for k, v in inputs.items() if k in wanted}))
+            except OverflowError as exc:
+                raise OverflowError(f"{b} battery at t = {params.t}: {exc}") from exc
     return Report(suite=suite, config=config, checks=tuple(sorted(checks, key=lambda c: c.id)))

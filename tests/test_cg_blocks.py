@@ -231,6 +231,29 @@ def test_coproduct_component_moves_only_by_roundoff_with_the_slab_size(monkeypat
         assert max_abs(got - default) <= 1e-15 * max_abs(default), budget
 
 
+@pytest.mark.parametrize("t", (1e-8, 0.3, 2.0, 10.0, 50.0))
+def test_the_slab_and_per_weight_routes_agree_bit_for_bit_up_to_doubled_spin_8(monkeypatch, t):
+    # `verify.coassociativity_residuals` lifts a battery in chunks, and a
+    # shorter stack can move a call from the per-weight route to the slab;
+    # its residuals stay put because on every pair with 2n, 2m <= 8, all
+    # the pairs its lifts use up to cap 8, the two routes give the same
+    # bits.  Past that domain they need not (the roundoff test above)
+    params = Params(t=t)
+    rng = np.random.default_rng(int(10 * t) + 1)
+    try:
+        for two_n in range(9):
+            for two_m in range(9):
+                for support in _supports(two_n, two_m).values():
+                    blocks = {k: rng.standard_normal((3, 2, k + 1, k + 1, 2)) @ [1, 1j] for k in support}
+                    routes = []
+                    for budget in (0, 1 << 40):
+                        monkeypatch.setattr(discrete, "_SLAB_BYTES", budget)
+                        routes.append(coproduct_blocks(params, blocks, two_n, two_m))
+                    assert np.array_equal(*routes, equal_nan=True), (two_n, two_m, sorted(support))
+    finally:
+        decompose.cache_clear()
+
+
 STACK_PAIRS = [(two_n, two_m) for two_n in range(9) for two_m in range(9)] + [(12, 12), (14, 9), (20, 20)]
 
 

@@ -1,6 +1,8 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
+import csv
 import json
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -8,7 +10,7 @@ from dataclasses import asdict
 import pytest
 
 from suq2.cli import main
-from suq2.verify import RunConfig, dump_json, report_doc, run_suite
+from suq2.verify import RunConfig, _flatten, dump_json, report_doc, run_suite
 
 CLI = [sys.executable, "-m", "suq2.cli"]
 
@@ -168,6 +170,22 @@ def test_csv_rep_is_flat_key_value(tmp_path):
     assert any(key.startswith("matrices.q[0][0]") for key in keys)
 
 
+def test_tables_csv_reads_back_with_a_csv_reader(tmp_path):
+    """Keys with commas, such as `dual_antipode.u[1,1].factor`, are quoted:
+    every row is one key and one value, and the keys are those of the json
+    document flattened, with a complex number's .re and .im rows where the
+    json has its [re, im] pair."""
+    out = tmp_path / "tables.csv"
+    run_cli("tables", "--format", "csv", "--out", str(out), check=True)
+    header, *rows = csv.reader(out.open(newline=""))
+    assert header == ["key", "value"]
+    assert all(len(row) == 2 for row in rows), [row for row in rows if len(row) != 2]
+    assert any("," in key for key, _ in rows)
+    doc = json.loads(run_cli("tables", check=True).stdout)
+    keys = [re.sub(r"\.im$", "[1]", re.sub(r"\.re$", "[0]", key)) for key, _ in rows]
+    assert keys == [key for key, _ in _flatten(doc)]
+
+
 def test_invalid_deformation_exits_two():
     result = run_cli("verify", "--t", "-0.5")
     assert result.returncode == 2
@@ -184,6 +202,8 @@ def test_invalid_deformation_exits_two():
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert "suq2: error:" in result.stderr and "Traceback" not in result.stderr, args
+    # verify names the battery that overflowed, and t
+    assert "suq2: error: rep battery at t = 100.0: (34, 'Numerical result out of range')" in result.stderr
 
 
 def test_csv_refuses_non_finite_numbers_like_json(tmp_path):

@@ -22,6 +22,7 @@ import itertools
 import numpy as np
 import pytest
 
+from suq2 import verify
 from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
     AlgElement,
@@ -232,6 +233,14 @@ def reference_scaling_multiplier(params, two_n, two_m, s):
     return np.outer(d, 1.0 / d)
 
 
+def lift_operators(lift, leg):
+    """A `_lift` stack, axes (len, o, o', n, m, n', m'), as the (len, N, N)
+    operators on (n (x) m) (x) o (leg 0) or o (x) (n (x) m) (leg 1)."""
+    lifted = lift.transpose((0, 3, 4, 1, 5, 6, 2) if leg == 0 else (0, 1, 3, 4, 2, 5, 6))
+    size = int(np.prod(lifted.shape[1:4]))
+    return lifted.reshape(len(lift), size, size)
+
+
 def hopf_battery_elements(params):
     """The shapes of the hopf battery: word elements, units up to spin 1, two random elements."""
     rng = np.random.default_rng(0)
@@ -242,21 +251,27 @@ def hopf_battery_elements(params):
 
 
 @pytest.mark.parametrize("t", T_VALUES)
-def test_coassociativity_kernel_matches_the_kronecker_lift(t):
+def test_coassociativity_kernel_matches_the_kronecker_lift(monkeypatch, t):
     """`_lift` takes D on one leg through the CG blocks, the reference
     through dense Kronecker lifts; the two round differently on entries
     larger than 1, so each lift is held entrywise to a few eps at the
-    scale of the reference, and each residual to 1e-15 at that scale."""
+    scale of the reference, and each residual to 1e-15 at that scale.
+    The kernel lifts the battery in chunks under `_LIFT_BYTES`: one
+    element at a time (budget 0) and the whole battery at once (1 << 40)
+    give the residuals of the module's budget bit for bit."""
     params = Params(t=t)
     words, _, randoms = hopf_battery_elements(params)
     battery = [words["e"], words["ef"]] + randoms
     triples = [(n, m, l) for n in WINDOW for m in WINDOW for l in WINDOW]
     kernel = coassociativity_residuals(params, battery, triples)
+    for budget in (0, 1 << 40):
+        monkeypatch.setattr(verify, "_LIFT_BYTES", budget)
+        np.testing.assert_array_equal(coassociativity_residuals(params, battery, triples), kernel, strict=True)
     components = lambda two_n, two_m: np.array([coproduct_component(params, a, two_n, two_m) for a in battery])
     eps = np.finfo(float).eps
     for j, (n, m, l) in enumerate(triples):
-        lhs = _lift(params, {k: components(k, l) for k in index_set(n, m)}, (n, m), l, leg=0)
-        rhs = _lift(params, {k: components(n, k) for k in index_set(m, l)}, (m, l), n, leg=1)
+        lhs = lift_operators(_lift(params, {k: components(k, l) for k in index_set(n, m)}, (n, m), l, leg=0), 0)
+        rhs = lift_operators(_lift(params, {k: components(n, k) for k in index_set(m, l)}, (m, l), n, leg=1), 1)
         for i, a in enumerate(battery):
             ref_lhs, ref_rhs = reference_lifts(params, a, n, m, l)
             for got, ref in ((lhs[i], ref_lhs), (rhs[i], ref_rhs)):
