@@ -24,8 +24,9 @@ kernel rule: apply each shipped map once per stack and contract the
 battery in stacked products.  D goes once per block pair through
 `discrete.coproduct_blocks`, and the block maps of `discrete` (R, S, tau)
 once per block, on the battery's stack or a block's stack of matrix units
-(`antipode_law_residuals`, `coassociativity_residuals`, whose leg lifts
-are D calls too, on chunks of the battery under a byte budget,
+(`antipode_law_residuals`, `coassociativity_residuals`, which takes D
+once per block pair and outer spin, and whose leg lifts are D calls too,
+on chunks of the battery under a byte budget,
 `flip_residuals`, with R (x) R as R on each leg,
 `scaling_compat_residuals`, and `invariance_residuals`, which contracts a
 leg with real `basis` columns).  No check takes D of its elements inside a
@@ -575,27 +576,33 @@ def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
     """(D (x) id) D(a) versus (id (x) D) D(a) for every element on every
     block triple (n, m, l), shape (len(elements), len(triples)).
 
-    D(a) is evaluated once per block pair for the whole battery; on
-    (n, m, l), `_lift` takes D(a)_(k,l), k in the index set of (n, m), onto
-    (n, m) on the first leg, and D(a)_(n,k) onto (m, l) on the second.
-    Each triple lifts the battery in chunks under `_LIFT_BYTES`, slices of
-    the shared D(a) stacks, so its working set stays bounded.
+    On (n, m, l), `_lift` takes D(a)_(k,l), k in the index set of (n, m),
+    onto (n, m) on the first leg, and D(a)_(n,k) onto (m, l) on the second.
+    The triples run grouped by n, then l, and D(a) of the whole battery is
+    kept while its group reads it: D(a)_(n,k) while n is visited, D(a)_(k,l)
+    while (n, l) is.  Each triple lifts the battery in chunks under
+    `_LIFT_BYTES`, slices of those stacks, so its working set stays bounded.
     """
     blocks = _stacked(elements)
-    components = functools.cache(lambda two_n, two_m: coproduct_blocks(params, blocks, two_n, two_m))
     out = np.empty((len(elements), len(triples)))
-    for j, (two_n, two_m, two_l) in enumerate(triples):
-        size = (two_n + 1) * (two_m + 1) * (two_l + 1)
-        chunk = max(1, _LIFT_BYTES // (16 * size * size))
-        for start in range(0, len(elements), chunk):
-            part = slice(start, start + chunk)
-            first = {k: components(k, two_l)[part] for k in index_set(two_n, two_m)}
-            second = {k: components(two_n, k)[part] for k in index_set(two_m, two_l)}
-            lhs = _lift(params, first, (two_n, two_m), two_l, leg=0)
-            rhs = _lift(params, second, (two_m, two_l), two_n, leg=1)
-            # lhs read in the layout of rhs, D's own output, which the difference overwrites
-            np.subtract(lhs.transpose(0, 3, 5, 4, 1, 6, 2), rhs, out=rhs)
-            out[part, j] = _max_abs_each(rhs)
+    order = sorted(range(len(triples)), key=lambda j: (triples[j][0], triples[j][2]))
+    for two_n, by_n in itertools.groupby(order, key=lambda j: triples[j][0]):
+        second_leg = functools.cache(lambda two_k: coproduct_blocks(params, blocks, two_n, two_k))
+        for two_l, columns in itertools.groupby(by_n, key=lambda j: triples[j][2]):
+            first_leg = functools.cache(lambda two_k: coproduct_blocks(params, blocks, two_k, two_l))
+            for j in columns:
+                two_m = triples[j][1]
+                size = (two_n + 1) * (two_m + 1) * (two_l + 1)
+                chunk = max(1, _LIFT_BYTES // (16 * size * size))
+                for start in range(0, len(elements), chunk):
+                    part = slice(start, start + chunk)
+                    first = {k: first_leg(k)[part] for k in index_set(two_n, two_m)}
+                    second = {k: second_leg(k)[part] for k in index_set(two_m, two_l)}
+                    lhs = _lift(params, first, (two_n, two_m), two_l, leg=0)
+                    rhs = _lift(params, second, (two_m, two_l), two_n, leg=1)
+                    # lhs read in the layout of rhs, D's own output, which the difference overwrites
+                    np.subtract(lhs.transpose(0, 3, 5, 4, 1, 6, 2), rhs, out=rhs)
+                    out[part, j] = _max_abs_each(rhs)
     return out
 
 
