@@ -40,7 +40,9 @@ from .words import AlgPoly
 # bytes of the padded (items, weights, spins, product vectors) intermediate,
 # the whole stack counted, up to which `coproduct_blocks` takes every weight
 # in one batched product; past it each weight runs on its live block.  The
-# routes can differ in the last bits, so moving it is a declared roundoff move
+# routes can differ in the last bits, so moving it is a declared roundoff move.
+# It also sizes the chunks `verify.coassociativity_residuals` lifts, which
+# moves no bit up to cap 8: on every pair with 2n, 2m <= 8 the routes agree
 _SLAB_BYTES = 1 << 19
 
 

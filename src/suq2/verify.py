@@ -26,7 +26,7 @@ battery in stacked products.  D goes once per block pair through
 once per block, on the battery's stack or a block's stack of matrix units
 (`antipode_law_residuals`, `coassociativity_residuals`, which takes D
 once per block pair and outer spin, and whose leg lifts are D calls too,
-on chunks of the battery under a byte budget,
+on chunks of the battery sized by D's own byte budget,
 `flip_residuals`, with R (x) R as R on each leg,
 `scaling_compat_residuals`, and `invariance_residuals`, which contracts a
 leg with real `basis` columns).  No check takes D of its elements inside a
@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import words
+from . import discrete, words
 from .clebsch import decompose, decomposition_residuals, index_set, tensor_rep
 from .discrete import (
     AlgElement,
@@ -565,35 +565,27 @@ def antipode_law_residuals(params: Params, elements, two_ns) -> np.ndarray:
     return out
 
 
-# bytes of one side's lift of a chunk of elements on a triple (n, m, l),
-# 16 * chunk * ((n + 1)(m + 1)(l + 1))^2, a chunk being at least one element.
-# It moves no residual up to cap 8: on every pair with 2n, 2m <= 8 the
-# per-weight and slab routes of `coproduct_blocks` agree bit for bit
-_LIFT_BYTES = 1 << 18
-
-
-def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
+def coassociativity_residuals(params: Params, elements, window) -> np.ndarray:
     """(D (x) id) D(a) versus (id (x) D) D(a) for every element on every
-    block triple (n, m, l), shape (len(elements), len(triples)).
+    block triple (n, m, l) of the window, shape (len(elements), w, w, w),
+    axes (n, m, l), w = len(window).
 
     On (n, m, l), `_lift` takes D(a)_(k,l), k in the index set of (n, m),
     onto (n, m) on the first leg, and D(a)_(n,k) onto (m, l) on the second.
-    The triples run grouped by n, then l, and D(a) of the whole battery is
-    kept while its group reads it: D(a)_(n,k) while n is visited, D(a)_(k,l)
-    while (n, l) is.  Each triple lifts the battery in chunks under
-    `_LIFT_BYTES`, slices of those stacks, so its working set stays bounded.
+    D(a) of the whole battery is kept while its loop reads it: D(a)_(n,k)
+    in the loop body of n, D(a)_(k,l) in that of l.  The lifts take the
+    battery in chunks, the most elements whose two lifts fit
+    `discrete._SLAB_BYTES`, and drop a chunk's lifts before the next's.
     """
     blocks = _stacked(elements)
-    out = np.empty((len(elements), len(triples)))
-    order = sorted(range(len(triples)), key=lambda j: (triples[j][0], triples[j][2]))
-    for two_n, by_n in itertools.groupby(order, key=lambda j: triples[j][0]):
+    out = np.empty((len(elements),) + (len(window),) * 3)
+    for at_n, two_n in enumerate(window):
         second_leg = functools.cache(lambda two_k: coproduct_blocks(params, blocks, two_n, two_k))
-        for two_l, columns in itertools.groupby(by_n, key=lambda j: triples[j][2]):
+        for at_l, two_l in enumerate(window):
             first_leg = functools.cache(lambda two_k: coproduct_blocks(params, blocks, two_k, two_l))
-            for j in columns:
-                two_m = triples[j][1]
+            for at_m, two_m in enumerate(window):
                 size = (two_n + 1) * (two_m + 1) * (two_l + 1)
-                chunk = max(1, _LIFT_BYTES // (16 * size * size))
+                chunk = max(1, discrete._SLAB_BYTES // (32 * size * size))
                 for start in range(0, len(elements), chunk):
                     part = slice(start, start + chunk)
                     first = {k: first_leg(k)[part] for k in index_set(two_n, two_m)}
@@ -602,7 +594,8 @@ def coassociativity_residuals(params: Params, elements, triples) -> np.ndarray:
                     rhs = _lift(params, second, (two_m, two_l), two_n, leg=1)
                     # lhs read in the layout of rhs, D's own output, which the difference overwrites
                     np.subtract(lhs.transpose(0, 3, 5, 4, 1, 6, 2), rhs, out=rhs)
-                    out[part, j] = _max_abs_each(rhs)
+                    out[part, at_n, at_m, at_l] = _max_abs_each(rhs)
+                    del lhs, rhs
     return out
 
 
@@ -897,7 +890,8 @@ def rep_battery(params: Params, nmax2: int, rng):
     relations = [relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f) for rep in reps]
     for law in relations[0]:
         yield _ID_OF_LAW[law], [res[law] for res in relations]
-    yield "reps/adjointness", (max_abs(rep.e.conj().T - rep.f) for rep in reps)
+    # the law of reps/relation-estar on the same reps, kept under its own id
+    yield "reps/adjointness", [res["e* = f"] for res in relations]
     yield "reps/amplitude-symmetry", (max_abs(rep.r - rep.r[::-1]) for rep in reps if rep.sign == +1)
     yield "reps/amplitude-closure", (
         abs(float(params.c * np.sum(params.q_diag(two_n, 2.0) - params.q_diag(two_n, -2.0))))
@@ -1058,9 +1052,9 @@ def hopf_battery(params: Params, nmax2: int, rng):
     ).ravel()
 
     coassoc_battery = [word_elements["e"], word_elements["ef"]] + random_elements
-    spins = _window("dqg/coassociativity", nmax2)
-    triples = [(two_n, two_m, two_l) for two_n in spins for two_m in spins for two_l in spins]
-    yield "dqg/coassociativity", coassociativity_residuals(params, coassoc_battery, triples).ravel()
+    yield "dqg/coassociativity", coassociativity_residuals(
+        params, coassoc_battery, _window("dqg/coassociativity", nmax2)
+    ).ravel()
 
     unit_elements = units("dqg/coproduct-multiplicative")
     hom_pairs = [

@@ -213,8 +213,7 @@ def test_acceptance_04_hopf_structure(acceptance_report):
         ]
         values = [_counit_law(params, a, two_m) for a in battery for two_m in window]
         values.extend(antipode_law_residuals(params, battery, window).ravel())
-        triples = [(two_n, two_m, two_l) for two_n in window for two_m in window for two_l in window]
-        values.extend(coassociativity_residuals(params, battery, triples).ravel())
+        values.extend(coassociativity_residuals(params, battery, window).ravel())
         b = battery[3]
         c = _random_element(rng, window)
         for two_n in window[:3]:

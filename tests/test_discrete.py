@@ -155,8 +155,7 @@ def test_antipode_laws_on_battery(two_n):
 
 def test_coassociativity_on_battery():
     a = _random_element(5, [0, 1, 2, 3])
-    triples = [(two_n, two_m, two_l) for two_n in range(0, 3) for two_m in range(0, 3) for two_l in range(0, 3)]
-    assert coassociativity_residuals(PARAMS, [a], triples).max() < 1e-9
+    assert coassociativity_residuals(PARAMS, [a], range(3)).max() < 1e-9
 
 
 def test_coproduct_is_multiplicative_and_star_compatible():

@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from suq2 import verify
+from suq2 import discrete, verify
 from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
     AlgElement,
@@ -257,25 +257,20 @@ def test_coassociativity_kernel_matches_the_kronecker_lift(monkeypatch, t):
     through dense Kronecker lifts; the two round differently on entries
     larger than 1, so each lift is held entrywise to a few eps at the
     scale of the reference, and each residual to 1e-15 at that scale.
-    The kernel lifts the battery in chunks under `_LIFT_BYTES`: one
-    element at a time (budget 0) and the whole battery at once (1 << 40)
-    give the residuals of the module's budget bit for bit.  It visits the
-    triples grouped by (n, l), so the triples reversed, one of them
-    repeated, give the matching columns bit for bit too."""
+    The kernel lifts the battery in chunks sized by `discrete._SLAB_BYTES`:
+    one element at a time (budget 0) and the whole battery at once
+    (1 << 40) give the residuals of the module's budget bit for bit."""
     params = Params(t=t)
     words, _, randoms = hopf_battery_elements(params)
     battery = [words["e"], words["ef"]] + randoms
-    triples = [(n, m, l) for n in WINDOW for m in WINDOW for l in WINDOW]
-    kernel = coassociativity_residuals(params, battery, triples)
-    columns = list(reversed(range(len(triples)))) + [triples.index((2, 1, 3))]
-    reordered = coassociativity_residuals(params, battery, [triples[j] for j in columns])
-    np.testing.assert_array_equal(reordered, kernel[:, columns], strict=True)
+    kernel = coassociativity_residuals(params, battery, WINDOW)
     for budget in (0, 1 << 40):
-        monkeypatch.setattr(verify, "_LIFT_BYTES", budget)
-        np.testing.assert_array_equal(coassociativity_residuals(params, battery, triples), kernel, strict=True)
+        monkeypatch.setattr(discrete, "_SLAB_BYTES", budget)
+        np.testing.assert_array_equal(coassociativity_residuals(params, battery, WINDOW), kernel, strict=True)
+    monkeypatch.undo()
     components = lambda two_n, two_m: np.array([coproduct_component(params, a, two_n, two_m) for a in battery])
     eps = np.finfo(float).eps
-    for j, (n, m, l) in enumerate(triples):
+    for n, m, l in itertools.product(WINDOW, repeat=3):
         lhs = lift_operators(_lift(params, {k: components(k, l) for k in index_set(n, m)}, (n, m), l, leg=0), 0)
         rhs = lift_operators(_lift(params, {k: components(n, k) for k in index_set(m, l)}, (m, l), n, leg=1), 1)
         for i, a in enumerate(battery):
@@ -283,26 +278,48 @@ def test_coassociativity_kernel_matches_the_kronecker_lift(monkeypatch, t):
             for got, ref in ((lhs[i], ref_lhs), (rhs[i], ref_rhs)):
                 assert max_abs(got - ref) <= 4 * eps * max(1.0, max_abs(ref)), (t, n, m, l, i)
             scale = max(1.0, max_abs(ref_lhs), max_abs(ref_rhs))
-            assert abs(kernel[i, j] - max_abs(ref_lhs - ref_rhs)) <= 1e-15 * scale, (t, n, m, l, i)
+            assert abs(kernel[i, n, m, l] - max_abs(ref_lhs - ref_rhs)) <= 1e-15 * scale, (t, n, m, l, i)
+
+
+def coassociativity_shapes(params, window):
+    """The coassociativity row's battery: words e and ef, two random elements."""
+    rng = np.random.default_rng(0)
+    battery = [embed(params, WORD_BATTERY[w], window) for w in ("e", "ef")]
+    return battery + [_random_alg_element(rng, window) for _ in range(2)]
+
+
+def test_coassociativity_kernel_takes_d_once_per_stack_it_keeps(monkeypatch):
+    """Over window 0..4 at t = 0.3 the kernel takes D of the battery 220
+    times, each second-leg stack once per n and each first-leg one once per
+    (n, l), and makes 286 lifts, two per chunk, so neither the scoping of
+    the stacks nor the chunk size drifts unnoticed."""
+    params, window = Params(t=0.3), range(5)
+    battery = coassociativity_shapes(params, window)
+    calls = []
+    spy = lambda name, f: lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
+    monkeypatch.setattr(verify, "coproduct_blocks", spy("D", coproduct_blocks))
+    monkeypatch.setattr(verify, "_lift", spy("lift", _lift))
+    coassociativity_residuals(params, battery, window)
+    # every lift is one D call on its own stack; the rest are on the battery
+    assert (calls.count("D") - calls.count("lift"), calls.count("lift")) == (220, 286)
 
 
 def test_coassociativity_kernel_holds_its_stacks_one_spin_at_a_time():
     """Over window 0..6 at t = 0.3 the kernel keeps the second-leg D(a)
     stacks only while their outer spin n is visited, the first-leg ones
-    only while (n, l) is, so its traced peak on the hopf battery's shapes
-    stays under 16 MB (about 13 MB; 21 MB with every stack kept for the
-    whole loop)."""
-    params, window, rng = Params(t=0.3), range(7), np.random.default_rng(0)
-    battery = [embed(params, WORD_BATTERY[w], window) for w in ("e", "ef")]
-    battery += [_random_alg_element(rng, window) for _ in range(2)]
-    triples = list(itertools.product(window, repeat=3))
+    only while (n, l) is, and drops each chunk's lifts before the next
+    chunk's are built, so its traced peak on the hopf battery's shapes
+    stays under 12.5 MB (about 11 MB; 13 MB with the previous chunk's
+    lifts kept, 21 MB with every stack kept for the whole loop)."""
+    params, window = Params(t=0.3), range(7)
+    battery = coassociativity_shapes(params, window)
     tracemalloc.start()
     try:
-        residuals = coassociativity_residuals(params, battery, triples)
+        residuals = coassociativity_residuals(params, battery, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6, peak
+    assert peak <= 12.5e6, peak
     assert residuals.max() <= 1e-9
 
 
@@ -478,7 +495,7 @@ def test_an_all_zero_battery_keeps_its_leading_axis():
     zeros = [AlgElement()] * 3
     kernels = [
         (antipode_law_residuals(params, zeros, [1, 2]), (3, 2)),
-        (coassociativity_residuals(params, zeros, [(1, 1, 2)]), (3, 1)),
+        (coassociativity_residuals(params, zeros, range(2)), (3, 2, 2, 2)),
         (flip_residuals(params, zeros, [(1, 2), (2, 0)]), (3, 2)),
         (scaling_compat_residuals(params, zeros, S_VALUES, [(1, 2), (0, 3)]), (3, len(S_VALUES), 2)),
         (invariance_residuals(params, zeros, [1, 2]), (3, 2, 2)),

@@ -319,7 +319,7 @@ def test_antipode_law_applies_s_once_per_block(monkeypatch):
     [
         ("flip_residuals", [(1, 2), (2, 0)], (0, 2)),
         ("antipode_law_residuals", [0, 1, 2], (0, 3)),
-        ("coassociativity_residuals", [(1, 1, 2)], (0, 1)),
+        ("coassociativity_residuals", range(2), (0, 2, 2, 2)),
         ("invariance_residuals", [1, 2], (0, 2, 2)),
     ],
 )
