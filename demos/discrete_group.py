@@ -27,13 +27,14 @@ from suq2 import (
     right_integral,
     weights,
 )
+from suq2.discrete import unitary_antipode_block
 from suq2.util import max_abs, worst
 from suq2.verify import (
     WORD_BATTERY,
     antipode_law_residuals,
     coassociativity_residuals,
-    flip_residuals,
     invariance_residuals,
+    symmetry_residuals,
 )
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
@@ -66,7 +67,9 @@ worst_counit = worst(
 )
 worst_antipode = antipode_law_residuals(params, battery, window).max()
 worst_coassoc = coassociativity_residuals(params, battery, window[:3]).max()
-worst_flip = flip_residuals(params, battery, [(n, m) for n in window for m in window]).max()
+# R reverses D: D(R(a)) on (m, n) against R on each leg of D(a) on (n, m), legs swapped
+pairs = [(n, m) for n in window for m in window]
+worst_flip = symmetry_residuals(params, battery, [unitary_antipode_block], pairs, reverse=True).max()
 print("\nHopf laws on the battery:")
 print(f"  counit law          {worst_counit:.3e}")
 print(f"  antipode law        {worst_antipode:.3e}")

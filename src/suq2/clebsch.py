@@ -73,13 +73,8 @@ class TensorRep:
         return {Gen.Q: self.q, Gen.QINV: self.q_inv, Gen.E: self.e, Gen.F: self.f}
 
 
-@lru_cache(maxsize=None)
 def tensor_rep(left: Rep, right: Rep) -> TensorRep:
-    """Assemble the coproduct generator images on the product basis.
-
-    Memoized per pair of `Rep` objects, which `build_rep` shares; the
-    returned object is shared too, and its arrays are read-only.
-    """
+    """Assemble the coproduct generator images on the product basis."""
     q = kron(left.q, right.q)
     q_inv = kron(left.q_inv, right.q_inv)
     e = kron(left.q, right.e) + kron(left.e, right.q_inv)
@@ -87,7 +82,6 @@ def tensor_rep(left: Rep, right: Rep) -> TensorRep:
     wl = weights(left.two_n)
     wr = weights(right.two_n)
     two_weights = (wl[:, None] + wr[None, :]).reshape(-1)
-    q, q_inv, e, f, two_weights = map(read_only, (q, q_inv, e, f, two_weights))
     return TensorRep(left=left, right=right, q=q, q_inv=q_inv, e=e, f=f, two_weights=two_weights)
 
 

@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         parser.exit(2, f"suq2: error: {exc}\n")
         return 2
 

@@ -5,6 +5,7 @@ tolerances and, where stated, a per-deformation time budget.  Each
 criterion's residuals are folded with `util.worst`, so a NaN fails it.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from suq2.discrete import (
     matrix_unit,
     modular_element_block,
     quantum_dimension,
+    scaling_block,
+    unitary_antipode_block,
 )
 from suq2.dual import (
     U_LABELS,
@@ -59,10 +62,9 @@ from suq2.verify import (
     dual_coproduct_residual,
     dual_haar_quadratic_expected,
     dump_json,
-    flip_residuals,
     report_doc,
     run_suite,
-    scaling_compat_residuals,
+    symmetry_residuals,
     worked_half_half_residual,
     WORD_BATTERY,
 )
@@ -225,8 +227,8 @@ def test_acceptance_04_hopf_structure(acceptance_report):
                 star = coproduct_component(params, b.star(), two_n, two_m)
                 values.append(max_abs(star - coproduct_component(params, b, two_n, two_m).conj().T))
         pairs = [(two_n, two_m) for two_n in window[:3] for two_m in window[:3]]
-        values.extend(flip_residuals(params, [b], pairs).ravel())
-        values.extend(scaling_compat_residuals(params, [b], [0.7], pairs).ravel())
+        values.extend(symmetry_residuals(params, [b], [unitary_antipode_block], pairs, reverse=True).ravel())
+        values.extend(symmetry_residuals(params, [b], [functools.partial(scaling_block, params, s=0.7)], pairs).ravel())
         elapsed = perf_counter() - start
         results[t] = (worst(values), elapsed)
     passed = all(w <= tol and el < budget for w, el in results.values())

@@ -206,6 +206,18 @@ def test_invalid_deformation_exits_two():
     assert "suq2: error: rep battery at t = 100.0: (34, 'Numerical result out of range')" in result.stderr
 
 
+@pytest.mark.parametrize("args", [("verify",), ("rep", "--n", "2"), ("tables",)])
+def test_t_below_the_resolution_of_lam_exits_two(args):
+    """At t = 1e-16, lam = exp(t) rounds to 1 and c = 1 / (lam - 1/lam)
+    divides by zero: a configuration error, not a traceback or a failed check."""
+    result = run_cli(*args, "--t", "1e-16")
+    assert result.returncode == 2, args
+    assert "suq2: error:" in result.stderr and "Traceback" not in result.stderr, args
+    assert result.stdout == "", args
+    if args == ("verify",):
+        assert "suq2: error: rep battery at t = 1e-16: float division by zero" in result.stderr
+
+
 def test_csv_refuses_non_finite_numbers_like_json(tmp_path):
     out = tmp_path / "tables.csv"
     result = run_cli("tables", "--t", "100", "--format", "csv", "--out", str(out))

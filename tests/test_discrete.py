@@ -1,5 +1,7 @@
 """Direct sum algebra: coproduct, antipode, scaling group, integrals."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from suq2.discrete import (
     quantum_dimension,
     right_integral,
     scaling,
+    scaling_block,
     scaling_imag,
     unitary_antipode,
     unitary_antipode_block,
@@ -39,10 +42,9 @@ from suq2.util import max_abs, weights
 from suq2.verify import (
     antipode_law_residuals,
     coassociativity_residuals,
-    flip_residuals,
     invariance_residuals,
     modular_certificate_residual,
-    scaling_compat_residuals,
+    symmetry_residuals,
 )
 from suq2.words import E, F, Q, QINV, formal_antipode
 
@@ -245,7 +247,7 @@ def test_unitary_antipode_on_embedded_generators():
 def test_unitary_antipode_flips_the_coproduct():
     a = _random_element(10)
     pairs = [(two_n, two_m) for two_n in range(0, 3) for two_m in range(0, 3)]
-    assert flip_residuals(PARAMS, [a], pairs).max() < 1e-9
+    assert symmetry_residuals(PARAMS, [a], [unitary_antipode_block], pairs, reverse=True).max() < 1e-9
 
 
 def test_antipode_matches_symbolic_antipode():
@@ -291,7 +293,8 @@ def test_scaling_group_laws():
     ).norm() < 1e-12
     assert (scaling(PARAMS, a.star(), s1) - scaling(PARAMS, a, s1).star()).norm() < 1e-12
     pairs = [(two_n, two_m) for two_n in range(0, 3) for two_m in range(0, 3)]
-    assert scaling_compat_residuals(PARAMS, [a], [s1], pairs).max() < 1e-9
+    tau = functools.partial(scaling_block, PARAMS, s=s1)
+    assert symmetry_residuals(PARAMS, [a], [tau], pairs).max() < 1e-9
 
 
 def test_scaling_fixes_counit_and_integrals():

@@ -11,12 +11,14 @@ the references item by item over the default batteries.
 The dense forms the checks of `suq2.verify` no longer carry are kept here
 too: R (x) R as a Kronecker sandwich of the signed flip with a swap
 permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k, the
-tau_s (x) tau_s multiplier from its product-basis phases, and an integral
+tau_s (x) tau_s multiplier from its product-basis phases and as the
+Kronecker product of tau_s on each leg's all-ones block, and an integral
 on one leg as an einsum with the dense diagonal matrix W of its values on
 the matrix units.  The checks now call the maps the library ships, and
 must agree with these.
 """
 
+import functools
 import itertools
 import tracemalloc
 
@@ -44,6 +46,7 @@ from suq2.discrete import (
     scaling,
     scaling_block,
     unitary_antipode,
+    unitary_antipode_block,
 )
 from suq2.params import Params
 from suq2.reps import build_rep, evaluate, evaluate_in
@@ -60,10 +63,9 @@ from suq2.verify import (
     antipode_law_residuals,
     clebsch_battery,
     coassociativity_residuals,
-    flip_residuals,
     invariance_residuals,
     modular_certificate_residual,
-    scaling_compat_residuals,
+    symmetry_residuals,
 )
 
 T_VALUES = (0.1, 0.3, 1.0)
@@ -412,6 +414,24 @@ PAIRS = [(two_n, two_m) for two_n in range(7) for two_m in range(7)]
 S_VALUES = (0.7, -1.3, 1.9, -0.35)
 
 
+def flip_kernel(params, elements, pairs):
+    """The kernel of dqg/flip-coproduct, shape (len(elements), len(pairs))."""
+    return symmetry_residuals(params, elements, [unitary_antipode_block], pairs, reverse=True)[:, 0]
+
+
+def scaling_maps(params, s_values):
+    """tau_s as a block map, one per s, as dqg/scaling-coproduct passes them."""
+    return [functools.partial(scaling_block, params, s=s) for s in s_values]
+
+
+def legwise(block_map, mat, two_n, two_m):
+    """A block map on each leg of one operator on spin-n (x) spin-m, through
+    its four-index form [p, u, q, v]: leg n reads (p, q), leg m (u, v)."""
+    four = mat.reshape(two_n + 1, two_m + 1, two_n + 1, two_m + 1).transpose(1, 3, 0, 2)
+    both = block_map(two_m, block_map(two_n, four).transpose(2, 3, 0, 1))
+    return both.transpose(0, 2, 1, 3).reshape(mat.shape)
+
+
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_flip_residual_matches_the_kronecker_sandwich(t):
     params = Params(t=t)
@@ -420,7 +440,7 @@ def test_flip_residual_matches_the_kronecker_sandwich(t):
     elements = [embed(params, x, window) for x in WORD_BATTERY.values()]
     elements += [_random_alg_element(rng, window) for _ in range(2)]
     reference = [[reference_flip(params, a, *pair) for pair in PAIRS] for a in elements]
-    np.testing.assert_array_equal(flip_residuals(params, elements, PAIRS), np.array(reference))
+    np.testing.assert_array_equal(flip_kernel(params, elements, PAIRS), np.array(reference))
 
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
@@ -439,13 +459,14 @@ def test_block_reconstruction_matches_the_dense_summand_loop(t):
 
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_scaling_multiplier_matches_the_product_phases(t):
-    """scaling_compat_residuals takes tau_s (x) tau_s as the Kronecker product of
-    scaling_block on each leg's all-ones block; it is the phase ratio d_i / d_j
-    to roundoff, and the residual it gives is the reference one to roundoff."""
+    """tau_s (x) tau_s as the Kronecker product of scaling_block on each
+    leg's all-ones block is the phase ratio d_i / d_j to roundoff, and the
+    residual symmetry_residuals gives, tau_s taken on each leg, is the one
+    of that multiplier to roundoff."""
     params = Params(t=t)
     rng = np.random.default_rng(7)
     elements = [_random_alg_element(rng, range(7)) for _ in range(2)]
-    kernel = scaling_compat_residuals(params, elements, S_VALUES, PAIRS)
+    kernel = symmetry_residuals(params, elements, scaling_maps(params, S_VALUES), PAIRS)
     for j, s in enumerate(S_VALUES):
         for k, (two_n, two_m) in enumerate(PAIRS):
             legs = [scaling_block(params, two_k, np.ones((two_k + 1, two_k + 1)), s) for two_k in (two_n, two_m)]
@@ -461,30 +482,29 @@ def test_scaling_multiplier_matches_the_product_phases(t):
 def test_scaling_and_flip_kernels_match_the_per_item_forms(t):
     """The batched kernels of dqg/scaling-coproduct and dqg/flip-coproduct
     give, item by item, the residuals of the per-item forms, every map
-    evaluated anew for each item."""
+    evaluated anew for each item: tau_s on each leg of the item's own
+    D(a), and the Kronecker sandwich of R."""
     params = Params(t=t)
     words, units, randoms = hopf_battery_elements(params)
     elements = randoms + [words["ef"], units[1]]
     pairs = [(two_n, two_m) for two_n in range(4) for two_m in range(5)]
-    kernel = scaling_compat_residuals(params, elements, S_VALUES, pairs)
+    kernel = symmetry_residuals(params, elements, scaling_maps(params, S_VALUES), pairs)
     direct = [
         [
             [
                 max_abs(
                     coproduct_component(params, scaling(params, a, s), *pair)
-                    - coproduct_component(params, a, *pair)
-                    * np.kron(*(scaling_block(params, k, np.ones((k + 1, k + 1)), s) for k in pair))
+                    - legwise(tau, coproduct_component(params, a, *pair), *pair)
                 )
                 for pair in pairs
             ]
-            for s in S_VALUES
+            for s, tau in zip(S_VALUES, scaling_maps(params, S_VALUES))
         ]
         for a in elements
     ]
     np.testing.assert_array_equal(kernel, np.array(direct))
-    kernel = flip_residuals(params, elements, pairs)
     reference = [[reference_flip(params, a, *pair) for pair in pairs] for a in elements]
-    np.testing.assert_array_equal(kernel, np.array(reference))
+    np.testing.assert_array_equal(flip_kernel(params, elements, pairs), np.array(reference))
 
 
 def test_an_all_zero_battery_keeps_its_leading_axis():
@@ -496,8 +516,8 @@ def test_an_all_zero_battery_keeps_its_leading_axis():
     kernels = [
         (antipode_law_residuals(params, zeros, [1, 2]), (3, 2)),
         (coassociativity_residuals(params, zeros, range(2)), (3, 2, 2, 2)),
-        (flip_residuals(params, zeros, [(1, 2), (2, 0)]), (3, 2)),
-        (scaling_compat_residuals(params, zeros, S_VALUES, [(1, 2), (0, 3)]), (3, len(S_VALUES), 2)),
+        (symmetry_residuals(params, zeros, [unitary_antipode_block], [(1, 2), (2, 0)], reverse=True), (3, 1, 2)),
+        (symmetry_residuals(params, zeros, scaling_maps(params, S_VALUES), [(1, 2), (0, 3)]), (3, len(S_VALUES), 2)),
         (invariance_residuals(params, zeros, [1, 2]), (3, 2, 2)),
     ]
     for residuals, shape in kernels:

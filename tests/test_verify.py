@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 
 from suq2 import verify
-from suq2.clebsch import Decomposition, decompose, decomposition_residuals, tensor_rep
-from suq2.discrete import conjugate_unitary, coproduct_blocks, coproduct_component, embed, unitary_antipode
+from suq2.clebsch import Decomposition, decompose, decomposition_residuals
+from suq2.discrete import (
+    conjugate_unitary,
+    coproduct_blocks,
+    coproduct_component,
+    embed,
+    scaling_block,
+    unitary_antipode,
+    unitary_antipode_block,
+)
 from suq2.dual import unitarity_residuals, woronowicz_residuals
 from suq2.params import Params
 from suq2.reps import build_rep, relation_residuals
@@ -274,6 +282,34 @@ def test_hopf_and_clebsch_batteries_take_d_on_stacks(monkeypatch):
     assert calls == {"coproduct_component": 0, "coproduct_blocks": 25}
 
 
+def test_dual_battery_maps_each_u_entry_once(monkeypatch):
+    """S, S^2, * and sigma of the four u-entries are tables every row reads:
+    at the default config the battery makes 25 antipode calls (8 for the
+    tables, one on the unit, 16 on the quadratics), 10 star and 14 modular
+    calls."""
+    calls = dict.fromkeys(("dual_antipode", "dual_star", "dual_modular"), 0)
+
+    def counted(name, plain):
+        def call(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    verify.dual_battery(Params(), RunConfig().nmax2, np.random.default_rng(1))
+    assert calls == {"dual_antipode": 25, "dual_star": 10, "dual_modular": 14}
+
+
+def test_a_classifier_refusal_at_tiny_t_is_a_failed_check():
+    """At t = 1e-10 the highest-weight classifier refuses some reps; each
+    refusal counts as a miss, so the run still gives every check."""
+    report = run_suite(RunConfig(t=1e-10), "all")
+    assert len(report.checks) == len(CHECKS) == 90
+    assert "reps/classification-conjugated" in [c.id for c in report.failures]
+
+
 def reference_flip_residuals(params, elements, two_n, two_m):
     """flip (R (x) R) D(a)_(n,m) against D(R(a))_(m,n) with R (x) R written
     out on the product basis: the Kronecker product of the legs' signs, an
@@ -295,7 +331,27 @@ def test_flip_residuals_apply_r_on_each_leg_like_the_written_out_form(t):
     elements = [_random_alg_element(rng, range(5)) for _ in range(3)] + [embed(params, WORD_BATTERY["ef"], range(5))]
     pairs = [(two_n, two_m) for two_n in range(5) for two_m in range(5)]
     reference = np.stack([reference_flip_residuals(params, elements, *pair) for pair in pairs], axis=1)
-    assert np.array_equal(verify.flip_residuals(params, elements, pairs), reference)
+    kernel = verify.symmetry_residuals(params, elements, [unitary_antipode_block], pairs, reverse=True)
+    assert np.array_equal(kernel[:, 0], reference)
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0))
+def test_symmetry_residuals_fail_on_a_wrong_leg_order_or_leg_map(t):
+    """The kernel separates the laws it states: R holds with the legs
+    swapped and fails without; tau_s holds on each leg, and a map that takes
+    tau_s on the battery's stack but tau_(-s) on the legs of D(a) fails."""
+    params = Params(t=t)
+    rng = np.random.default_rng(0)
+    elements = [_random_alg_element(rng, range(4)) for _ in range(2)]
+    pairs = [(two_n, two_m) for two_n in range(4) for two_m in range(4)]
+    r = [unitary_antipode_block]
+    assert verify.symmetry_residuals(params, elements, r, pairs, reverse=True).max() <= 1e-9
+    assert verify.symmetry_residuals(params, elements, r, pairs).max() > 0.5
+    tau = functools.partial(scaling_block, params, s=0.7)
+    # the battery's stack is (items, k + 1, k + 1); D(a)'s legs come with more axes
+    mixed = lambda two_k, mat: scaling_block(params, two_k, mat, 0.7 if mat.ndim == 3 else -0.7)
+    assert verify.symmetry_residuals(params, elements, [tau], pairs).max() <= 1e-9
+    assert verify.symmetry_residuals(params, elements, [mixed], pairs).max() > 0.5
 
 
 def test_antipode_law_applies_s_once_per_block(monkeypatch):
@@ -317,15 +373,18 @@ def test_antipode_law_applies_s_once_per_block(monkeypatch):
 @pytest.mark.parametrize(
     "kernel, window, shape",
     [
-        ("flip_residuals", [(1, 2), (2, 0)], (0, 2)),
+        ("symmetry_residuals", [(1, 2), (2, 0)], (0, 2, 2)),
         ("antipode_law_residuals", [0, 1, 2], (0, 3)),
         ("coassociativity_residuals", range(2), (0, 2, 2, 2)),
         ("invariance_residuals", [1, 2], (0, 2, 2)),
     ],
 )
 def test_stacked_kernels_take_an_empty_battery(kernel, window, shape):
-    """No element: every kernel returns an empty array of its documented shape."""
-    np.testing.assert_array_equal(getattr(verify, kernel)(Params(), [], window), np.zeros(shape), strict=True)
+    """No element: every kernel returns an empty array of its documented
+    shape; symmetry_residuals takes R and tau_0.7 as its two maps."""
+    maps = [unitary_antipode_block, functools.partial(scaling_block, Params(), s=0.7)]
+    args = (maps,) if kernel == "symmetry_residuals" else ()
+    np.testing.assert_array_equal(getattr(verify, kernel)(Params(), [], *args, window), np.zeros(shape), strict=True)
 
 
 def test_hopf_elements_cover_the_widest_row_that_reads_them(monkeypatch):
@@ -469,9 +528,6 @@ def test_cached_arrays_are_read_only():
     arrays = [rep.r, rep.q, rep.q_inv, rep.e, rep.f, flip.perm, flip.signs, dec.basis]
     arrays += [dec.blocks, dec.rows, dec.coefficients, dec.weight_of, dec.singular_values]
     arrays += [piece.v for piece in dec.pieces]
-    trep = tensor_rep(rep, build_rep(Params(), 2, 1))
-    assert tensor_rep(rep, build_rep(Params(), 2, 1)) is trep
-    arrays += [trep.q, trep.q_inv, trep.e, trep.f, trep.two_weights]
     arrays += [_leg_matrix(rep, ()), _leg_matrix(rep, (Gen.Q, Gen.E, Gen.F))]
     assert not any(a.flags.writeable for a in arrays)
     report = run_suite(RunConfig(), "dqg")
