@@ -69,6 +69,17 @@ class BlockSum:
                 if np.count_nonzero(mat):
                     self.blocks[key] = mat
 
+    @classmethod
+    def _wrap(cls, blocks):
+        """An instance taking ownership of ``blocks``, a fresh dict the
+        library built, with normalised keys and complex blocks of the right
+        shape; exactly-zero blocks are pruned in place, nothing is checked."""
+        for key in [key for key, mat in blocks.items() if not np.count_nonzero(mat)]:
+            del blocks[key]
+        out = cls.__new__(cls)
+        out.blocks = blocks
+        return out
+
     @staticmethod
     def _dim(two_n):
         return two_n + 1
@@ -90,10 +101,13 @@ class BlockSum:
         return type(self)({key: fn(key, mat) for key, mat in self.blocks.items()})
 
     def __add__(self, other):
+        # the blocks of another kind have other keys or shapes
+        if type(other) is not type(self):
+            return NotImplemented
         out = {key: mat.copy() for key, mat in self.blocks.items()}
         for key, mat in other.blocks.items():
             out[key] = out[key] + mat if key in out else mat
-        return type(self)(out)
+        return self._wrap(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -103,7 +117,7 @@ class BlockSum:
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return type(self)({key: scalar * mat for key, mat in self.blocks.items()})
+        return self._wrap({key: scalar * mat for key, mat in self.blocks.items()})
 
     __rmul__ = __mul__
 
@@ -122,7 +136,7 @@ class AlgElement(BlockSum):
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             shared = self.blocks.keys() & other.blocks.keys()
-            return AlgElement({n: self.blocks[n] @ other.blocks[n] for n in shared})
+            return AlgElement._wrap({n: self.blocks[n] @ other.blocks[n] for n in shared})
         return super().__mul__(other)
 
     def star(self):
@@ -141,7 +155,7 @@ class BiElement(BlockSum):
     def __mul__(self, other):
         if isinstance(other, BiElement):
             shared = self.blocks.keys() & other.blocks.keys()
-            return BiElement({k: self.blocks[k] @ other.blocks[k] for k in shared})
+            return BiElement._wrap({k: self.blocks[k] @ other.blocks[k] for k in shared})
         return super().__mul__(other)
 
     def star(self):

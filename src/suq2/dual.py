@@ -108,8 +108,11 @@ def dual_mul(params: Params, x: DualElement, y: DualElement) -> DualElement:
             kv = np.ascontiguousarray((dec.basis.T @ kron.view(float)).view(complex).T)
             for two_k, cols in dec.columns.items():
                 contrib = (dec.basis[:, cols].T @ kv[:, cols].view(float)).view(complex).T
-                out[two_k] = out[two_k] + contrib if two_k in out else contrib
-    return DualElement(out)
+                if two_k in out:
+                    out[two_k] += contrib
+                else:
+                    out[two_k] = contrib
+    return DualElement._wrap(out)
 
 
 def dual_counit(b: DualElement) -> complex:
@@ -147,7 +150,9 @@ def dual_antipode(params: Params, b: DualElement) -> DualElement:
     Blockwise S(b)_n = S^-1(b_n), so on matrix coefficients
     S(e_(r,s)) = (-1)^(s-r) lam^(r-s) e_(-s,-r).
     """
-    return b.map(lambda n, m: _block_factor(params, antipode_inv_block, n) * m[::-1, ::-1].T)
+    return DualElement._wrap(
+        {n: _block_factor(params, antipode_inv_block, n) * m[::-1, ::-1].T for n, m in b.blocks.items()}
+    )
 
 
 def dual_antipode_inv(params: Params, b: DualElement) -> DualElement:
@@ -156,7 +161,9 @@ def dual_antipode_inv(params: Params, b: DualElement) -> DualElement:
     Blockwise S^-1(b)_n = S(b_n), so on matrix coefficients
     S^-1(e_(r,s)) = (-1)^(s-r) lam^(s-r) e_(-s,-r).
     """
-    return b.map(lambda n, m: _block_factor(params, antipode_block, n) * m[::-1, ::-1].T)
+    return DualElement._wrap(
+        {n: _block_factor(params, antipode_block, n) * m[::-1, ::-1].T for n, m in b.blocks.items()}
+    )
 
 
 def dual_star(params: Params, b: DualElement) -> DualElement:
@@ -166,7 +173,9 @@ def dual_star(params: Params, b: DualElement) -> DualElement:
     coefficients (e_(r,s))* = (-1)^(s-r) lam^(s-r) e_(-r,-s).  S has a
     real factor, so the star's is its transpose.
     """
-    return b.map(lambda n, m: _block_factor(params, antipode_block, n).T * m[::-1, ::-1].conj())
+    return DualElement._wrap(
+        {n: _block_factor(params, antipode_block, n).T * m[::-1, ::-1].conj() for n, m in b.blocks.items()}
+    )
 
 
 def dual_haar(b: DualElement) -> complex:
@@ -181,7 +190,7 @@ def dual_modular(params: Params, b: DualElement) -> DualElement:
     Blockwise sigma(b)_n = S^-2(b_n) delta, so on matrix coefficients
     sigma(e_(r,s)) = lam^(2(r+s)) e_(r,s).
     """
-    return b.map(lambda n, m: _block_factor(params, _modular_block, n) * m)
+    return DualElement._wrap({n: _block_factor(params, _modular_block, n) * m for n, m in b.blocks.items()})
 
 
 def dual_modular_inv(params: Params, b: DualElement) -> DualElement:
@@ -191,7 +200,7 @@ def dual_modular_inv(params: Params, b: DualElement) -> DualElement:
     Blockwise sigma^-1(b)_n = S^2(b_n) delta^-1, so on matrix coefficients
     sigma^-1(e_(r,s)) = lam^(-2(r+s)) e_(r,s).
     """
-    return b.map(lambda n, m: _block_factor(params, _modular_inv_block, n) * m)
+    return DualElement._wrap({n: _block_factor(params, _modular_inv_block, n) * m for n, m in b.blocks.items()})
 
 
 # ---------------------------------------------------------------------------

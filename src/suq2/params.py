@@ -62,9 +62,12 @@ class Params:
 
         With this normalization the defining relation reads
         ef - fe = c (q^2 - q^-2), and the classical limit of c (q^2 - q^-2)
-        as t -> 0 recovers the usual 2h of sl(2).
+        as t -> 0 recovers the usual 2h of sl(2).  Below t = 1.11e-16, lam
+        rounds to 1 and c has no value: a `ZeroDivisionError` names t.
         """
         lam = self.lam
+        if lam == 1.0:
+            raise ZeroDivisionError(f"at t = {self.t!r}, lam = exp(t) rounds to 1, so c = 1/(lam - 1/lam) has no value")
         return 1.0 / (lam - 1.0 / lam)
 
     def lam_pow(self, two_exp) -> float:

@@ -52,7 +52,9 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import numbers
+import random
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
@@ -1345,10 +1347,34 @@ SUITES = (*SUITE_BATTERIES, "all")
 _SEED_OFFSETS = {"dual": 1}
 
 
+class _Draws:
+    """A suite's seeded stream: the uniforms of Python's `random.Random`,
+    whose stream for a seed Python keeps across versions, as numpy arrays.
+    It serves the two calls the batteries make of their ``rng``, which may
+    also be a numpy ``Generator``."""
+
+    def __init__(self, seed):
+        self._random = random.Random(seed).random
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        return low + (high - low) * np.array([self._random() for _ in range(size)])
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Box-Muller on successive pairs of uniforms, cosine then sine;
+        log1p(-u) keeps u = 0 finite, and an odd count drops the last sine."""
+        count = math.prod(shape) if isinstance(shape, tuple) else shape
+        values = []
+        while len(values) < count:
+            radius = math.sqrt(-2.0 * math.log1p(-self._random()))
+            angle = 2.0 * math.pi * self._random()
+            values += (radius * math.cos(angle), radius * math.sin(angle))
+        return np.reshape(values[:count], shape)
+
+
 def run_suite(config: RunConfig, suite: str) -> Report:
     """Run one named suite, or all, and return its report.  Each battery is
     looked up by name as it runs, so a wrapped one runs, and gets the run
-    inputs its signature names; a suite's batteries share one rng stream.
+    inputs its signature names; a suite's batteries share one `_Draws` stream.
     An `ArithmeticError` out of a battery is raised again, of its own type,
     naming the battery and t."""
     if suite not in SUITES:
@@ -1356,7 +1382,7 @@ def run_suite(config: RunConfig, suite: str) -> Report:
     params = config.params()
     checks = []
     for name in SUITE_BATTERIES if suite == "all" else (suite,):
-        inputs = {"nmax2": config.nmax2, "rng": np.random.default_rng(config.seed + _SEED_OFFSETS.get(name, 0))}
+        inputs = {"nmax2": config.nmax2, "rng": _Draws(int(config.seed) + _SEED_OFFSETS.get(name, 0))}
         for b in SUITE_BATTERIES[name]:
             battery = globals()[f"{b}_battery"]
             wanted = inspect.signature(battery).parameters

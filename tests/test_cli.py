@@ -206,16 +206,24 @@ def test_invalid_deformation_exits_two():
     assert "suq2: error: rep battery at t = 100.0: (34, 'Numerical result out of range')" in result.stderr
 
 
-@pytest.mark.parametrize("args", [("verify",), ("rep", "--n", "2"), ("tables",)])
+@pytest.mark.parametrize("args", [("verify",), ("rep", "--n", "2"), ("tables",), ("rep", "--n", "1")])
 def test_t_below_the_resolution_of_lam_exits_two(args):
     """At t = 1e-16, lam = exp(t) rounds to 1 and c = 1 / (lam - 1/lam)
-    divides by zero: a configuration error, not a traceback or a failed check."""
+    has no value: a configuration error that names t and the cause, not a
+    traceback or a failed check."""
     result = run_cli(*args, "--t", "1e-16")
     assert result.returncode == 2, args
     assert "suq2: error:" in result.stderr and "Traceback" not in result.stderr, args
+    assert "at t = 1e-16, lam = exp(t) rounds to 1" in result.stderr, args
     assert result.stdout == "", args
     if args == ("verify",):
-        assert "suq2: error: rep battery at t = 1e-16: float division by zero" in result.stderr
+        assert "suq2: error: rep battery at t = 1e-16: " in result.stderr
+
+
+def test_cg_needs_no_c_at_t_below_the_resolution_of_lam():
+    result = run_cli("cg", "--n", "2", "--m", "2", "--t", "1e-16")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
 
 
 def test_csv_refuses_non_finite_numbers_like_json(tmp_path):

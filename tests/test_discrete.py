@@ -427,7 +427,9 @@ def test_block_containers_share_validation_and_linear_structure(cls, key, dim, z
     mat = np.arange(dim * dim).reshape(dim, dim) + 1j
     x = cls({key: mat, zero_key: np.zeros((1, 1))})
     assert list(x.blocks) == [key]
-    assert (x - x).blocks == {}
+    assert (x - x).blocks == {} and (0.0 * x).blocks == {}
+    with pytest.raises(TypeError):
+        x + (DualElement if cls is AlgElement else AlgElement)()  # another kind's blocks
     results = {
         "+": x + x,
         "-": x - 0.5 * x,
@@ -445,3 +447,6 @@ def test_block_containers_share_validation_and_linear_structure(cls, key, dim, z
     else:
         assert type(x * x) is cls
         assert np.array_equal((x * x).blocks[key], mat @ mat)
+        corner = np.zeros((dim, dim))
+        corner[0, -1] = 1.0
+        assert (cls({key: corner}) * cls({key: corner})).blocks == {}  # an exact zero product is pruned

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from suq2.verify import (
     WORD_BATTERY,
     RunConfig,
     _battery,
+    _Draws,
     _leg_matrix,
     _matrix_units,
     _max_abs_each,
@@ -163,6 +165,61 @@ def test_run_config_refuses_a_count_that_is_not_a_non_negative_integer(field, va
 def test_run_config_takes_numpy_integers():
     report = run_suite(RunConfig(nmax2=np.int64(2), seed=np.uint8(3)), "dual")
     assert dump_json(report_doc(report)) == dump_json(report_doc(run_suite(RunConfig(nmax2=2, seed=3), "dual")))
+    # the dual suite's offset seed is taken in Python integers, so it does not wrap
+    report = run_suite(RunConfig(nmax2=np.int64(2), seed=np.uint8(255)), "dual")
+    assert dump_json(report_doc(report)) == dump_json(report_doc(run_suite(RunConfig(nmax2=2, seed=255), "dual")))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from suq2.cli import main\nmain(['verify', '--suite', 'all', '--out', os.devnull])",
+        "from suq2.verify import RunConfig, run_suite\nrun_suite(RunConfig(), 'all')",
+    ],
+    ids=["cli", "run_suite"],
+)
+def test_a_run_never_loads_numpy_random(code):
+    """The batteries draw from Python's `random`, so a fresh interpreter
+    that runs every suite never imports numpy's random module."""
+    probe = f"import os, sys\n{code}\nprint('numpy.random' in sys.modules, 'numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+def test_draws_pin_their_first_values():
+    # the uniforms are Python's Mersenne Twister stream for the seed, exactly
+    assert _Draws(0).uniform(0.0, 1.0, 3).tolist() == [0.8444218515250481, 0.7579544029403025, 0.420571580830845]
+    assert _Draws(0).uniform(-2.0, 2.0, 1).tolist() == [-2.0 + 4.0 * 0.8444218515250481]
+    # the normals go through libm's log1p, cos and sin
+    np.testing.assert_allclose(
+        _Draws(0).standard_normal(4),
+        [0.09637157846515239, -1.9266361205465297, -0.05850007947614822, 1.0430743174790902],
+        rtol=1e-14,
+    )
+
+
+def test_draws_continue_one_stream_across_calls():
+    draws, whole = _Draws(7), _Draws(7)
+    parts = [draws.uniform(0.0, 1.0, 2), draws.uniform(0.0, 1.0, 3)]
+    assert np.array_equal(np.concatenate(parts), whole.uniform(0.0, 1.0, 5))
+    parts = [draws.standard_normal(4), draws.standard_normal(2)]
+    assert np.array_equal(np.concatenate(parts), whole.standard_normal(6))
+    assert not np.array_equal(draws.standard_normal(4), _Draws(7).standard_normal(4))
+
+
+def test_draws_are_standard_normal_in_the_mean_and_variance():
+    values = _Draws(11).standard_normal(20_000)
+    assert np.all(np.isfinite(values))
+    assert abs(values.mean()) <= 0.03
+    assert abs(values.var() - 1.0) <= 0.05
+
+
+def test_draws_take_an_int_or_a_tuple_shape():
+    assert _Draws(1).standard_normal(5).shape == (5,)
+    assert _Draws(1).standard_normal((3, 3)).shape == (3, 3)
+    assert _Draws(1).standard_normal((2, 3)).ravel().tolist() == _Draws(1).standard_normal(6).tolist()
+    assert _Draws(1).uniform(0.0, 2.0 * np.pi, 3).shape == (3,)
 
 
 def clear_caches():
