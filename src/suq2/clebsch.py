@@ -47,7 +47,7 @@ import numpy as np
 
 from .params import Params
 from .reps import Rep, build_rep
-from .util import kron, max_abs, read_only, weights, worst
+from .util import kron, max_abs, read_only, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,6 @@ class TensorRep:
     q_inv: np.ndarray = field(repr=False)
     e: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
-    two_weights: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -79,10 +78,7 @@ def tensor_rep(left: Rep, right: Rep) -> TensorRep:
     q_inv = kron(left.q_inv, right.q_inv)
     e = kron(left.q, right.e) + kron(left.e, right.q_inv)
     f = kron(left.q, right.f) + kron(left.f, right.q_inv)
-    wl = weights(left.two_n)
-    wr = weights(right.two_n)
-    two_weights = (wl[:, None] + wr[None, :]).reshape(-1)
-    return TensorRep(left=left, right=right, q=q, q_inv=q_inv, e=e, f=f, two_weights=two_weights)
+    return TensorRep(left=left, right=right, q=q, q_inv=q_inv, e=e, f=f)
 
 
 def index_set(two_n: int, two_m: int) -> list:

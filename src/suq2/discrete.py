@@ -13,11 +13,12 @@ components are applied one weight at a time from the decomposition's
 orthogonal per-weight blocks, to a whole stack of elements in one call
 (`coproduct_blocks`), so no dense V_k is built for them.  On
 top of this sit a counit (the spin-0 entry), a polar-decomposed antipode
-S = R o tau_(-i/2) built from a conjugate-linear flip unitary and the
-analytic continuation of the scaling group, a cointegral h (the unit of
-the spin-0 block), and left/right invariant integrals with modular data
-q^4.  All of these admit closed forms on matrix units, which is what the
-verification batteries pin down.
+S = R o tau_(-i/2) built from the unitary antipode R, a signed index
+reversal and transpose on each block, and the analytic continuation of the
+scaling group, a cointegral h (the unit of the spin-0 block), and
+left/right invariant integrals with modular data q^4.  All of these admit
+closed forms on matrix units, which is what the verification batteries
+pin down.
 
 Elements of A (``AlgElement``), families of two-leg components
 (``BiElement``, keyed by (n, m)) and the dual's coefficient functionals
@@ -26,7 +27,6 @@ square complex blocks with exactly-zero blocks dropped, its linear
 structure and blockwise maps.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -261,49 +261,23 @@ def coproduct_window(params: Params, a: AlgElement, pairs) -> BiElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ConjugateUnitary:
-    """Conjugate-linear unitary: a signed weight flip composed with
-    entrywise complex conjugation.  Squares to +1 on integer spins and to
-    -1 on half-integer spins."""
-
-    two_n: int
-    perm: np.ndarray = field(repr=False)
-    signs: np.ndarray = field(repr=False)
-
-    def apply(self, vec) -> np.ndarray:
-        out = np.empty_like(np.asarray(vec, dtype=complex))
-        out[self.perm] = self.signs * np.conj(vec)
-        return out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The signed permutation part (the linear factor)."""
-        dim = self.two_n + 1
-        p = np.zeros((dim, dim))
-        p[self.perm, np.arange(dim)] = self.signs
-        return p
-
-
 @lru_cache(maxsize=None)
-def conjugate_unitary(two_n: int) -> ConjugateUnitary:
-    """The flip sending the weight-j vector to (-1)^(n+j) times the
-    weight-(-j) vector, composed with complex conjugation.  Memoized;
-    its arrays are read-only."""
-    dim = two_n + 1
-    perm = np.arange(dim - 1, -1, -1)
-    signs = np.array([(-1.0) ** (two_n - i) for i in range(dim)])
-    return ConjugateUnitary(two_n=two_n, perm=read_only(perm), signs=read_only(signs))
+def conjugate_unitary(two_n: int) -> np.ndarray:
+    """The signs (-1)^(2n - i), highest weight first, of the flip G: the
+    conjugate-linear unitary G v = (signs * conj(v))[::-1], which sends the
+    weight-j vector to (-1)^(n+j) times the weight-(-j) vector and squares
+    to (-1)^(2n).  Memoized; the vector is read-only."""
+    return read_only(np.array([(-1.0) ** (two_n - i) for i in range(two_n + 1)]))
 
 
 def unitary_antipode_block(two_n: int, mat: np.ndarray) -> np.ndarray:
     """R(a) = G^-1 a* G on one block, or on a stack of blocks in the last
-    two axes; the conjugations cancel, leaving the linear sandwich
-    P^T a^T P with P the signed flip, applied here as an index flip and a
-    sign outer product.  The scaling maps and S, S^-1 built on it broadcast
+    two axes; the conjugations cancel, leaving the signed index reversal and
+    transpose  R(a)[i, j] = signs[i] signs[j] a[2n - j, 2n - i],  the flip
+    the dual maps apply.  The scaling maps and S, S^-1 built on it broadcast
     over stacks the same way."""
-    g = conjugate_unitary(two_n)
-    return np.outer(g.signs, g.signs) * mat[..., g.perm[:, None], g.perm].swapaxes(-1, -2)
+    signs = conjugate_unitary(two_n)
+    return np.outer(signs, signs) * mat[..., ::-1, ::-1].swapaxes(-1, -2)
 
 
 def scaling_block(params: Params, two_n: int, mat: np.ndarray, s: float) -> np.ndarray:

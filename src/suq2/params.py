@@ -26,7 +26,7 @@ class Params:
     Attributes
     ----------
     t : float
-        Deformation parameter, a positive real, not a bool.  lam = exp(t).
+        Deformation parameter, a positive finite real, not a bool.  lam = exp(t).
     tol_abs : float
         Absolute tolerance for residual checks, finite and nonnegative.
     tol_rel : float
@@ -45,7 +45,7 @@ class Params:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"deformation parameter t must be positive, got {self.t!r}")
+            raise ValueError(f"deformation parameter t must be positive and finite, got {self.t!r}")
         for name in ("tol_abs", "tol_rel"):
             tol = getattr(self, name)
             if not (tol >= 0.0 and math.isfinite(tol)):

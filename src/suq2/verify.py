@@ -1069,11 +1069,11 @@ def hopf_battery(params: Params, nmax2: int, rng):
         for (two_k, two_r, two_s), unit in _matrix_units(_window("dqg/flip-closed-form", nmax2))
     )
 
+    # the flip G v = (signs * conj(v))[::-1] squares to (-1)^(2n) and is conjugate linear
     yield "dqg/flip-unitary", all(
-        max_abs(g.apply(g.apply(v)) - (-1.0) ** two_k * v) < 1e-14
-        and max_abs(g.apply(v) - g.matrix @ np.conj(v)) < 1e-14
+        max_abs(g(g(v)) - (-1.0) ** two_k * v) < 1e-14 and max_abs(g(1j * v) + 1j * g(v)) < 1e-14
         for two_k in _window("dqg/flip-unitary", nmax2)
-        for g in [conjugate_unitary(two_k)]
+        for g in [lambda v, signs=conjugate_unitary(two_k): (signs * np.conj(v))[::-1]]
         for v in np.eye(two_k + 1, dtype=complex)
     )
 

@@ -206,6 +206,15 @@ def test_invalid_deformation_exits_two():
     assert "suq2: error: rep battery at t = 100.0: (34, 'Numerical result out of range')" in result.stderr
 
 
+@pytest.mark.parametrize("command", [("verify",), ("rep", "--n", "2")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_deformation_exits_two_and_names_the_value(command, value):
+    result = run_cli(*command, "--t", value)
+    assert result.returncode == 2, result.stderr
+    assert f"suq2: error: deformation parameter t must be positive and finite, got {value}" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 @pytest.mark.parametrize("args", [("verify",), ("rep", "--n", "2"), ("tables",), ("rep", "--n", "1")])
 def test_t_below_the_resolution_of_lam_exits_two(args):
     """At t = 1e-16, lam = exp(t) rounds to 1 and c = 1 / (lam - 1/lam)

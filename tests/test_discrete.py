@@ -47,6 +47,7 @@ from suq2.verify import (
     symmetry_residuals,
 )
 from suq2.words import E, F, Q, QINV, formal_antipode
+from test_kernels import signed_flip_matrix
 
 PARAMS = Params(t=0.3)
 LAM = PARAMS.lam
@@ -176,13 +177,19 @@ def test_coproduct_is_multiplicative_and_star_compatible():
 
 def test_conjugate_unitary_squares_to_parity():
     for two_n in range(0, 5):
-        g = conjugate_unitary(two_n)
+        signs = conjugate_unitary(two_n)
+        assert signs.dtype == float and not signs.flags.writeable
         basis = np.eye(two_n + 1, dtype=complex)
         parity = (-1.0) ** two_n
+        assert np.array_equal(signs * signs[::-1], np.full(two_n + 1, parity))
+        # the flip G v = (signs * conj(v))[::-1] = P conj(v), applied twice
+        p = signed_flip_matrix(two_n)
         for i in range(two_n + 1):
-            assert max_abs(g.apply(g.apply(basis[i])) - parity * basis[i]) < 1e-14
+            once = (signs * np.conj(basis[i]))[::-1]
+            assert np.array_equal(once, p @ np.conj(basis[i]))
+            assert max_abs((signs * np.conj(once))[::-1] - parity * basis[i]) < 1e-14
         # unitary as a matrix: columns orthonormal
-        assert max_abs(g.matrix.conj().T @ g.matrix - np.eye(two_n + 1)) < 1e-14
+        assert max_abs(p.conj().T @ p - np.eye(two_n + 1)) < 1e-14
 
 
 def test_unitary_antipode_block_is_the_signed_flip_sandwich():
@@ -190,7 +197,7 @@ def test_unitary_antipode_block_is_the_signed_flip_sandwich():
     for two_n in range(0, 17):
         dim = two_n + 1
         mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        p = conjugate_unitary(two_n).matrix
+        p = signed_flip_matrix(two_n)
         assert np.array_equal(unitary_antipode_block(two_n, mat), p.T @ mat.T @ p)
 
 

@@ -9,9 +9,10 @@ contract whole batteries in stacked products; here they must agree with
 the references item by item over the default batteries.
 
 The dense forms the checks of `suq2.verify` no longer carry are kept here
-too: R (x) R as a Kronecker sandwich of the signed flip with a swap
-permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k, the
-tau_s (x) tau_s multiplier from its product-basis phases and as the
+too: R as the sandwich of the dense signed flip P and as a gather through
+the index array of the reversal, R (x) R as a Kronecker sandwich of P
+with a swap permutation, sum_k V_k pi_k(x) V_k* summed over the dense V_k,
+the tau_s (x) tau_s multiplier from its product-basis phases and as the
 Kronecker product of tau_s on each leg's all-ones block, and an integral
 on one leg as an einsum with the dense diagonal matrix W of its values on
 the matrix units.  The checks now call the maps the library ships, and
@@ -25,13 +26,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from suq2 import discrete, verify
+from suq2 import discrete, dual, verify
 from suq2.clebsch import decompose, index_set, tensor_rep
 from suq2.discrete import (
     AlgElement,
     antipode_block,
+    antipode_inv_block,
     cointegral_coproduct,
-    conjugate_unitary,
     coproduct_blocks,
     coproduct_component,
     counit,
@@ -45,6 +46,7 @@ from suq2.discrete import (
     right_integral,
     scaling,
     scaling_block,
+    scaling_imag_block,
     unitary_antipode,
     unitary_antipode_block,
 )
@@ -206,11 +208,39 @@ def reference_modular_certificate(params, two_n, kind):
     )
 
 
+def signed_flip_matrix(two_n):
+    """The linear factor P of the flip G = P o conj on block n, the dense
+    signed permutation P[2n - i, i] = (-1)^(2n - i)."""
+    dim = two_n + 1
+    p = np.zeros((dim, dim))
+    p[np.arange(dim - 1, -1, -1), np.arange(dim)] = [(-1.0) ** (two_n - i) for i in range(dim)]
+    return p
+
+
+def gathered_unitary_antipode_block(two_n, mat):
+    """R on a block or a stack of blocks as a gather through the index
+    array of the reversal, between the outer product of the flip's signs."""
+    dim = two_n + 1
+    perm = np.arange(dim - 1, -1, -1)
+    signs = np.array([(-1.0) ** (two_n - i) for i in range(dim)])
+    return np.outer(signs, signs) * mat[..., perm[:, None], perm].swapaxes(-1, -2)
+
+
+def gathered_antipode_block(params, two_n, mat):
+    """S = R o tau_(-i/2) with R the gather above."""
+    return gathered_unitary_antipode_block(two_n, scaling_imag_block(params, two_n, mat, -0.5))
+
+
+def gathered_antipode_inv_block(params, two_n, mat):
+    """S^-1 = tau_(i/2) o R with R the gather above."""
+    return scaling_imag_block(params, two_n, gathered_unitary_antipode_block(two_n, mat), +0.5)
+
+
 def reference_flip(params, a, two_n, two_m):
     """flip (R (x) R) D(a)_(n,m) as P^T D^T P with P = P_n (x) P_m, between
     the swap permutations of the two legs."""
     dims = (two_n + 1, two_m + 1)
-    p_big = np.kron(conjugate_unitary(two_n).matrix, conjugate_unitary(two_m).matrix)
+    p_big = np.kron(signed_flip_matrix(two_n), signed_flip_matrix(two_m))
     r_tensor = p_big.T @ coproduct_component(params, a, two_n, two_m).T @ p_big
     swap = np.zeros((dims[0] * dims[1],) * 2)
     for p in range(dims[0]):
@@ -505,6 +535,57 @@ def test_scaling_and_flip_kernels_match_the_per_item_forms(t):
     np.testing.assert_array_equal(kernel, np.array(direct))
     reference = [[reference_flip(params, a, *pair) for pair in pairs] for a in elements]
     np.testing.assert_array_equal(flip_kernel(params, elements, pairs), np.array(reference))
+
+
+def assert_same_bits(value, expected, context):
+    assert value.dtype == expected.dtype and value.shape == expected.shape, context
+    assert value.tobytes() == expected.tobytes(), context
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_block_maps_match_the_index_array_gather_bit_for_bit(t, lead):
+    """R, S and S^-1 on single blocks and on stacks give the bits of the
+    same maps with R taken as the gather through an index array."""
+    params = Params(t=t)
+    rng = np.random.default_rng(41)
+    maps = {
+        "R": (unitary_antipode_block, gathered_unitary_antipode_block),
+        "S": (functools.partial(antipode_block, params), functools.partial(gathered_antipode_block, params)),
+        "S^-1": (functools.partial(antipode_inv_block, params), functools.partial(gathered_antipode_inv_block, params)),
+    }
+    # at t = 50 the larger blocks overflow to inf and nan, whose bits must match too
+    with np.errstate(all="ignore"):
+        for two_n in range(17):
+            shape = lead + (two_n + 1, two_n + 1)
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for name, (block_map, gathered) in maps.items():
+                assert_same_bits(block_map(two_n, stack), gathered(two_n, stack), (name, two_n))
+
+
+@pytest.mark.parametrize("t", (0.3, 2.0, 50.0))
+def test_dual_factor_tables_match_the_index_array_gather_bit_for_bit(t):
+    """The entrywise factors of the five dual maps, each probed on the
+    all-ones block, are those of the same block maps with R taken as the
+    gather through an index array; the star reads S's table transposed."""
+    params = Params(t=t)
+    s, s_inv = functools.partial(gathered_antipode_block, params), functools.partial(gathered_antipode_inv_block, params)
+
+    def delta(two_n):
+        return np.diag(modular_element_block(params, two_n))
+
+    tables = {
+        "dual_antipode": (antipode_inv_block, s_inv),
+        "dual_antipode_inv": (antipode_block, s),
+        "dual_star": (antipode_block, s),
+        "dual_modular": (dual._modular_block, lambda two_n, ones: s_inv(two_n, s_inv(two_n, ones)) * delta(two_n)),
+        "dual_modular_inv": (dual._modular_inv_block, lambda two_n, ones: s(two_n, s(two_n, ones)) / delta(two_n)),
+    }
+    with np.errstate(all="ignore"):
+        for two_n in range(17):
+            ones = np.ones((two_n + 1, two_n + 1))
+            for name, (block_map, gathered) in tables.items():
+                assert_same_bits(dual._block_factor(params, block_map, two_n), gathered(two_n, ones), (name, two_n))
 
 
 def test_an_all_zero_battery_keeps_its_leading_axis():

@@ -373,7 +373,7 @@ def reference_flip_residuals(params, elements, two_n, two_m):
     index reversal and a transpose, then the leg swap of the four-index
     form; R(a) taken one element at a time."""
     stack = coproduct_blocks(params, _stacked(elements), two_n, two_m)
-    signs = np.kron(conjugate_unitary(two_n).signs, conjugate_unitary(two_m).signs)
+    signs = np.kron(conjugate_unitary(two_n), conjugate_unitary(two_m))
     dims = (two_n + 1, two_m + 1)
     r_tensor = np.outer(signs, signs) * stack[:, ::-1, ::-1].transpose(0, 2, 1)
     flipped = r_tensor.reshape((-1,) + dims + dims).transpose(0, 2, 1, 4, 3).reshape(stack.shape)
@@ -581,8 +581,7 @@ def test_cached_arrays_are_read_only():
         build_rep(Params(), 2, 1).e[0, 1] += 1.0
     rep = build_rep(Params(), 3, -1)
     dec = decompose(Params(), 3, 2)
-    flip = conjugate_unitary(3)
-    arrays = [rep.r, rep.q, rep.q_inv, rep.e, rep.f, flip.perm, flip.signs, dec.basis]
+    arrays = [rep.r, rep.q, rep.q_inv, rep.e, rep.f, conjugate_unitary(3), dec.basis]
     arrays += [dec.blocks, dec.rows, dec.coefficients, dec.weight_of, dec.singular_values]
     arrays += [piece.v for piece in dec.pieces]
     arrays += [_leg_matrix(rep, ()), _leg_matrix(rep, (Gen.Q, Gen.E, Gen.F))]
