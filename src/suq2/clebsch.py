@@ -65,11 +65,7 @@ class TensorRep:
     def dim(self) -> int:
         return self.left.dim * self.right.dim
 
-    @property
-    def gen_matrices(self) -> dict:
-        from .words import Gen
-
-        return {Gen.Q: self.q, Gen.QINV: self.q_inv, Gen.E: self.e, Gen.F: self.f}
+    gen_matrices = Rep.gen_matrices
 
 
 def tensor_rep(left: Rep, right: Rep) -> TensorRep:

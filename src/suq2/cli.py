@@ -156,8 +156,6 @@ def _emit(parser, args, text: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
-    if args.fmt == "csv":
-        parser.error("--format csv requires --out")
     sys.stdout.write(text)
 
 
@@ -280,6 +278,8 @@ def cmd_tables(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.fmt == "csv" and not args.out:
+        parser.error("--format csv requires --out")
     try:
         return args.func(args, parser)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -24,7 +24,8 @@ Elements of A (``AlgElement``), families of two-leg components
 (``BiElement``, keyed by (n, m)) and the dual's coefficient functionals
 (``suq2.dual.DualElement``) share the storage base ``BlockSum``: a dict of
 square complex blocks with exactly-zero blocks dropped, its linear
-structure and blockwise maps.
+structure and blockwise maps.  ``AlgElement`` and ``BiElement`` take their
+blockwise product and star from one private base, ``_MatrixBlocks``.
 """
 
 from functools import lru_cache
@@ -128,22 +129,29 @@ class BlockSum:
         return f"{type(self).__name__}(support={self.support})"
 
 
-class AlgElement(BlockSum):
-    """Finitely supported element of the direct sum of matrix blocks."""
+class _MatrixBlocks(BlockSum):
+    """A *-algebra block by block: a product of two elements of one type
+    multiplies matching blocks, and the star takes each block's adjoint."""
 
     __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, AlgElement):
+        if type(other) is type(self):
             shared = self.blocks.keys() & other.blocks.keys()
-            return AlgElement._wrap({n: self.blocks[n] @ other.blocks[n] for n in shared})
+            return self._wrap({key: self.blocks[key] @ other.blocks[key] for key in shared})
         return super().__mul__(other)
 
     def star(self):
-        return self.map(lambda n, m: m.conj().T)
+        return self.map(lambda key, m: m.conj().T)
 
 
-class BiElement(BlockSum):
+class AlgElement(_MatrixBlocks):
+    """Finitely supported element of the direct sum of matrix blocks."""
+
+    __slots__ = ()
+
+
+class BiElement(_MatrixBlocks):
     """Finitely supported element of the two-leg direct sum (+) A_n (x) A_m."""
 
     __slots__ = ()
@@ -151,15 +159,6 @@ class BiElement(BlockSum):
     @staticmethod
     def _dim(key):
         return (key[0] + 1) * (key[1] + 1)
-
-    def __mul__(self, other):
-        if isinstance(other, BiElement):
-            shared = self.blocks.keys() & other.blocks.keys()
-            return BiElement._wrap({k: self.blocks[k] @ other.blocks[k] for k in shared})
-        return super().__mul__(other)
-
-    def star(self):
-        return self.map(lambda k, m: m.conj().T)
 
 
 def matrix_unit(two_n: int, two_r: int, two_s: int) -> AlgElement:
@@ -421,8 +420,7 @@ def modular_automorphism(params: Params, a: AlgElement, kind: str) -> AlgElement
     kind "left":   sigma(a) = q^-2 a q^2   with  phi(a b) = phi(b sigma(a));
     kind "right":  sigma(a) = q^2 a q^-2   with  psi(a b) = psi(b sigma(a)).
 
-    The two are mutually inverse.
+    The two are mutually inverse: tau_(-+i), so sigma of phi is S^2.
     """
-    s = _kind_sign(kind)
-    return a.map(lambda n, m: scaling_imag_block(params, n, m, s))
+    return scaling_imag(params, a, _kind_sign(kind))
 

@@ -48,7 +48,7 @@ with parameter 1/lam; the verification battery checks those relations,
 unitarity, the Haar values and the modular data numerically.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -246,10 +246,7 @@ def woronowicz_residuals(params: Params) -> dict:
     alpha_s = dual_star(params, alpha)
     gamma_s = dual_star(params, gamma)
     one = dual_unit()
-
-    def mul(x, y):
-        return dual_mul(params, x, y)
-
+    mul = partial(dual_mul, params)
     return {
         "alpha gamma = gamma alpha / lam": (mul(alpha, gamma) - (1.0 / lam) * mul(gamma, alpha)).norm(),
         "alpha gamma* = gamma* alpha / lam": (mul(alpha, gamma_s) - (1.0 / lam) * mul(gamma_s, alpha)).norm(),

@@ -51,10 +51,17 @@ class Params:
             if not (tol >= 0.0 and math.isfinite(tol)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
 
+    def _exp(self, x: float, name: str) -> float:
+        """math.exp(x), x a multiple of t; an `OverflowError` names t and the power ``name``."""
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise OverflowError(f"at t = {self.t!r}, {name} overflows") from None
+
     @property
     def lam(self) -> float:
         """The deformation base lam = exp(t) > 1."""
-        return math.exp(self.t)
+        return self._exp(self.t, "lam = exp(t)")
 
     @property
     def c(self) -> float:
@@ -76,7 +83,7 @@ class Params:
         ``lam_pow(two_exp) == lam ** (two_exp / 2)``; exact for the doubled
         integers used throughout, but any real ``two_exp`` is accepted.
         """
-        return math.exp(0.5 * self.t * two_exp)
+        return self._exp(0.5 * self.t * two_exp, f"lam^({two_exp}/2)")
 
     def q_diag(self, two_n: int, power: complex = 1.0) -> np.ndarray:
         """Diagonal of q^power on the spin-(two_n/2) weights j, highest first: exp(power t j)."""

@@ -4,17 +4,8 @@ import numpy as np
 
 
 def max_abs(m) -> float:
-    """Max-absolute-entry norm; the residual norm used everywhere here.
-
-    A real array is read by its largest and smallest entries, without an
-    array of absolute values; adding 0.0 turns a -0.0 into 0.0.
-    """
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    if m.dtype.kind == "f":
-        return float(np.maximum(m.max(), -m.min())) + 0.0
-    return float(np.max(np.abs(m)))
+    """Max-absolute-entry norm, 0.0 when empty; the residual norm used everywhere here."""
+    return float(np.max(np.abs(np.asarray(m)), initial=0.0))
 
 
 def worst(values) -> float:

@@ -235,20 +235,10 @@ def formal_counit(x: AlgPoly) -> complex:
     return complex(total)
 
 
-@lru_cache(maxsize=None)
-def _antipode_letters(lam: float) -> dict:
-    """Each letter's antipode image as (word, factor); never handed out."""
-    return {
-        Gen.Q: ((Gen.QINV,), 1.0),
-        Gen.QINV: ((Gen.Q,), 1.0),
-        Gen.E: ((Gen.E,), -1.0 / lam),
-        Gen.F: ((Gen.F,), -lam),
-    }
-
-
 def formal_antipode(x: AlgPoly, lam: float) -> AlgPoly:
     """Antihomomorphism with S(q) = q^-1, S(e) = -e/lam, S(f) = -lam f."""
-    letter = _antipode_letters(lam)
+    letter = {Gen.Q: ((Gen.QINV,), 1.0), Gen.QINV: ((Gen.Q,), 1.0),
+              Gen.E: ((Gen.E,), -1.0 / lam), Gen.F: ((Gen.F,), -lam)}
     out = {}
     for word, coeff in x.terms.items():
         new_word = ()

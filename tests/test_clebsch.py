@@ -17,7 +17,7 @@ from suq2.clebsch import (
 from suq2.params import Params
 from suq2.reps import build_rep, evaluate, evaluate_in
 from suq2.util import max_abs
-from suq2.words import E, F, Q, QINV, formal_coproduct, AlgPoly
+from suq2.words import E, F, Gen, Q, QINV, formal_coproduct, AlgPoly
 
 PARAMS = Params(t=0.3)
 LAM = PARAMS.lam
@@ -85,6 +85,13 @@ def test_half_half_lowering_identity():
     lowered = trep.f @ top
     expected = np.array([0.0, LAM**0.5, LAM**-0.5, 0.0])
     assert max_abs(lowered - expected) < 1e-13
+
+
+def test_tensor_rep_gen_matrices_are_its_own_fields():
+    trep = tensor_rep(build_rep(PARAMS, 1), build_rep(PARAMS, 2))
+    gens = trep.gen_matrices
+    assert list(gens) == [Gen.Q, Gen.QINV, Gen.E, Gen.F]
+    assert all(gens[g] is getattr(trep, name) for g, name in zip(gens, ("q", "q_inv", "e", "f")))
 
 
 def test_tensor_with_trivial_is_identity():

@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import pytest
 
+from suq2 import cli
 from suq2.cli import main
 from suq2.verify import RunConfig, _flatten, dump_json, report_doc, run_suite
 
@@ -146,9 +147,37 @@ def test_in_process_report_matches_itself():
 
 
 def test_csv_requires_out():
-    result = run_cli("verify", "--suite", "hopf", "--format", "csv")
+    """A usage error for every command, before any work: tables at
+    --nmax 3000 would overflow if it ran."""
+    commands = (("verify", "--suite", "hopf"), ("rep", "--n", "1"), ("cg", "--n", "1", "--m", "1"), ("tables",))
+    for args in commands + (("tables", "--nmax", "3000"),):
+        result = run_cli(*args, "--format", "csv")
+        assert result.returncode == 2, args
+        assert "suq2: error: --format csv requires --out" in result.stderr and result.stdout == "", args
+
+
+def test_csv_without_out_is_refused_before_the_suite_runs(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "suq2: error: --format csv requires --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("rep", "--n", "1", "--t", "800"), "suq2: error: at t = 800.0, lam = exp(t) overflows\n"),
+        (("rep", "--n", "400", "--t", "5"), "suq2: error: at t = 5.0, lam^(802/2) overflows\n"),
+    ],
+)
+def test_an_overflow_of_lam_exits_two_and_names_t(args, message):
+    result = run_cli(*args)
     assert result.returncode == 2
-    assert "--out" in result.stderr
+    assert result.stderr.endswith(message) and "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_csv_report_shape(tmp_path):

@@ -415,6 +415,49 @@ def test_modular_element_is_q_fourth():
         assert max_abs(delta.block(two_n) - modular_element_block(PARAMS, two_n)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "cls, keys",
+    [(AlgElement, [0, 1, 2, 3]), (BiElement, [(0, 1), (1, 1), (2, 1), (1, 3)])],
+    ids=["AlgElement", "BiElement"],
+)
+def test_block_products_and_stars_are_per_block_matmul_and_adjoint(cls, keys):
+    rng = np.random.default_rng(5)
+
+    def draw(ks):
+        return {k: rng.standard_normal((cls._dim(k),) * 2) + 1j * rng.standard_normal((cls._dim(k),) * 2) for k in ks}
+
+    x_blocks, y_blocks = draw(keys[:3]), draw(keys[1:])
+    x, y = cls(x_blocks), cls(y_blocks)
+    product, star = x * y, x.star()
+    assert type(product) is cls and product.support == sorted(keys[1:3])
+    assert all(np.array_equal(product.blocks[k], x_blocks[k] @ y_blocks[k]) for k in keys[1:3])
+    assert type(star) is cls and star.support == sorted(keys[:3])
+    assert all(np.array_equal(star.blocks[k], x_blocks[k].conj().T) for k in keys[:3])
+
+
+def test_products_across_element_kinds_raise_type_error():
+    a = matrix_unit(0, 0, 0)
+    b = BiElement({(0, 0): np.ones((1, 1))})
+    d = DualElement({0: np.ones((1, 1))})
+    for x, y in ((a, b), (b, a), (d, d)):
+        with pytest.raises(TypeError):
+            x * y
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 50.0])
+@pytest.mark.parametrize("kind, s", [("left", -1.0), ("right", 1.0)])
+def test_modular_automorphism_is_q_conjugation_bit_for_bit(t, kind, s):
+    """sigma(a)_n = q^(2s) a_n q^(-2s), s = -1 for phi and +1 for psi,
+    written out block by block as the entrywise factor d_i / d_j."""
+    params = Params(t=t)
+    a = _random_element(11, range(4))
+    got = modular_automorphism(params, a, kind)
+    assert got.support == a.support
+    for two_n, mat in a.blocks.items():
+        d = params.q_diag(two_n, 2 * s)
+        assert np.array_equal(got.blocks[two_n], mat * np.outer(d, 1.0 / d))
+
+
 def test_alg_element_validation():
     with pytest.raises(ValueError):
         AlgElement({1: np.zeros((3, 3))})  # wrong block shape for spin 1/2

@@ -45,6 +45,47 @@ def test_max_abs_is_the_largest_absolute_value(values, expected):
         assert (math.isnan(got) and math.isnan(expected)) or (got == expected and math.copysign(1.0, got) == 1.0)
 
 
+def _two_path_max_abs(m):
+    """max_abs with a real array read by its largest and smallest entries,
+    without an array of absolute values, and other arrays through abs."""
+    m = np.asarray(m)
+    if m.size == 0:
+        return 0.0
+    if m.dtype.kind == "f":
+        return float(np.maximum(m.max(), -m.min())) + 0.0
+    return float(np.max(np.abs(m)))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[-3.0, 1.0], [2.0, -0.5]]),
+        np.arange(24.0).reshape(2, 3, 4)[:, ::2] - 11.5,
+        np.array([1.0, -2.0], dtype=np.float32),
+        np.array([3 - 4j, -1j]),
+        np.array([[1 + 1j]])[:, ::-1],
+        np.array([-7, 3]),
+        np.zeros(0),
+        np.zeros((0, 3), dtype=complex),
+        np.array(-2.5),
+        np.array(-2 + 1j),
+        np.array([1.0, NAN, -3.0]),
+        np.array([NAN + 0j, 2.0]),
+        np.array([INF, -1.0]),
+        np.array([-INF, 1.0]),
+        np.array([complex(1.0, -INF)]),
+        np.array([-0.0]),
+        np.array([[-0.0, -0.0]]),
+        np.array(-0.0),
+        [[-0.0]],
+    ],
+)
+def test_max_abs_equals_the_two_path_formula(m):
+    got, expected = max_abs(m), _two_path_max_abs(m)
+    assert type(got) is float
+    assert (math.isnan(got) and math.isnan(expected)) or (got == expected and math.copysign(1.0, got) == 1.0)
+
+
 def test_worst_of_nothing_is_zero():
     assert worst([]) == 0.0
     assert worst(x for x in ()) == 0.0

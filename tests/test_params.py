@@ -44,3 +44,12 @@ def test_a_bool_deformation_never_reaches_a_report():
     # True == 1 would run the suite at t = 1 and write "t":true into the report
     with pytest.raises(ValueError, match="^t must be a real number, got True"):
         run_suite(RunConfig(t=True, tol_abs=True), "hopf")
+
+
+def test_an_overflowing_power_of_lam_names_t_and_the_power():
+    with pytest.raises(OverflowError, match=r"^at t = 800\.0, lam = exp\(t\) overflows$"):
+        Params(t=800.0).lam
+    with pytest.raises(OverflowError, match=r"^at t = 5\.0, lam\^\(802/2\) overflows$"):
+        Params(t=5.0).lam_pow(802)
+    assert Params(t=5.0).lam_pow(200) == math.exp(500.0)
+    assert Params(t=700.0).lam == math.exp(700.0)

@@ -1,5 +1,6 @@
 """Formal word layer: free *-algebra with coproduct, counit, antipode."""
 
+import itertools
 import math
 
 import pytest
@@ -66,6 +67,20 @@ def test_antipode_on_letters():
     assert (formal_antipode(Q, LAM) - QINV).max_abs_coeff() == 0.0
     assert (formal_antipode(E, LAM) + (1.0 / LAM) * E).max_abs_coeff() == 0.0
     assert (formal_antipode(F, LAM) + LAM * F).max_abs_coeff() == 0.0
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_formal_antipode_is_the_letter_table_fold_on_every_short_word(t):
+    """S(w) is the product of the letter images in reverse order, on every
+    word of length at most 3, coefficients exactly equal."""
+    lam = math.exp(t)
+    image = {Gen.Q: QINV, Gen.QINV: Q, Gen.E: (-1.0 / lam) * E, Gen.F: (-lam) * F}
+    for length in range(4):
+        for word in itertools.product(list(Gen), repeat=length):
+            expected = ONE
+            for g in reversed(word):
+                expected = expected * image[g]
+            assert formal_antipode(AlgPoly.from_word(*word), lam).terms == expected.terms, word
 
 
 def test_antipode_of_ef_is_fe():
