@@ -160,10 +160,11 @@ class Decomposition:
 
     @property
     def singular_gap(self):
-        """Smallest relative singular gap of the construction: over the
+        """Smallest normwise singular gap of the construction: over the
         weights whose B_w fixes two or more vectors, the least distance
         between two of its singular values (a new highest weight's zero
-        included) over its largest one.  None when no weight has two."""
+        included) over its largest one, not the relative gap
+        |s_i - s_j| / (s_i + s_j) of a pair.  None when no weight has two."""
         dim = (self.two_n + 1) * (self.two_m + 1)
         size = self.rows.shape[1]
         gaps = [

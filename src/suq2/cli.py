@@ -8,7 +8,8 @@ Subcommands:
     suq2 tables                    closed-form structure tables
 
 Common options resolve in the order: command line flag, then SUQ2_*
-environment variable, then built-in default.  JSON goes to stdout unless
+environment variable, then default: RunConfig's for the run settings,
+json and stdout for --format and --out.  JSON goes to stdout unless
 --out is given; csv output requires --out.  Exit codes: 0 success,
 1 failed checks, 2 invalid configuration or an unwritable --out.
 """
@@ -16,7 +17,7 @@ environment variable, then built-in default.  JSON goes to stdout unless
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -45,13 +46,28 @@ from .verify import (
 from .dual import U_LABELS
 
 
-_ENV_PREFIX = "SUQ2_"
 # the families of the checks that --nmax reaches uncut, as "cg/* and reps/*"
 _UNCAPPED = " and ".join(sorted({row.id.split("/")[0] + "/*" for row in CHECKS if row.cap is None}))
+_FORMATS = ("json", "csv")
+
+# The common options as (flag, dest, type, help).  A flag's SUQ2_* variable
+# and metavar are its name in capitals (--tol-abs: SUQ2_TOL_ABS, TOL_ABS);
+# its default is RunConfig's field ``dest``, or json and stdout for --format
+# and --out, which RunConfig does not hold.
+_COMMON = (
+    ("--t", "t", float, "deformation parameter t > 0 (lam = exp(t))"),
+    ("--nmax", "nmax2", int, "largest doubled spin 2n of the tables and the uncapped "
+     f"{_UNCAPPED} checks; others stop at their caps"),
+    ("--tol-abs", "tol_abs", float, "absolute tolerance for residual checks"),
+    ("--tol-rel", "tol_rel", float, "relative tolerance for rank decisions"),
+    ("--format", "fmt", str, "output format"),
+    ("--out", "out", str, "output file path (csv requires this; json defaults to stdout)"),
+    ("--seed", "seed", int, "seed for the randomized battery elements"),
+)
 
 
-def _env(name: str, cast, default, choices=None):
-    raw = os.environ.get(_ENV_PREFIX + name)
+def _env(var: str, cast, default, choices=None):
+    raw = os.environ.get(var)
     if raw is None:
         return default
     try:
@@ -60,54 +76,18 @@ def _env(name: str, cast, default, choices=None):
             return value
     except ValueError:
         pass
-    sys.stderr.write(f"suq2: invalid {_ENV_PREFIX + name}={raw!r}\n")
+    sys.stderr.write(f"suq2: invalid {var}={raw!r}\n")
     raise SystemExit(2)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    formats = ("json", "csv")
-    parser.add_argument(
-        "--t",
-        type=float,
-        default=_env("T", float, 0.3),
-        help="deformation parameter t > 0 (lam = exp(t))",
-    )
-    parser.add_argument(
-        "--nmax",
-        type=int,
-        default=_env("NMAX", int, 4),
-        help=f"largest doubled spin 2n of the tables and the uncapped {_UNCAPPED} checks; others stop at their caps",
-    )
-    parser.add_argument(
-        "--tol-abs",
-        type=float,
-        default=_env("TOL_ABS", float, 1e-9),
-        help="absolute tolerance for residual checks",
-    )
-    parser.add_argument(
-        "--tol-rel",
-        type=float,
-        default=_env("TOL_REL", float, 1e-9),
-        help="relative tolerance for rank decisions",
-    )
-    parser.add_argument(
-        "--format",
-        choices=formats,
-        default=_env("FORMAT", str, "json", formats),
-        dest="fmt",
-        help="output format",
-    )
-    parser.add_argument(
-        "--out",
-        default=_env("OUT", str, ""),
-        help="output file path (csv requires this; json defaults to stdout)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env("SEED", int, 0),
-        help="seed for the randomized battery elements",
-    )
+    defaults = {**asdict(RunConfig()), "fmt": _FORMATS[0], "out": ""}
+    for flag, dest, cast, help in _COMMON:
+        name = flag[2:].upper().replace("-", "_")
+        choices = _FORMATS if dest == "fmt" else None
+        default = _env("SUQ2_" + name, cast, defaults[dest], choices)
+        metavar = None if choices else name
+        parser.add_argument(flag, dest=dest, type=cast, choices=choices, metavar=metavar, default=default, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,16 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        t=args.t,
-        nmax2=args.nmax,
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
-        seed=args.seed,
-    )
+    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
 
 
-def _emit(parser, args, text: str) -> None:
+def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -159,10 +133,10 @@ def _emit(parser, args, text: str) -> None:
     sys.stdout.write(text)
 
 
-def _write_doc(parser, args, kind: str, config: RunConfig, fields: dict) -> None:
+def _write_doc(args, kind: str, config: RunConfig, fields: dict) -> None:
     """Write a schema-1 document: its kind and run config, then ``fields``."""
     doc = {"schema": 1, "kind": kind, "config": asdict(config), **fields}
-    _emit(parser, args, dump_json(doc) + "\n" if args.fmt == "json" else doc_csv(doc))
+    _emit(args, dump_json(doc) + "\n" if args.fmt == "json" else doc_csv(doc))
 
 
 def _matrix_doc(mat: np.ndarray):
@@ -195,7 +169,7 @@ def cmd_rep(args, parser) -> int:
         "casimir": {"value": float(expected), "residual": float(cas)},
         "classified": {"two_n": two_n, "sign": sign},
     }
-    _write_doc(parser, args, "rep", config, fields)
+    _write_doc(args, "rep", config, fields)
     return 0
 
 
@@ -214,13 +188,13 @@ def cmd_cg(args, parser) -> int:
         "residuals": {law: float(v) for law, v in residuals.items()},
         "singular_gap": dec.singular_gap,
     }
-    _write_doc(parser, args, "cg", config, fields)
+    _write_doc(args, "cg", config, fields)
     return 0
 
 
 def cmd_verify(args, parser) -> int:
     report = run_suite(_config(args), args.suite)
-    _emit(parser, args, dump_json(report_doc(report)) + "\n" if args.fmt == "json" else report_csv(report))
+    _emit(args, dump_json(report_doc(report)) + "\n" if args.fmt == "json" else report_csv(report))
     summary = f"suite {report.suite}: {len(report.checks)} checks, {len(report.failures)} failed\n"
     sys.stderr.write(summary)
     for check in report.failures:
@@ -271,7 +245,7 @@ def cmd_tables(args, parser) -> int:
         "dual_haar_quadratic": haar_table,
         "blocks": blocks,
     }
-    _write_doc(parser, args, "tables", config, fields)
+    _write_doc(args, "tables", config, fields)
     return 0
 
 

@@ -133,10 +133,10 @@ from .words import AlgPoly, Gen, formal_antipode, formal_coproduct, formal_couni
 class RunConfig:
     """Configuration shared by the command line and the batteries."""
 
-    t: float = 0.3
+    t: float = Params.t
     nmax2: int = 4
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
+    tol_abs: float = Params.tol_abs
+    tol_rel: float = Params.tol_rel
     seed: int = 0
 
     def __post_init__(self):
@@ -217,8 +217,6 @@ def dump_json(obj) -> str:
         return _format_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return "[" + _format_float(obj.real) + "," + _format_float(obj.imag) + "]"
-    if isinstance(obj, np.ndarray):
-        return dump_json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

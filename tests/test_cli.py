@@ -1,11 +1,14 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +17,11 @@ from suq2.cli import main
 from suq2.verify import RunConfig, _flatten, dump_json, report_doc, run_suite
 
 CLI = [sys.executable, "-m", "suq2.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, env_extra=None, check=False):
-    import os
-
-    env = dict(os.environ)
-    env.pop("SUQ2_T", None)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUQ2_")}
     if env_extra:
         env.update(env_extra)
     result = subprocess.run(
@@ -156,7 +157,7 @@ def test_csv_requires_out():
         assert "suq2: error: --format csv requires --out" in result.stderr and result.stdout == "", args
 
 
-def test_csv_without_out_is_refused_before_the_suite_runs(monkeypatch, capsys):
+def test_csv_without_out_is_refused_before_the_suite_runs(bare_env, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("the suite ran")
 
@@ -315,6 +316,107 @@ def test_environment_format_outside_the_choices_exits_two(command):
     assert result.returncode == 2
     assert "suq2: invalid SUQ2_FORMAT='xml'" in result.stderr
     assert result.stdout == ""
+
+
+# Each common option: its variable, its flag, its dest, and a value for the
+# variable and another for the flag, both as a report reads them back.
+ENVIRONMENT = [
+    ("SUQ2_T", "--t", "t", 0.4, 0.25),
+    ("SUQ2_NMAX", "--nmax", "nmax2", 2, 3),
+    ("SUQ2_TOL_ABS", "--tol-abs", "tol_abs", 1e-8, 1e-7),
+    ("SUQ2_TOL_REL", "--tol-rel", "tol_rel", 1e-6, 1e-5),
+    ("SUQ2_SEED", "--seed", "seed", 7, 8),
+    ("SUQ2_FORMAT", "--format", "fmt", "csv", "json"),
+    ("SUQ2_OUT", "--out", "out", "env.json", "flag.json"),
+]
+
+
+@pytest.fixture
+def bare_env(monkeypatch):
+    """No SUQ2_* variable of the calling shell reaches the command line."""
+    for var in [var for var in os.environ if var.startswith("SUQ2_")]:
+        monkeypatch.delenv(var)
+    return monkeypatch
+
+
+def _option_read_back(tmp_path, monkeypatch, dest, env, *flags):
+    """Run ``suq2 rep --n 1`` in ``tmp_path`` with ``env`` and ``flags``, and
+    read the option ``dest`` back from the one file it writes: the file's
+    name for --out, its format for --format, else its config entry."""
+    monkeypatch.chdir(tmp_path)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    out = () if "--out" in flags or "SUQ2_OUT" in env else ("--out", "report")
+    assert main(["rep", "--n", "1", *flags, *out]) == 0
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    if dest == "out":
+        return path.name
+    if dest == "fmt":
+        return "csv" if text.startswith("key,value\n") else "json"
+    return json.loads(text)["config"][dest]
+
+
+@pytest.mark.parametrize("var, flag, dest, env_value, flag_value", ENVIRONMENT)
+def test_each_environment_variable_sets_its_option(tmp_path, bare_env, var, flag, dest, env_value, flag_value):
+    assert _option_read_back(tmp_path, bare_env, dest, {var: str(env_value)}) == env_value
+
+
+@pytest.mark.parametrize("var, flag, dest, env_value, flag_value", ENVIRONMENT)
+def test_each_flag_wins_over_its_environment_variable(tmp_path, bare_env, var, flag, dest, env_value, flag_value):
+    assert _option_read_back(tmp_path, bare_env, dest, {var: str(env_value)}, flag, str(flag_value)) == flag_value
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("SUQ2_T", "abc"),
+        ("SUQ2_NMAX", "2.5"),
+        ("SUQ2_TOL_ABS", "1e-9x"),
+        ("SUQ2_TOL_REL", ""),
+        ("SUQ2_SEED", "seven"),
+        ("SUQ2_FORMAT", "xml"),
+    ],
+)
+def test_a_garbage_environment_value_exits_two_and_names_its_variable(bare_env, capsys, var, value):
+    bare_env.setenv(var, value)
+    with pytest.raises(SystemExit) as exited:
+        main(["rep", "--n", "1"])
+    assert exited.value.code == 2
+    assert capsys.readouterr() == ("", f"suq2: invalid {var}={value!r}\n")
+
+
+def test_an_unwritable_environment_out_exits_two_naming_the_path(tmp_path, bare_env, capsys):
+    """Any string is a path to SUQ2_OUT, so its garbage is a path that
+    cannot be written, refused as the same path on --out is."""
+    out = tmp_path / "missing" / "report.json"
+    bare_env.setenv("SUQ2_OUT", str(out))
+    with pytest.raises(SystemExit) as exited:
+        main(["rep", "--n", "1"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "suq2: error:" in err and str(out) in err and "Traceback" not in err
+
+
+def test_readme_lists_each_common_option_with_its_variable_and_default(bare_env):
+    """README's common-flags table lists the CLI's options in their order,
+    each with its SUQ2_* variable and its default, RunConfig's for the run
+    settings."""
+    section = (ROOT / "README.md").read_text().split("| flag | env fallback | default | meaning |\n| --- | --- | --- | --- |\n")[1]
+    listed = {}
+    for line in section.split("\n\n")[0].splitlines():
+        flag, var, default, _ = (part.strip().strip("`") for part in line.strip("|").split("|"))
+        listed[flag] = (var, default)
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    defaults = {action.option_strings[0]: action.default for action in parser._actions if action.dest != "help"}
+    assert list(listed) == list(defaults)
+    variables = {flag: var for var, flag, *_ in ENVIRONMENT}
+    for flag, (var, default) in listed.items():
+        value = defaults[flag]
+        assert var == variables[flag], flag
+        assert (default if isinstance(value, str) else type(value)(default)) == ("stdout" if value == "" else value), flag
+    assert {dest: defaults[flag] for _, flag, dest, *_ in ENVIRONMENT if dest not in ("fmt", "out")} == asdict(RunConfig())
 
 
 @pytest.mark.parametrize(

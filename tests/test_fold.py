@@ -36,9 +36,9 @@ def test_worst_propagates_inf(values):
     [([-3.0, 1.0], 3.0), ([2.0, -1.0], 2.0), ([-0.0], 0.0), ([1.0, NAN], NAN), ([-INF, 1.0], INF), ([3 - 4j], 5.0)],
 )
 def test_max_abs_is_the_largest_absolute_value(values, expected):
-    """Real arrays are read by their max and min, complex ones through abs;
-    either gives the largest absolute value, NaN and +0.0 included, on a
-    strided view as on a contiguous array."""
+    """One route, the largest entry of abs, for real and complex arrays
+    alike: the largest absolute value, NaN and +0.0 included, on a strided
+    view as on a contiguous array."""
     contiguous = np.array(values)
     for m in (contiguous, np.repeat(contiguous, 2)[::2]):
         got = max_abs(m)
