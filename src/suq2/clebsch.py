@@ -24,10 +24,10 @@ the order of their singular values:
         highest weight vector of spin w.  Its entries alternate exactly (e
         kills it by a two-term recursion with positive coefficients), and
         it is signed so its first entry is positive;
-      * every other column is signed so that its left singular vector
-        overlaps positively with the weight-(w + 2) column it comes from.
-        That makes it D(f) applied to that column divided by r^(k)_w: the
-        lowering construction, with the same phase convention.
+      * every other column v is signed so that <B_w v, u> > 0, for u the
+        weight-(w + 2) column it comes from.  That makes it D(f) applied to
+        u divided by r^(k)_w: the lowering construction, with the same
+        phase convention.
 
 The multiplicities are known, so no rank cutoff is needed, and singular
 vectors are orthonormal, so no normalization guard either.  The loop over
@@ -221,27 +221,24 @@ def decompose(params: Params, two_n: int, two_m: int) -> Decomposition:
             f"finite, first at doubled weight w = {first}"
         )
 
-    # unsigned factors: right singular vectors as columns, ascending, and
-    # the left ones each under the column it was lowered into
+    # unsigned factors: right singular vectors as columns, ascending
     blocks = np.zeros((two_n + two_m + 1, size, size))
-    left_vectors = np.zeros_like(blocks)
     singular_values = np.zeros((two_n + two_m + 1, size))
     blocks[0, 0, -1] = 1.0
     stop = 1
     for (above, here), run in groupby(zip(count[:-1].tolist(), count[1:].tolist())):
         start, stop = stop, stop + len(list(run))
-        lsv, sv, vh = np.linalg.svd(raising[start:stop, :above, :here])
+        _, sv, vh = np.linalg.svd(raising[start:stop, :above, :here])
         kept = min(above, here)
         blocks[start:stop, :here, size - here :] = np.swapaxes(vh[:, ::-1], 1, 2)
-        left_vectors[start:stop, :above, size - kept :] = lsv[:, :, kept - 1 :: -1]
         singular_values[start:stop, size - kept :] = sv[:, ::-1]
 
-    # a lowered column's sign is that of its left vector's overlap with the
-    # unsigned column above, times the sign above: a product down the
-    # weights.  A new highest weight vector takes the sign of its
-    # alternating sum, which makes its first entry positive.
+    # a lowered column v's sign is that of <B_w v, unsigned column above>,
+    # times the sign above: a product down the weights.  A new highest
+    # weight vector takes the sign of its alternating sum, which makes its
+    # first entry positive.
     lowered = np.minimum(count[:-1], count[1:])
-    overlap = (left_vectors[1:] * blocks[:-1]).sum(axis=1)
+    overlap = ((raising[1:] @ blocks[1:]) * blocks[:-1]).sum(axis=1)
     signs = np.ones((two_n + two_m + 1, size))
     signs[1:] = np.where(np.arange(size) >= size - lowered[:, None], np.sign(overlap), 1.0)
     new = np.flatnonzero(lowered < count[1:]) + 1

@@ -50,19 +50,31 @@ from .dual import U_LABELS
 _UNCAPPED = " and ".join(sorted({row.id.split("/")[0] + "/*" for row in CHECKS if row.cap is None}))
 _FORMATS = ("json", "csv")
 
+
+def _count(raw: str) -> int:
+    """The type of --n, --m, --nmax and --seed, and of their variables: an integer >= 0."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 # The common options as (flag, dest, type, help).  A flag's SUQ2_* variable
 # and metavar are its name in capitals (--tol-abs: SUQ2_TOL_ABS, TOL_ABS);
 # its default is RunConfig's field ``dest``, or json and stdout for --format
 # and --out, which RunConfig does not hold.
 _COMMON = (
     ("--t", "t", float, "deformation parameter t > 0 (lam = exp(t))"),
-    ("--nmax", "nmax2", int, "largest doubled spin 2n of the tables and the uncapped "
+    ("--nmax", "nmax2", _count, "largest doubled spin 2n of the tables and the uncapped "
      f"{_UNCAPPED} checks; others stop at their caps"),
     ("--tol-abs", "tol_abs", float, "absolute tolerance for residual checks"),
     ("--tol-rel", "tol_rel", float, "relative tolerance for rank decisions"),
     ("--format", "fmt", str, "output format"),
     ("--out", "out", str, "output file path (csv requires this; json defaults to stdout)"),
-    ("--seed", "seed", int, "seed for the randomized battery elements"),
+    ("--seed", "seed", _count, "seed for the randomized battery elements"),
 )
 
 
@@ -74,7 +86,7 @@ def _env(var: str, cast, default, choices=None):
         value = cast(raw)
         if choices is None or value in choices:
             return value
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         pass
     sys.stderr.write(f"suq2: invalid {var}={raw!r}\n")
     raise SystemExit(2)
@@ -99,14 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("rep", help="build one irreducible representation")
     _add_common(p_rep)
-    p_rep.add_argument("--n", type=int, required=True, help="doubled spin 2n >= 0")
+    p_rep.add_argument("--n", type=_count, required=True, help="doubled spin 2n >= 0")
     p_rep.add_argument("--sign", type=int, choices=(1, -1), default=1, help="sign twist of q")
     p_rep.set_defaults(func=cmd_rep)
 
     p_cg = sub.add_parser("cg", help="decompose a tensor product of irreducibles")
     _add_common(p_cg)
-    p_cg.add_argument("--n", type=int, required=True, help="left doubled spin 2n >= 0")
-    p_cg.add_argument("--m", type=int, required=True, help="right doubled spin 2m >= 0")
+    p_cg.add_argument("--n", type=_count, required=True, help="left doubled spin 2n >= 0")
+    p_cg.add_argument("--m", type=_count, required=True, help="right doubled spin 2m >= 0")
     p_cg.set_defaults(func=cmd_cg)
 
     p_verify = sub.add_parser("verify", help="run the named check battery")
@@ -119,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.set_defaults(func=cmd_tables)
 
     return parser
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
 
 
 def _emit(args, text: str) -> None:
@@ -143,11 +151,8 @@ def _matrix_doc(mat: np.ndarray):
     return [[complex(v) for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def cmd_rep(args, parser) -> int:
-    config = _config(args)
+def cmd_rep(args, config: RunConfig) -> int:
     params = config.params()
-    if args.n < 0:
-        parser.error("--n must be a doubled spin >= 0")
     rep = build_rep(params, args.n, args.sign)
     residuals = relation_residuals(params, rep.q, rep.q_inv, rep.e, rep.f)
     expected = casimir_scalar(params, args.n)
@@ -173,11 +178,8 @@ def cmd_rep(args, parser) -> int:
     return 0
 
 
-def cmd_cg(args, parser) -> int:
-    config = _config(args)
+def cmd_cg(args, config: RunConfig) -> int:
     params = config.params()
-    if args.n < 0 or args.m < 0:
-        parser.error("--n and --m must be doubled spins >= 0")
     dec = decompose(params, args.n, args.m)
     residuals = decomposition_residuals(params, args.n, args.m)
     fields = {
@@ -192,8 +194,8 @@ def cmd_cg(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    report = run_suite(_config(args), args.suite)
+def cmd_verify(args, config: RunConfig) -> int:
+    report = run_suite(config, args.suite)
     _emit(args, dump_json(report_doc(report)) + "\n" if args.fmt == "json" else report_csv(report))
     summary = f"suite {report.suite}: {len(report.checks)} checks, {len(report.failures)} failed\n"
     sys.stderr.write(summary)
@@ -202,8 +204,7 @@ def cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_tables(args, parser) -> int:
-    config = _config(args)
+def cmd_tables(args, config: RunConfig) -> int:
     params = config.params()
     spin_half = build_rep(params, 1, +1)
     pairing = {name: _matrix_doc(getattr(spin_half, name)) for name in ("q", "e", "f")}
@@ -254,8 +255,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.fmt == "csv" and not args.out:
         parser.error("--format csv requires --out")
+    config = RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
     try:
-        return args.func(args, parser)
+        return args.func(args, config)
     except (ValueError, ArithmeticError, OSError) as exc:
         parser.exit(2, f"suq2: error: {exc}\n")
         return 2

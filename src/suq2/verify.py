@@ -49,7 +49,6 @@ same configuration produce byte-identical serializations.
 """
 
 import functools
-import inspect
 import itertools
 import json
 import math
@@ -805,7 +804,7 @@ def _all_words(max_len: int):
 
 
 @_battery("formal")
-def formal_battery(params: Params):
+def formal_battery(params: Params, nmax2: int, rng):
     lam = params.lam
 
     expected = words.TensorPoly(
@@ -839,7 +838,7 @@ def formal_battery(params: Params):
     coproducts = [formal_coproduct(x) for x in battery]
 
     yield "words/coassociativity", (
-        (words.TensorPoly(words.coproduct_leg(tp, 0)) - words.TensorPoly(words.coproduct_leg(tp, 1))).max_abs_coeff()
+        (words.coproduct_leg(tp, 0) - words.coproduct_leg(tp, 1)).max_abs_coeff()
         for tp in coproducts
     )
 
@@ -948,7 +947,7 @@ def rep_battery(params: Params, nmax2: int, rng):
 
 
 @_battery("clebsch")
-def clebsch_battery(params: Params, nmax2: int):
+def clebsch_battery(params: Params, nmax2: int, rng):
     yield "cg/index-set", index_set(1, 1) == [0, 2] and index_set(2, 3) == [1, 3, 5] and index_set(0, 4) == [4]
     dims_ok = True
     for two_n in _window("cg/dimension-identity", nmax2):
@@ -1158,7 +1157,7 @@ def _cointegral_block(params: Params, two_n: int) -> dict:
 
 
 @_battery("cointegral")
-def cointegral_battery(params: Params, nmax2: int):
+def cointegral_battery(params: Params, nmax2: int, rng):
     h = cointegral()
 
     blocks = [_cointegral_block(params, two_n) for two_n in _window("coint/two-routes", nmax2)]
@@ -1203,7 +1202,7 @@ def cointegral_battery(params: Params, nmax2: int):
 
 
 @_battery("modular")
-def modular_battery(params: Params, nmax2: int):
+def modular_battery(params: Params, nmax2: int, rng):
     for kind in ("left", "right"):
         check_id = f"modular/{kind}-certificate"
         yield check_id, [modular_certificate_residual(params, two_n, kind) for two_n in _window(check_id, nmax2)]
@@ -1371,21 +1370,19 @@ class _Draws:
 
 def run_suite(config: RunConfig, suite: str) -> Report:
     """Run one named suite, or all, and return its report.  Each battery is
-    looked up by name as it runs, so a wrapped one runs, and gets the run
-    inputs its signature names; a suite's batteries share one `_Draws` stream.
-    An `ArithmeticError` out of a battery is raised again, of its own type,
-    naming the battery and t."""
+    looked up by name as it runs, so a wrapped one runs, and is called with
+    (params, nmax2, rng); a suite's batteries share one `_Draws` stream as
+    their rng.  An `ArithmeticError` out of a battery is raised again, of
+    its own type, naming the battery and t."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     params = config.params()
     checks = []
     for name in SUITE_BATTERIES if suite == "all" else (suite,):
-        inputs = {"nmax2": config.nmax2, "rng": _Draws(int(config.seed) + _SEED_OFFSETS.get(name, 0))}
+        rng = _Draws(int(config.seed) + _SEED_OFFSETS.get(name, 0))
         for b in SUITE_BATTERIES[name]:
-            battery = globals()[f"{b}_battery"]
-            wanted = inspect.signature(battery).parameters
             try:
-                checks.extend(battery(params, **{k: v for k, v in inputs.items() if k in wanted}))
+                checks.extend(globals()[f"{b}_battery"](params, config.nmax2, rng))
             except ArithmeticError as exc:
                 raise type(exc)(f"{b} battery at t = {params.t}: {exc}") from exc
     return Report(suite=suite, config=config, checks=tuple(sorted(checks, key=lambda c: c.id)))

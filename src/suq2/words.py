@@ -251,11 +251,11 @@ def formal_antipode(x: AlgPoly, lam: float) -> AlgPoly:
     return AlgPoly(out)
 
 
-def coproduct_leg(tp: TensorPoly, leg: int) -> dict:
+def coproduct_leg(tp: TensorPoly, leg: int) -> TensorPoly:
     """Apply the comultiplication to one leg of a two-leg tensor.
 
-    Returns a plain dict mapping three-word tuples to coefficients; used to
-    state coassociativity, which lives in the triple tensor product.
+    Returns a fresh three-leg `TensorPoly`; used to state coassociativity,
+    which lives in the triple tensor product.
     """
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
@@ -264,4 +264,4 @@ def coproduct_leg(tp: TensorPoly, leg: int) -> dict:
         for (a, b), c in _word_coproduct(w1 if leg == 0 else w2).terms.items():
             key = (a, b, w2) if leg == 0 else (w1, a, b)
             out[key] = out.get(key, 0.0) + coeff * c
-    return TensorPoly._wrap(out).terms
+    return TensorPoly._wrap(out)

@@ -2,6 +2,7 @@
 
 The references below are the forms the graded code replaced: the
 per-weight loop of `decompose` that fixed each sign as it went, the
+stacked SVD that read each sign off its left factor, the
 one-batch padded `coproduct_component`, the definitional sum
 sum_k V_k a_k V_k^T over dense pieces, the certificates computed against
 the dense generator images of `tensor_rep`, and the eager scatter of the
@@ -11,6 +12,8 @@ it does the same arithmetic and to roundoff where it does not.
 
 import dataclasses
 import re
+import warnings
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -26,8 +29,8 @@ SMALL_PAIRS = [(two_n, two_m) for two_n in range(17) for two_m in range(17)]
 PARAMS_03 = Params(t=0.3)
 
 
-def reference_decompose(params, two_n, two_m):
-    """One SVD per weight, each column signed as soon as it is found."""
+def _reference_raising(params, two_n, two_m):
+    """The row map and the padded B_w stack of `decompose`, refusing a non-finite one alike."""
     left = build_rep(params, two_n, +1)
     right = build_rep(params, two_m, +1)
     size = len(index_set(two_n, two_m))
@@ -37,7 +40,7 @@ def reference_decompose(params, two_n, two_m):
     p, u = np.divmod(np.arange(dim), right.dim)
     weight_of = p + u
     lo = np.maximum(0, np.arange(two_n + two_m + 1) - two_m)
-    count = (np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1).tolist()
+    count = np.minimum(two_n, np.arange(two_n + two_m + 1)) - lo + 1
     slots = weight_of * size + p - lo[weight_of]
     rows = np.full((two_n + two_m + 1) * size, dim)
     rows[slots] = np.arange(dim)
@@ -56,7 +59,25 @@ def reference_decompose(params, two_n, two_m):
             f"decompose: B_w of 2n = {two_n}, 2m = {two_m} at t = {params.t!r} is not "
             f"finite, first at doubled weight w = {first}"
         )
+    return size, count, rows, slots, weight_of, raising
 
+
+def _reference_result(blocks, singular_values, rows, slots, weight_of):
+    size = blocks.shape[-1]
+    coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
+    return {
+        "blocks": blocks,
+        "singular_values": singular_values,
+        "coefficients": coefficients,
+        "rows": rows,
+        "weight_of": weight_of,
+    }
+
+
+def reference_decompose(params, two_n, two_m):
+    """One SVD per weight, each column signed as soon as it is found."""
+    size, count, rows, slots, weight_of, raising = _reference_raising(params, two_n, two_m)
+    count = count.tolist()
     blocks = np.zeros((two_n + two_m + 1, size, size))
     singular_values = np.zeros((two_n + two_m + 1, size))
     blocks[0, 0, -1] = 1.0
@@ -72,15 +93,34 @@ def reference_decompose(params, two_n, two_m):
         blocks[s, : count[s], size - count[s] :] = x
         singular_values[s, size - lowered :] = sv[::-1]
         above = x
+    return _reference_result(blocks, singular_values, rows, slots, weight_of)
 
-    coefficients = np.ascontiguousarray(blocks.reshape(-1, size)[slots].T)
-    return {
-        "blocks": blocks,
-        "singular_values": singular_values,
-        "coefficients": coefficients,
-        "rows": rows,
-        "weight_of": weight_of,
-    }
+
+def reference_left_factor_decompose(params, two_n, two_m):
+    """One stacked SVD per run of equal-shape B_w, each lowered column
+    signed by the overlap of its left singular vector with the column above."""
+    size, count, rows, slots, weight_of, raising = _reference_raising(params, two_n, two_m)
+    blocks = np.zeros((two_n + two_m + 1, size, size))
+    left_vectors = np.zeros_like(blocks)
+    singular_values = np.zeros((two_n + two_m + 1, size))
+    blocks[0, 0, -1] = 1.0
+    stop = 1
+    for (above, here), run in groupby(zip(count[:-1].tolist(), count[1:].tolist())):
+        start, stop = stop, stop + len(list(run))
+        lsv, sv, vh = np.linalg.svd(raising[start:stop, :above, :here])
+        kept = min(above, here)
+        blocks[start:stop, :here, size - here :] = np.swapaxes(vh[:, ::-1], 1, 2)
+        left_vectors[start:stop, :above, size - kept :] = lsv[:, :, kept - 1 :: -1]
+        singular_values[start:stop, size - kept :] = sv[:, ::-1]
+    lowered = np.minimum(count[:-1], count[1:])
+    overlap = (left_vectors[1:] * blocks[:-1]).sum(axis=1)
+    signs = np.ones((two_n + two_m + 1, size))
+    signs[1:] = np.where(np.arange(size) >= size - lowered[:, None], np.sign(overlap), 1.0)
+    new = np.flatnonzero(lowered < count[1:]) + 1
+    top_vectors = blocks[new, :, size - count[new]]
+    signs[new, size - count[new]] = np.sign(top_vectors[:, ::2].sum(axis=1) - top_vectors[:, 1::2].sum(axis=1))
+    blocks *= np.cumprod(signs, axis=0)[:, None, :]
+    return _reference_result(blocks, singular_values, rows, slots, weight_of)
 
 
 def reference_coproduct_component(params, a, two_n, two_m):
@@ -174,6 +214,33 @@ def test_decompose_matches_the_per_weight_loop(t):
             dec = decompose(params, two_n, two_m)
             for name, array in expected.items():
                 np.testing.assert_array_equal(getattr(dec, name), array, err_msg=f"{name} at {two_n}, {two_m}")
+            decompose.cache_clear()
+    finally:
+        decompose.cache_clear()
+
+
+@pytest.mark.parametrize("t", (1e-8, 0.3, 2.0, 10.0, 30.0, 50.0))
+def test_decompose_signs_by_the_raised_column_as_the_left_factor_did(t):
+    """<B_w v, column above> has the sign of the left singular vector's
+    overlap, so the blocks, coefficients and singular values are the left
+    factor route's bit for bit, warning-free up to t = 10; where the spins
+    are past what t allows both refuse alike."""
+    params = Params(t=t)
+    try:
+        for two_n in range(25):
+            for two_m in range(25):
+                try:
+                    with np.errstate(all="ignore"):
+                        expected = reference_left_factor_decompose(params, two_n, two_m)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))), np.errstate(all="ignore"):
+                        decompose(params, two_n, two_m)
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error" if t <= 10 else "ignore")
+                    dec = decompose(params, two_n, two_m)
+                for name in ("blocks", "coefficients", "singular_values"):
+                    assert np.array_equal(getattr(dec, name), expected[name]), (name, two_n, two_m)
             decompose.cache_clear()
     finally:
         decompose.cache_clear()

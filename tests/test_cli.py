@@ -475,12 +475,27 @@ def test_seed_changes_random_battery_but_not_results():
         ("tables", "--nmax", "-3"),
         ("rep", "--n", "1", "--nmax", "-1"),
         ("cg", "--n", "1", "--m", "1", "--nmax", "-1"),
+        ("rep", "--n", "-1"),
+        ("cg", "--n", "-2", "--m", "1"),
+        ("cg", "--n", "1", "--m", "-1"),
+        ("tables", "--seed", "-1"),
+        ("SUQ2_NMAX=-1", "rep", "--n", "1"),
+        ("SUQ2_SEED=-1", "verify", "--suite", "hopf"),
     ],
 )
 def test_negative_nmax_exits_two(args):
-    result = run_cli(*args)
+    """A negative --nmax, --n, --m or --seed, or SUQ2_NMAX or SUQ2_SEED (a
+    leading VAR=value), is refused by the argument parser, naming it."""
+    env = dict(arg.split("=") for arg in args if "=" in arg)
+    argv = [arg for arg in args if "=" not in arg]
+    result = run_cli(*argv, env_extra=env)
     assert result.returncode == 2, result.stderr
-    assert "suq2: error:" in result.stderr and "nmax" in result.stderr
+    if env:
+        ((var, value),) = env.items()
+        assert result.stderr == f"suq2: invalid {var}='{value}'\n"
+    else:
+        flag, value = next((flag, value) for flag, value in zip(argv, argv[1:]) if re.fullmatch(r"-\d+", value))
+        assert f"suq2 {argv[0]}: error: argument {flag}: must be an integer >= 0, got {value}\n" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
@@ -489,7 +504,7 @@ def test_negative_nmax_exits_two(args):
 def test_every_suite_refuses_a_negative_seed_by_name(suite):
     result = run_cli("verify", "--suite", suite, "--seed", "-1")
     assert result.returncode == 2, result.stderr
-    assert "suq2: error: seed must be an integer >= 0, got -1" in result.stderr
+    assert "suq2 verify: error: argument --seed: must be an integer >= 0, got -1\n" in result.stderr
     assert result.stdout == ""
 
 

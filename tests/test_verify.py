@@ -255,15 +255,17 @@ def test_each_suite_matches_its_all_rows_in_either_order():
 def test_run_suite_runs_each_battery_looked_up_by_name(monkeypatch):
     """run_suite calls the battery a module attribute holds when it runs, so
     a wrapped one (the benchmark's tracer wraps them) is the one that runs,
-    in the order of SUITE_BATTERIES and with the same report."""
-    config = RunConfig(seed=7)
+    in the order of SUITE_BATTERIES and with the same report.  Each gets
+    exactly (params, nmax2, rng), positionally, and the batteries of one
+    suite share one `_Draws` stream."""
+    config = RunConfig(seed=7, nmax2=3)
     expected = dump_json(report_doc(run_suite(config, "all")))
     calls = []
 
     def wrapped(name, plain):
         @functools.wraps(plain)
         def battery(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args, kwargs))
             return plain(*args, **kwargs)
 
         return battery
@@ -271,7 +273,14 @@ def test_run_suite_runs_each_battery_looked_up_by_name(monkeypatch):
     for name in (b for batteries in SUITE_BATTERIES.values() for b in batteries):
         monkeypatch.setattr(verify, f"{name}_battery", wrapped(name, getattr(verify, f"{name}_battery")))
     assert dump_json(report_doc(run_suite(config, "all"))) == expected
-    assert calls == [b for batteries in SUITE_BATTERIES.values() for b in batteries]
+    assert [name for name, *_ in calls] == [b for batteries in SUITE_BATTERIES.values() for b in batteries]
+    streams = {}
+    for name, args, kwargs in calls:
+        params, nmax2, rng = args
+        assert params == config.params() and nmax2 == 3 and isinstance(rng, verify._Draws) and not kwargs, name
+        suite = next(suite for suite, batteries in SUITE_BATTERIES.items() if name in batteries)
+        assert streams.setdefault(suite, rng) is rng, name
+    assert len({id(rng) for rng in streams.values()}) == len(SUITE_BATTERIES)
 
 
 def test_hopf_battery_reads_no_dense_isometry():
@@ -335,7 +344,7 @@ def test_hopf_and_clebsch_batteries_take_d_on_stacks(monkeypatch):
     hopf_battery(Params(), 4, np.random.default_rng(0))
     assert calls["coproduct_component"] == 0 and calls["coproduct_blocks"] > 0
     calls["coproduct_blocks"] = 0
-    clebsch_battery(Params(), 4)
+    clebsch_battery(Params(), 4, np.random.default_rng(0))
     assert calls == {"coproduct_component": 0, "coproduct_blocks": 25}
 
 
